@@ -37,13 +37,13 @@ def main():
         sequences = cg.generate_sequences(
             cg.ClassicalConfig(n=n, q=q, mode="bsc-chain", seed=3)
         )
-        records = cg.run_match(
+        profile = cg.match_profile(
             cg.classical_strategy(1, sequences),
             cg.classical_strategy(2, sequences),
             cg.uniform_schedule(n),
             seed=3,
         )
-        emp = cg.payoff(cg.empirical_profile(records))
+        emp = cg.payoff(profile)
         print(f"{q:6.2f} {emp:11.4f} {3 - 6 * q + 4 * q**2:10.4f}")
     print("the independent-flip chain only reaches 3 in the q -> 0 limit;")
     print("the disjoint-flip construction reaches it at any feasible q")

@@ -33,8 +33,7 @@ def main():
     for delta in (0.8, 0.4, 0.2, 0.1):
         plan = cg.AnglePlan(delta)
         one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
-        records = cg.run_match(one, two, cg.uniform_schedule(ROUNDS), seed=SEED)
-        emp = cg.empirical_profile(records)
+        emp = cg.match_profile(one, two, cg.uniform_schedule(ROUNDS), seed=SEED)
         exact = cg.quantum_profile(delta)
         print(
             f"{delta:7.2f} {emp.q00:10.5f} {exact.q00:10.5f} "

@@ -55,6 +55,7 @@ from .game import (
     analytic_report,
     empirical_profile,
     empirical_report,
+    match_profile,
     payoff,
     run_match,
     uniform_schedule,
@@ -90,6 +91,7 @@ __all__ = [
     "MissingStatePair",
     "payoff",
     "empirical_profile",
+    "match_profile",
     "run_match",
     "uniform_schedule",
     "analytic_report",

@@ -120,7 +120,7 @@ class LhvMixture:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)  # a copy: the caller's array stays writable
         if w.shape != (16,):
             raise ValueError("mixture needs exactly 16 weights")
         if w.min() < -1e-12:
@@ -146,10 +146,15 @@ def lhv_supremum_payoff() -> tuple[float, LhvMixture]:
     the inequality by linearity, and q00 <= q01 + q10 + q11 <= 3 *
     max(q01, q10, q11) caps the payoff at 3.  The returned witness
     mixture realizes the profile (0.3, 0.1, 0.1, 0.1) and attains 3.
+
+    Raises:
+        RuntimeError: if a vertex breaks the inequality, so the proof fails.
+            The check is explicit so that it also runs under ``python -O``.
     """
     pairs = enumerate_deterministic_pairs()
     for pair, prof in pairs:
-        assert prof.q00 <= prof.q01 + prof.q10 + prof.q11, f"vertex bound broken: {pair}"
+        if prof.q00 > prof.q01 + prof.q10 + prof.q11:
+            raise RuntimeError(f"vertex bound broken: {pair}")
 
     a, b = Move.A, Move.B
     witness_vertices = {

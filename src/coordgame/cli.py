@@ -42,6 +42,7 @@ from .game import (
     analytic_report,
     empirical_profile,
     empirical_report,
+    match_profile,
     payoff,
     run_match,
     uniform_schedule,
@@ -107,13 +108,12 @@ def _cmd_classical(args) -> tuple[dict, dict, str | None]:
     analytic = analytic_classical_profile(args.q, args.mode)
 
     sequences = generate_sequences(config)
-    records = run_match(
+    empirical = match_profile(
         classical_strategy(1, sequences),
         classical_strategy(2, sequences),
         uniform_schedule(args.rounds_per_pair),
         seed=args.seed,
     )
-    empirical = empirical_profile(records)
 
     params = {
         "N": args.N,
@@ -135,8 +135,7 @@ def _cmd_quantum(args) -> tuple[dict, dict, str | None]:
     analytic = quantum_profile(args.delta)
 
     one, two = quantum_player_strategy(AnglePlan(args.delta), SingletSampler(args.seed))
-    records = run_match(one, two, uniform_schedule(args.rounds_per_pair), seed=args.seed)
-    empirical = empirical_profile(records)
+    empirical = match_profile(one, two, uniform_schedule(args.rounds_per_pair), seed=args.seed)
 
     params = {"delta": args.delta, "rounds_per_pair": args.rounds_per_pair}
     results = {

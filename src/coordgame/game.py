@@ -4,8 +4,9 @@ Two non-communicating players each sit in a binary state and make binary
 moves.  The figure of merit is the ratio between the mismatch probability
 when both players are in state 0 and the worst mismatch probability over
 the remaining three state pairs.  This module defines the domain types,
-the payoff functional, the match arbiter, and empirical estimation of the
-four mismatch probabilities from recorded rounds.
+the payoff functional, the match arbiter, and estimation of the four
+mismatch probabilities, either from recorded rounds or straight from a
+counts-only match that never holds per-round records.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ __all__ = [
     "ConstantStrategy",
     "DegenerateProfile",
     "MissingStatePair",
+    "MATCH_CHUNK_ROUNDS",
     "payoff",
     "empirical_profile",
+    "match_profile",
     "run_match",
     "uniform_schedule",
     "analytic_report",
@@ -63,6 +66,12 @@ class StatePair(NamedTuple):
 STATE_PAIRS: tuple[StatePair, ...] = tuple(
     StatePair(PlayerState(i), PlayerState(j)) for i in (0, 1) for j in (0, 1)
 )
+
+
+#: Rounds played per chunk by :func:`match_profile`.  It bounds the
+#: working memory of a counts-only match to a few MiB whatever its length;
+#: results do not depend on it.
+MATCH_CHUNK_ROUNDS = 65_536
 
 
 class DegenerateProfile(ValueError):
@@ -135,6 +144,8 @@ class MatchRecords:
     Rounds are stored as arrays so million-round matches stay cheap;
     indexing and iteration expose individual :class:`RoundRecord` values.
     Round indices are the positions in schedule order, hence unique.
+    The columns are read-only uint8 copies of the arrays passed in, so the
+    caller's arrays stay writable and later writes to them do not leak in.
     """
 
     states: np.ndarray  # (n, 2) uint8, one row per round
@@ -142,11 +153,18 @@ class MatchRecords:
     move_two: np.ndarray  # (n,) uint8
 
     def __post_init__(self) -> None:
-        n = len(self.move_one)
-        if self.states.shape != (n, 2) or self.move_two.shape != (n,):
+        columns = {
+            name: np.array(getattr(self, name), dtype=np.uint8)
+            for name in ("states", "move_one", "move_two")
+        }
+        n = len(columns["move_one"])
+        if columns["states"].shape != (n, 2) or columns["move_two"].shape != (n,):
             raise ValueError("mismatched record column lengths")
-        for arr in (self.states, self.move_one, self.move_two):
+        for name, arr in columns.items():
+            if arr.max(initial=0) > 1:
+                raise ValueError(f"{name} entries must be 0 or 1")
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.move_one)
@@ -225,23 +243,71 @@ def run_match(
     random stream derived from ``seed``.  The shared stream is the only
     run-time coordination channel: both players receive identical values
     for the same round index.  Output is deterministic for fixed
-    (strategies, schedule, seed).
+    (strategies, schedule, seed).  Each strategy is queried exactly once,
+    for the whole schedule.
     """
+    sched = _as_schedule(schedule)
+    ((_, moves_one, moves_two),) = _play(strategy_one, strategy_two, sched, seed, len(sched))
+    return MatchRecords(states=sched, move_one=moves_one, move_two=moves_two)
+
+
+def match_profile(
+    strategy_one: PlayerStrategy,
+    strategy_two: PlayerStrategy,
+    schedule,
+    seed: int,
+) -> MismatchProfile:
+    """Mismatch profile of a match, without recording its rounds.
+
+    Plays the same rounds as :func:`run_match`, with the same validation
+    and the same shared stream, but walks the schedule in chunks of
+    :data:`MATCH_CHUNK_ROUNDS` rounds and keeps only the per-state-pair
+    counts, so working memory beyond the schedule stays bounded for any
+    match length.  Strategies
+    whose moves depend only on their arguments and on streams that draw
+    the same values split or whole (both shipped families do) give
+    exactly ``empirical_profile(run_match(...))``.
+
+    Raises:
+        MissingStatePair: if the schedule lacks one of the four state pairs.
+    """
+    sched = _as_schedule(schedule)
+    counts = np.zeros(8, dtype=np.int64)
+    for chunk in _play(strategy_one, strategy_two, sched, seed, MATCH_CHUNK_ROUNDS):
+        counts += _tally(*chunk)
+    return _profile_from_counts(counts)
+
+
+def _as_schedule(schedule) -> np.ndarray:
     sched = np.asarray(schedule, dtype=np.uint8)
     if sched.ndim != 2 or sched.shape[1] != 2 or len(sched) == 0:
         raise ValueError("schedule must be a nonempty sequence of state pairs")
     if sched.max(initial=0) > 1:
         raise ValueError("schedule states must be 0 or 1")
+    return sched
 
-    n = len(sched)
-    rounds = np.arange(n, dtype=np.int64)
-    shared = np.random.default_rng(seed).random(n)
-    for arr in (rounds, shared):
-        arr.setflags(write=False)
 
-    moves_one = _as_move_array(strategy_one.moves(sched[:, 0].copy(), rounds, shared), n)
-    moves_two = _as_move_array(strategy_two.moves(sched[:, 1].copy(), rounds, shared), n)
-    return MatchRecords(states=sched.copy(), move_one=moves_one, move_two=moves_two)
+def _play(strategy_one, strategy_two, sched: np.ndarray, seed: int, chunk: int):
+    """Yield (states, moves one, moves two) for consecutive chunks of rounds.
+
+    Strategy one is queried before strategy two in every chunk.  The
+    shared stream comes from one generator drawn chunk by chunk;
+    ``Generator.random`` yields the same values split or whole, so every
+    round sees the same shared value whatever the chunk size.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, len(sched), chunk):
+        stop = min(start + chunk, len(sched))
+        rounds = np.arange(start, stop, dtype=np.int64)
+        shared = rng.random(stop - start)
+        for arr in (rounds, shared):
+            arr.setflags(write=False)
+        states = sched[start:stop]
+        moves_one = strategy_one.moves(states[:, 0].copy(), rounds, shared)
+        moves_one = _as_move_array(moves_one, stop - start)
+        moves_two = strategy_two.moves(states[:, 1].copy(), rounds, shared)
+        moves_two = _as_move_array(moves_two, stop - start)
+        yield states, moves_one, moves_two
 
 
 def _as_move_array(moves, n: int) -> np.ndarray:
@@ -270,14 +336,25 @@ def empirical_profile(records: MatchRecords | Iterable[RoundRecord]) -> Mismatch
             move_two=np.array([r.move_two for r in rows], dtype=np.uint8),
         )
 
-    differ = records.move_one != records.move_two
+    return _profile_from_counts(_tally(records.states, records.move_one, records.move_two))
+
+
+def _tally(states: np.ndarray, move_one: np.ndarray, move_two: np.ndarray) -> np.ndarray:
+    """Round counts indexed by 4*s1 + 2*s2 + (moves differ); states must be 0/1."""
+    index = states[:, 0] * np.uint8(4)
+    index += states[:, 1] * np.uint8(2)
+    index += move_one != move_two
+    return np.bincount(index, minlength=8)
+
+
+def _profile_from_counts(counts: np.ndarray) -> MismatchProfile:
+    """Profile from the 8 tallies of :func:`_tally`: differ / total per state pair."""
+    table = counts.reshape(4, 2)
     entries = {}
-    for i, j in STATE_PAIRS:
-        mask = (records.states[:, 0] == i) & (records.states[:, 1] == j)
-        count = int(mask.sum())
-        if count == 0:
+    for (i, j), (same, differ) in zip(STATE_PAIRS, table.tolist()):
+        if same + differ == 0:
             raise MissingStatePair(f"no rounds recorded for state pair ({i}, {j})")
-        entries[f"q{i}{j}"] = float(differ[mask].sum()) / count
+        entries[f"q{i}{j}"] = float(differ) / (same + differ)
     return MismatchProfile(**entries)
 
 

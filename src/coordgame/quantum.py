@@ -132,20 +132,27 @@ def general_quantum_profile(plan: GeneralAnglePlan) -> MismatchProfile:
 
 
 class SingletSampler:
-    """Seeded random stream feeding singlet measurements.
+    """Seeded random streams feeding singlet measurements.
 
-    The stream is stateful: every draw consumes fresh randomness, and the
-    full sequence of draws is deterministic for a fixed seed.
+    The streams are stateful: every draw consumes fresh randomness, and
+    the full sequence of draws is deterministic for a fixed seed.  The
+    outcome coins and the correlation coins come from two independent
+    children of ``SeedSequence(seed)``, so ``draw(a)`` followed by
+    ``draw(b)`` returns the same values as one ``draw(a + b)``: results do
+    not depend on how a match is split into batches.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
+        self._rng_u, self._rng_v = (
+            np.random.default_rng(child)
+            for child in np.random.SeedSequence(self.seed).spawn(2)
+        )
 
     def draw(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """One pair of uniform streams: player one's outcome coin and the
         conditional-correlation coin, m values each."""
-        return self._rng.random(m), self._rng.random(m)
+        return self._rng_u.random(m), self._rng_v.random(m)
 
 
 @dataclass(frozen=True)
@@ -207,37 +214,41 @@ def sample_joint_outcomes(
 
 
 class _SingletSource:
-    """Produces correlated outcome pairs for the two coupled strategies.
+    """Produces correlated move pairs for the two coupled strategies.
 
     Player one's measurement draws the per-round randomness and registers
-    its directions; player two's measurement for the same rounds then
+    its states; player two's measurement for the same rounds then
     completes the joint sampling.  Each strategy still chooses its
-    direction from its own state alone, and player one's outcome is a
-    bare coin, independent of every direction.
+    direction from its own state alone, and player one's move is a bare
+    coin, independent of every direction.
+
+    Moves are bits (1 for a negative projection, i.e. move B).  Player
+    two's outcome equals player one's with probability
+    ``p_same[i, j] = sin^2((b_j - a_i) / 2)``, tabulated once per plan.
     """
 
     def __init__(self, plan: GeneralAnglePlan, sampler: SingletSampler):
-        self._plan = plan
+        a = np.array([plan.a0, plan.a1])
+        b = np.array([plan.b0, plan.b1])
+        self._p_same = np.sin(0.5 * (b[np.newaxis, :] - a[:, np.newaxis])) ** 2
         self._sampler = sampler
         self._pending = None
 
     def measure_one(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray:
         u, v = self._sampler.draw(len(states))
-        a = np.where(states == 0, self._plan.a0, self._plan.a1)
-        s = np.where(u < 0.5, 1, -1).astype(np.int8)
-        self._pending = (np.array(round_indices), a, s, v)
-        return s
+        move_one = u >= 0.5
+        self._pending = (np.array(round_indices), np.array(states), move_one, v)
+        return move_one.astype(np.uint8)
 
     def measure_two(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray:
         if self._pending is None:
             raise RuntimeError("player one must measure each singlet batch first")
-        rounds_one, a, s, v = self._pending
+        rounds_one, states_one, move_one, v = self._pending
         self._pending = None
         if not np.array_equal(rounds_one, round_indices):
             raise RuntimeError("both players must consume the same singlet rounds")
-        b = np.where(states == 0, self._plan.b0, self._plan.b1)
-        p_same = np.sin(0.5 * (b - a)) ** 2
-        return np.where(v < p_same, s, -s).astype(np.int8)
+        differ = v >= self._p_same[states_one, states]
+        return (move_one ^ differ).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -247,10 +258,8 @@ class _EntangledPlayer:
 
     def moves(self, states, round_indices, shared):
         if self.role == 1:
-            outcome = self.source.measure_one(states, round_indices)
-        else:
-            outcome = self.source.measure_two(states, round_indices)
-        return (outcome < 0).astype(np.uint8)  # positive projection -> A
+            return self.source.measure_one(states, round_indices)
+        return self.source.measure_two(states, round_indices)
 
 
 def quantum_player_strategy(

@@ -1,10 +1,17 @@
 """Bound inequalities, vertex enumeration, mixtures, sweeps, and angle search."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coordgame
+from coordgame import bounds
 from coordgame.bounds import (
     BOUND_TOLERANCE,
     BoundVerdict,
@@ -90,6 +97,13 @@ class TestEnumeration:
         assert pair.mismatch_profile() == MismatchProfile(1, 1, 0, 0)
 
 
+def _corrupted_pairs():
+    """The vertex table with vertex 0's indicator replaced by (1, 0, 0, 0)."""
+    pairs = enumerate_deterministic_pairs()
+    pairs[0] = (pairs[0][0], MismatchProfile(1.0, 0.0, 0.0, 0.0))
+    return pairs
+
+
 class TestMixtures:
     def test_point_mass_on_constant_pair(self):
         w = np.zeros(16)
@@ -107,6 +121,15 @@ class TestMixtures:
             LhvMixture(weights=np.array([1.5, -0.5] + [0.0] * 14))
         with pytest.raises(ValueError):
             LhvMixture(weights=np.full(8, 0.125))
+
+    def test_callers_array_stays_writable(self):
+        w = np.full(16, 1 / 16)
+        mixture = LhvMixture(weights=w)
+        assert w.flags.writeable
+        w[0] = 0.5  # later writes by the caller do not reach the mixture
+        assert mixture.weights[0] == 1 / 16
+        with pytest.raises(ValueError):
+            mixture.weights[0] = 0.5
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 1e-6))
     def test_every_mixture_satisfies_classical_bound(self, raw):
@@ -133,6 +156,37 @@ class TestSupremum:
         _, witness = lhv_supremum_payoff()
         assert witness.weights.sum() == pytest.approx(1.0, abs=1e-15)
         assert witness.weights.min() >= 0.0
+
+    def test_corrupted_vertex_table_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "enumerate_deterministic_pairs", _corrupted_pairs)
+        with pytest.raises(RuntimeError, match="vertex bound broken"):
+            lhv_supremum_payoff()
+
+    def test_corrupted_vertex_table_raises_under_optimize(self):
+        # python -O strips assert statements; the vertex proof must not be one
+        script = textwrap.dedent(
+            """
+            import sys
+            from coordgame import bounds
+            from coordgame.game import MismatchProfile
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            pairs = bounds.enumerate_deterministic_pairs()
+            pairs[0] = (pairs[0][0], MismatchProfile(1.0, 0.0, 0.0, 0.0))
+            bounds.enumerate_deterministic_pairs = lambda: pairs
+            try:
+                bounds.lhv_supremum_payoff()
+            except RuntimeError:
+                sys.exit(0)
+            sys.exit("corrupted vertex table accepted")
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coordgame.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_hill_climb_never_beats_three(self):
         best = hill_climb_lhv_payoff(restarts=1000, seed=0)

@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from coordgame import __version__
+from coordgame import __version__, bounds
 from coordgame.cli import main
+from coordgame.game import MismatchProfile
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +198,14 @@ class TestLhvCommand:
         assert code == 0
         assert len(out.splitlines()) == 17
 
+    def test_broken_vertex_proof_exits_three(self, capsys, monkeypatch):
+        pairs = bounds.enumerate_deterministic_pairs()
+        pairs[0] = (pairs[0][0], MismatchProfile(1.0, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(bounds, "enumerate_deterministic_pairs", lambda: pairs)
+        code, out, err = run_cli(capsys, "lhv")
+        assert code == 3 and out == ""
+        assert "vertex bound broken" in err
+
 
 class TestMatchCommand:
     def test_default_classical_dump(self, capsys):
@@ -229,6 +241,23 @@ class TestReproducibility:
         b = run_json(capsys, "quantum", "--rounds-per-pair", "5000", "--seed", "2")
         assert a["results"]["empirical"]["profile"] != b["results"]["empirical"]["profile"]
         assert a["results"]["analytic"] == b["results"]["analytic"]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["classical", "--N", "1000", "--q", "0.1", "--rounds-per-pair", "1000", "--seed", "3"],
+                "classical_seed3.json",
+            ),
+            (["match", "--N", "8", "--rounds-per-pair", "8", "--format", "csv"], "match_classical.csv"),
+        ],
+    )
+    def test_classical_output_pinned_across_versions(self, capsys, argv, expected):
+        # recorded from version 0.1.0 before the counts-only match path;
+        # shared-sequence output must stay byte-identical under any chunking
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == (DATA / expected).read_text(encoding="utf-8")
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "record.csv"

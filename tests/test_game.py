@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coordgame import game
+from coordgame.classical import ClassicalConfig, classical_strategy, generate_sequences
 from coordgame.game import (
+    MATCH_CHUNK_ROUNDS,
     STATE_PAIRS,
     ConstantStrategy,
     DegenerateProfile,
@@ -19,6 +22,7 @@ from coordgame.game import (
     analytic_report,
     empirical_profile,
     empirical_report,
+    match_profile,
     payoff,
     run_match,
     uniform_schedule,
@@ -206,6 +210,28 @@ class TestMatchRecords:
         other = run_match(ConstantStrategy(Move.B), ConstantStrategy(Move.B), uniform_schedule(2), seed=0)
         assert self._small() != other
 
+    def test_callers_arrays_stay_writable(self):
+        states = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        m1 = np.array([0, 1, 0, 1], dtype=np.uint8)
+        m2 = np.array([1, 1, 0, 0], dtype=np.uint8)
+        rec = MatchRecords(states=states, move_one=m1, move_two=m2)
+        assert states.flags.writeable and m1.flags.writeable and m2.flags.writeable
+        m1[0] = 1  # later writes by the caller do not reach the records
+        assert rec.move_one[0] == 0
+
+    def test_run_match_leaves_schedule_writable(self):
+        sched = uniform_schedule(2)
+        run_match(ConstantStrategy(Move.A), ConstantStrategy(Move.B), sched, seed=0)
+        assert sched.flags.writeable
+
+    def test_non_binary_entries_rejected(self):
+        with pytest.raises(ValueError):
+            MatchRecords(
+                states=np.array([[0, 2]], dtype=np.uint8),
+                move_one=np.zeros(1, dtype=np.uint8),
+                move_two=np.zeros(1, dtype=np.uint8),
+            )
+
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
             MatchRecords(
@@ -237,6 +263,73 @@ class TestEmpiricalProfile:
         )
         with pytest.raises(MissingStatePair):
             empirical_profile(rec)
+
+
+def _random_schedule(rounds: int, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2, size=(rounds, 2), dtype=np.uint8)
+
+
+#: Longer than two chunks, with a ragged last chunk, at either chunk size used below.
+EQUIVALENCE_ROUNDS = 3 * MATCH_CHUNK_ROUNDS + 17
+
+
+@pytest.fixture(params=[MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
+def chunk_rounds(request, monkeypatch):
+    monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", request.param)
+    return request.param
+
+
+class TestMatchProfile:
+    @pytest.mark.parametrize("mode", ["disjoint-flips", "bsc-chain"])
+    def test_equals_profile_of_recorded_match(self, chunk_rounds, mode):
+        sched = _random_schedule(EQUIVALENCE_ROUNDS, seed=1)
+        sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, mode=mode, seed=2))
+        players = classical_strategy(1, sequences), classical_strategy(2, sequences)
+        recorded = empirical_profile(run_match(*players, sched, seed=3))
+        assert match_profile(*players, sched, seed=3) == recorded
+
+    def test_strategies_see_the_whole_match_in_order(self, chunk_rounds):
+        sched = _random_schedule(3 * chunk_rounds + 5, seed=4)
+        whole_one, whole_two = _Recorder(), _Recorder(Move.B)
+        run_match(whole_one, whole_two, sched, seed=6)
+        one, two = _Recorder(), _Recorder(Move.B)
+        match_profile(one, two, sched, seed=6)
+        assert len(one.seen) == len(two.seen) == 4
+        for chunked, whole in ((one, whole_one), (two, whole_two)):
+            for k in range(3):  # states, round indices, shared stream
+                joined = np.concatenate([seen[k] for seen in chunked.seen])
+                assert np.array_equal(joined, whole.seen[0][k])
+
+    @pytest.mark.parametrize(
+        "sched",
+        [np.zeros((0, 2)), np.zeros((4, 3)), np.array([[0, 2], [1, 0]])],
+    )
+    def test_rejects_malformed_schedule(self, sched):
+        with pytest.raises(ValueError, match="schedule"):
+            match_profile(ConstantStrategy(Move.A), ConstantStrategy(Move.A), sched, seed=0)
+
+    def test_rejects_bad_strategy_output(self, chunk_rounds):
+        class BadLate:
+            """Valid moves, except 7s in rounds 9 and later."""
+
+            def moves(self, states, round_indices, shared):
+                return np.where(round_indices >= 9, 7, 0).astype(np.uint8)
+
+        with pytest.raises(ValueError, match="moves must be 0"):
+            match_profile(BadLate(), ConstantStrategy(Move.A), uniform_schedule(5), seed=0)
+
+    def test_rejects_wrong_length_output(self):
+        class Short:
+            def moves(self, states, round_indices, shared):
+                return np.zeros(len(states) - 1, dtype=np.uint8)
+
+        with pytest.raises(ValueError, match="expected"):
+            match_profile(ConstantStrategy(Move.A), Short(), uniform_schedule(2), seed=0)
+
+    def test_missing_state_pair_raises(self):
+        sched = np.array([[0, 0], [0, 1], [1, 0]] * 5, dtype=np.uint8)
+        with pytest.raises(MissingStatePair, match=r"\(1, 1\)"):
+            match_profile(ConstantStrategy(Move.A), ConstantStrategy(Move.B), sched, seed=0)
 
 
 class TestReports:

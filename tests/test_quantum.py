@@ -1,11 +1,21 @@
 """Singlet measurement law, angle plans, sampling, and the coupled strategies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coordgame.game import empirical_profile, payoff, run_match, uniform_schedule
+from coordgame import game
+from coordgame.game import (
+    MATCH_CHUNK_ROUNDS,
+    empirical_profile,
+    match_profile,
+    payoff,
+    run_match,
+    uniform_schedule,
+)
 from coordgame.quantum import (
     AnglePlan,
     GeneralAnglePlan,
@@ -157,6 +167,19 @@ class TestSampler:
         u, v = SingletSampler(1).draw(7)
         assert u.shape == (7,) and v.shape == (7,)
 
+    @pytest.mark.parametrize("a, b", [(1, 1), (7, 993), (65_536, 17)])
+    def test_split_draws_equal_one_draw(self, a, b):
+        split = SingletSampler(12)
+        u_a, v_a = split.draw(a)
+        u_b, v_b = split.draw(b)
+        u, v = SingletSampler(12).draw(a + b)
+        assert np.array_equal(np.concatenate([u_a, u_b]), u)
+        assert np.array_equal(np.concatenate([v_a, v_b]), v)
+
+    def test_streams_are_distinct(self):
+        u, v = SingletSampler(0).draw(100)
+        assert not np.array_equal(u, v)
+
 
 class TestJointOutcomes:
     def test_counts_invariant_enforced(self):
@@ -261,6 +284,48 @@ class TestCoupledStrategies:
         one.moves(np.zeros(4, dtype=np.uint8), np.arange(4), np.zeros(4))
         with pytest.raises(RuntimeError):
             two.moves(np.zeros(4, dtype=np.uint8), np.arange(1, 5), np.zeros(4))
+
+    @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
+    def test_match_profile_equals_profile_of_recorded_match(self, monkeypatch, chunk):
+        monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
+        rng = np.random.default_rng(5)
+        sched = rng.integers(0, 2, size=(3 * MATCH_CHUNK_ROUNDS + 17, 2), dtype=np.uint8)
+        plan = AnglePlan(0.6)
+        recorded = empirical_profile(
+            run_match(*quantum_player_strategy(plan, SingletSampler(6)), sched, seed=6)
+        )
+        counted = match_profile(*quantum_player_strategy(plan, SingletSampler(6)), sched, seed=6)
+        assert counted == recorded
+
+    def test_moves_follow_the_sign_formulation(self):
+        # Reference: outcome signs s = +1 iff u < 0.5 and t = s iff
+        # v < sin^2((b - a) / 2), per round; move B iff the sign is negative.
+        plan = GeneralAnglePlan(0.3, 1.1, 2.9, 4.0)
+        states_one = np.array([0, 0, 1, 1, 0, 1, 1, 0] * 50, dtype=np.uint8)
+        states_two = np.array([0, 1, 0, 1, 1, 1, 0, 0] * 50, dtype=np.uint8)
+        rounds = np.arange(len(states_one))
+        one, two = quantum_player_strategy(plan, SingletSampler(3))
+        move_one = one.moves(states_one, rounds, None)
+        move_two = two.moves(states_two, rounds, None)
+
+        u, v = SingletSampler(3).draw(len(rounds))
+        a = np.where(states_one == 0, plan.a0, plan.a1)
+        b = np.where(states_two == 0, plan.b0, plan.b1)
+        s = np.where(u < 0.5, 1, -1)
+        t = np.where(v < np.sin(0.5 * (b - a)) ** 2, s, -s)
+        assert np.array_equal(move_one, s < 0)
+        assert np.array_equal(move_two, t < 0)
+
+    def test_match_profile_memory_is_bounded(self):
+        sched = uniform_schedule(250_000)  # one million rounds, built before tracing
+        one, two = quantum_player_strategy(AnglePlan(0.1), SingletSampler(0))
+        tracemalloc.start()
+        try:
+            match_profile(one, two, sched, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_accepts_general_plan(self):
         plan = GeneralAnglePlan(0.0, 0.2, np.pi + 0.3, np.pi + 0.1)
