@@ -31,7 +31,7 @@ def main():
     print("= Matches at decreasing angle spacing =")
     print(f"{'delta':>7} {'q00 emp':>10} {'q00 exact':>10} {'payoff emp':>11} {'payoff exact':>13}")
     for delta in (0.8, 0.4, 0.2, 0.1):
-        plan = cg.AnglePlan(delta)
+        plan = cg.GeneralAnglePlan.equally_spaced(delta)
         one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
         emp = cg.match_profile(one, two, cg.uniform_schedule(ROUNDS), seed=SEED)
         exact = cg.quantum_profile(delta)
@@ -48,7 +48,8 @@ def main():
     for partner_state in (0, 1):
         schedule = np.zeros((n, 2), dtype=np.uint8)
         schedule[:, 1] = partner_state  # player two's state changes, player one's never
-        one, two = cg.quantum_player_strategy(cg.AnglePlan(0.1), cg.SingletSampler(SEED))
+        plan = cg.GeneralAnglePlan.equally_spaced(0.1)
+        one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
         records = cg.run_match(one, two, schedule, seed=SEED)
         freq = records.move_one.mean()
         print(f"player one's move-B frequency with partner in state {partner_state}: {freq:.4f}")

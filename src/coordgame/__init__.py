@@ -61,7 +61,6 @@ from .game import (
     uniform_schedule,
 )
 from .quantum import (
-    AnglePlan,
     GeneralAnglePlan,
     JointOutcomeCounts,
     SingletSampler,
@@ -108,7 +107,6 @@ __all__ = [
     "classical_strategy",
     "analytic_classical_profile",
     # singlet strategies
-    "AnglePlan",
     "GeneralAnglePlan",
     "JointOutcomeCounts",
     "SingletSampler",

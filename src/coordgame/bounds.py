@@ -22,6 +22,7 @@ import numpy as np
 from .game import MismatchProfile, Move
 from .game import payoff as _payoff
 from .quantum import GeneralAnglePlan, general_quantum_profile, quantum_profile
+from .quantum import mismatch_probability
 
 __all__ = [
     "BOUND_TOLERANCE",
@@ -292,10 +293,10 @@ def optimize_general_angles(
         raise ValueError("resolution must be >= 8")
 
     def floored_payoff(a1, b0, b1):
-        q00 = np.cos(0.5 * b0) ** 2
-        q01 = np.cos(0.5 * b1) ** 2
-        q10 = np.cos(0.5 * (b0 - a1)) ** 2
-        q11 = np.cos(0.5 * (b1 - a1)) ** 2
+        q00 = mismatch_probability(0.0, b0)
+        q01 = mismatch_probability(0.0, b1)
+        q10 = mismatch_probability(a1, b0)
+        q11 = mismatch_probability(a1, b1)
         denom = np.maximum(np.maximum(q01, q10), np.maximum(q11, floor))
         return q00 / denom
 

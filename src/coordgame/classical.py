@@ -97,7 +97,11 @@ class ClassicalConfig:
 
 @dataclass(frozen=True)
 class BitSequenceSet:
-    """Four equal-length bit sequences, one per sequence index 0..3."""
+    """Four equal-length bit sequences, one per sequence index 0..3.
+
+    The set holds read-only views of the arrays it is given, not copies:
+    the caller's arrays stay writable and share their memory with the set.
+    """
 
     x0: np.ndarray
     x1: np.ndarray
@@ -106,10 +110,12 @@ class BitSequenceSet:
 
     def __post_init__(self) -> None:
         n = len(self.x0)
-        for arr in self.sequences:
+        for name, arr in zip(("x0", "x1", "x2", "x3"), self.sequences):
             if arr.shape != (n,):
                 raise LengthMismatch("all four sequences must share one length")
-            arr.setflags(write=False)
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def sequences(self) -> tuple[np.ndarray, ...]:

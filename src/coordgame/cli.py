@@ -6,7 +6,8 @@ subcommand name, tool version, seed, and echoed parameters, and the same
 command line always produces byte-identical output.  Floats are printed
 with 9 significant digits.
 
-Exit codes: 0 success, 2 invalid parameters, 3 internal invariant failure.
+Exit codes: 0 success; 2 invalid parameters, memory exhausted, or output
+not writable (one line on stderr); 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .game import (
     run_match,
     uniform_schedule,
 )
-from .quantum import AnglePlan, SingletSampler, quantum_player_strategy, quantum_profile
+from .quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy, quantum_profile
 
 __all__ = ["main", "build_parser"]
 
@@ -134,7 +135,8 @@ def _cmd_quantum(args) -> tuple[dict, dict, str | None]:
     _require(args.rounds_per_pair >= 1, "rounds-per-pair must be >= 1")
     analytic = quantum_profile(args.delta)
 
-    one, two = quantum_player_strategy(AnglePlan(args.delta), SingletSampler(args.seed))
+    plan = GeneralAnglePlan.equally_spaced(args.delta)
+    one, two = quantum_player_strategy(plan, SingletSampler(args.seed))
     empirical = match_profile(one, two, uniform_schedule(args.rounds_per_pair), seed=args.seed)
 
     params = {"delta": args.delta, "rounds_per_pair": args.rounds_per_pair}
@@ -224,7 +226,7 @@ def _cmd_match(args) -> tuple[dict, dict, str | None]:
     else:
         _require(0.0 < args.delta < math.pi / 3.0, "delta must lie in (0, pi/3)")
         one, two = quantum_player_strategy(
-            AnglePlan(args.delta), SingletSampler(args.seed)
+            GeneralAnglePlan.equally_spaced(args.delta), SingletSampler(args.seed)
         )
 
     records = run_match(one, two, uniform_schedule(args.rounds_per_pair), seed=args.seed)
@@ -418,25 +420,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    prefix = f"coordgame {args.subcommand}"
     try:
         params, results, table_key = _HANDLERS[args.subcommand](args)
+        if args.format == "json":
+            text = render_json(args.subcommand, args.seed, params, results)
+        else:
+            text = render_csv(args.subcommand, args.seed, params, results, table_key)
     except ValueError as exc:
-        print(f"coordgame {args.subcommand}: invalid parameters: {exc}", file=sys.stderr)
+        print(f"{prefix}: invalid parameters: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"{prefix}: out of memory: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError, ArithmeticError) as exc:
-        print(f"coordgame {args.subcommand}: internal invariant failure: {exc}", file=sys.stderr)
+        print(f"{prefix}: internal invariant failure: {exc}", file=sys.stderr)
         return 3
 
-    if args.format == "json":
-        text = render_json(args.subcommand, args.seed, params, results)
-    else:
-        text = render_csv(args.subcommand, args.seed, params, results, table_key)
-
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"{prefix}: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

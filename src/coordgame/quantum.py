@@ -20,7 +20,6 @@ import numpy as np
 from .game import MismatchProfile
 
 __all__ = [
-    "AnglePlan",
     "GeneralAnglePlan",
     "JointOutcomeCounts",
     "SingletSampler",
@@ -51,11 +50,17 @@ class GeneralAnglePlan:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"angle {name} must be finite")
 
-    def direction_one(self, state: int) -> float:
-        return self.a0 if state == 0 else self.a1
+    @classmethod
+    def equally_spaced(cls, delta: float) -> GeneralAnglePlan:
+        """The paper's plan: measurement angles 0, delta, 2*delta, 3*delta.
 
-    def direction_two(self, state: int) -> float:
-        return self.b0 if state == 0 else self.b1
+        Player one uses angle 0 in state 0 and 2*delta in state 1; player
+        two uses pi + 3*delta in state 0 and pi + delta in state 1.  The
+        directions for state pair (0,0) then differ by pi - 3*delta and
+        every other pair by pi +/- delta.  A non-finite ``delta`` is
+        rejected like any non-finite angle.
+        """
+        return cls(a0=0.0, a1=2.0 * delta, b0=math.pi + 3.0 * delta, b1=math.pi + delta)
 
     def mismatch_angle(self, i: int, j: int) -> float:
         """Direction difference b_j - a_i for state pair (i, j).
@@ -63,72 +68,37 @@ class GeneralAnglePlan:
         These four differences are linearly dependent:
         angle(0,0) = angle(0,1) + angle(1,0) - angle(1,1) identically.
         """
-        return self.direction_two(j) - self.direction_one(i)
+        return (self.b0 if j == 0 else self.b1) - (self.a0 if i == 0 else self.a1)
 
 
-@dataclass(frozen=True)
-class AnglePlan:
-    """The equally-spaced four-angle plan with spacing ``delta``.
-
-    Measurement angles are 0, delta, 2*delta, 3*delta.  Player one uses
-    angle 0 in state 0 and 2*delta in state 1; player two uses pi +
-    3*delta in state 0 and pi + delta in state 1.  The directions for
-    state pair (0,0) then differ by pi - 3*delta and every other pair by
-    pi +/- delta.
-    """
-
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.delta):
-            raise ValueError("delta must be finite")
-
-    @property
-    def angles(self) -> tuple[float, float, float, float]:
-        return (0.0, self.delta, 2.0 * self.delta, 3.0 * self.delta)
-
-    def direction_one(self, state: int) -> float:
-        return 0.0 if state == 0 else 2.0 * self.delta
-
-    def direction_two(self, state: int) -> float:
-        return math.pi + (3.0 * self.delta if state == 0 else self.delta)
-
-    def as_general(self) -> GeneralAnglePlan:
-        return GeneralAnglePlan(
-            a0=self.direction_one(0),
-            a1=self.direction_one(1),
-            b0=self.direction_two(0),
-            b1=self.direction_two(1),
-        )
-
-
-def mismatch_probability(dir_one: float, dir_two: float) -> float:
+def mismatch_probability(dir_one, dir_two):
     """Probability the two moves differ for the given measurement directions.
 
     For the singlet, P(moves differ) = (1 + cos(dir_two - dir_one)) / 2,
     computed as cos((dir_two - dir_one) / 2)**2 to stay accurate when the
-    directions are nearly opposite and the probability is tiny.
+    directions are nearly opposite and the probability is tiny.  This is
+    the one place the singlet law is evaluated; it broadcasts over arrays
+    and returns a numpy scalar for scalar input.  The square is a product
+    because numpy squares a scalar with libm ``pow``, which can differ
+    from an array's square in the last place.
     """
-    return float(np.cos(0.5 * (dir_two - dir_one)) ** 2)
-
-
-def _plan_profile(plan: GeneralAnglePlan) -> MismatchProfile:
-    return MismatchProfile(
-        q00=mismatch_probability(plan.a0, plan.b0),
-        q01=mismatch_probability(plan.a0, plan.b1),
-        q10=mismatch_probability(plan.a1, plan.b0),
-        q11=mismatch_probability(plan.a1, plan.b1),
-    )
+    half_cos = np.cos(0.5 * (dir_two - dir_one))
+    return half_cos * half_cos
 
 
 def quantum_profile(delta: float) -> MismatchProfile:
     """Mismatch profile of the equally-spaced plan: ((1-cos 3d)/2, (1-cos d)/2, ...)."""
-    return _plan_profile(AnglePlan(delta).as_general())
+    return general_quantum_profile(GeneralAnglePlan.equally_spaced(delta))
 
 
 def general_quantum_profile(plan: GeneralAnglePlan) -> MismatchProfile:
     """Mismatch profile for arbitrary per-state measurement directions."""
-    return _plan_profile(plan)
+    return MismatchProfile(
+        q00=float(mismatch_probability(plan.a0, plan.b0)),
+        q01=float(mismatch_probability(plan.a0, plan.b1)),
+        q10=float(mismatch_probability(plan.a1, plan.b0)),
+        q11=float(mismatch_probability(plan.a1, plan.b1)),
+    )
 
 
 class SingletSampler:
@@ -176,41 +146,28 @@ class JointOutcomeCounts:
         return (self.plus_minus + self.minus_plus) / self.total
 
 
-def _joint_outcomes(theta, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome signs (s, t) with joint law P(s,t) = (1 - s*t*cos(theta)) / 4.
-
-    s is a fair coin (the singlet marginal is unbiased for every
-    direction); t equals s with probability (1 - cos(theta)) / 2,
-    evaluated as sin(theta/2)**2.
-    """
-    s = np.where(u < 0.5, 1, -1).astype(np.int8)
-    p_same = np.sin(0.5 * np.asarray(theta)) ** 2
-    t = np.where(v < p_same, s, -s).astype(np.int8)
-    return s, t
-
-
 def sample_joint_outcomes(
     dir_one: float, dir_two: float, m: int, sampler: SingletSampler
 ) -> JointOutcomeCounts:
     """Draw m independent singlet measurement outcome pairs.
 
     Both marginals are fair coins and the joint law is
-    P(s, t) = (1 - s*t*cos(dir_two - dir_one)) / 4.
+    P(s, t) = (1 - s*t*cos(dir_two - dir_one)) / 4.  The pairs are the
+    moves of the coupled strategies for a plan that measures along
+    ``dir_one`` and ``dir_two`` in every state, over m all-zero rounds;
+    a positive sign is move A.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    u, v = sampler.draw(m)
-    s, t = _joint_outcomes(dir_two - dir_one, u, v)
-    plus_plus = int(np.count_nonzero((s > 0) & (t > 0)))
-    plus_minus = int(np.count_nonzero((s > 0) & (t < 0)))
-    minus_plus = int(np.count_nonzero((s < 0) & (t > 0)))
-    return JointOutcomeCounts(
-        plus_plus=plus_plus,
-        plus_minus=plus_minus,
-        minus_plus=minus_plus,
-        minus_minus=m - plus_plus - plus_minus - minus_plus,
-        total=m,
+    plan = GeneralAnglePlan(dir_one, dir_one, dir_two, dir_two)
+    one, two = quantum_player_strategy(plan, sampler)
+    states, rounds = np.zeros(m, dtype=np.uint8), np.arange(m)
+    move_one = one.moves(states, rounds, None)
+    move_two = two.moves(states, rounds, None)
+    plus_plus, plus_minus, minus_plus, minus_minus = (
+        int(c) for c in np.bincount(2 * move_one + move_two, minlength=4)
     )
+    return JointOutcomeCounts(plus_plus, plus_minus, minus_plus, minus_minus, total=m)
 
 
 class _SingletSource:
@@ -222,15 +179,18 @@ class _SingletSource:
     direction from its own state alone, and player one's move is a bare
     coin, independent of every direction.
 
-    Moves are bits (1 for a negative projection, i.e. move B).  Player
-    two's outcome equals player one's with probability
-    ``p_same[i, j] = sin^2((b_j - a_i) / 2)``, tabulated once per plan.
+    Moves are bits (1 for a negative projection, i.e. move B).  This is
+    the one sampling rule: from uniforms u and v, ``move_one = u >= 0.5``
+    and the moves differ when ``v >= p_same``, where player two's outcome
+    equals player one's with probability
+    ``p_same[i, j] = 1 - mismatch_probability(a_i, b_j)``, tabulated once
+    per plan.
     """
 
     def __init__(self, plan: GeneralAnglePlan, sampler: SingletSampler):
         a = np.array([plan.a0, plan.a1])
         b = np.array([plan.b0, plan.b1])
-        self._p_same = np.sin(0.5 * (b[np.newaxis, :] - a[:, np.newaxis])) ** 2
+        self._p_same = 1.0 - mismatch_probability(a[:, np.newaxis], b[np.newaxis, :])
         self._sampler = sampler
         self._pending = None
 
@@ -263,7 +223,7 @@ class _EntangledPlayer:
 
 
 def quantum_player_strategy(
-    plan: AnglePlan | GeneralAnglePlan, sampler: SingletSampler
+    plan: GeneralAnglePlan, sampler: SingletSampler
 ) -> tuple[_EntangledPlayer, _EntangledPlayer]:
     """Coupled strategy pair sharing one singlet per round.
 
@@ -273,6 +233,5 @@ def quantum_player_strategy(
     entirely from the sampler's singlet randomness, so fixed (plan,
     sampler seed, schedule, match seed) reproduces a match exactly.
     """
-    general = plan.as_general() if isinstance(plan, AnglePlan) else plan
-    source = _SingletSource(general, sampler)
+    source = _SingletSource(plan, sampler)
     return _EntangledPlayer(source, 1), _EntangledPlayer(source, 2)

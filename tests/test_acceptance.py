@@ -94,7 +94,9 @@ def test_criterion_05_quantum_monte_carlo_convergence():
     analytic = cg.quantum_profile(delta)
     assert analytic.q00 == pytest.approx(0.0873322, abs=5e-8)
     assert analytic.q01 == pytest.approx(0.0099667, abs=5e-8)
-    one, two = cg.quantum_player_strategy(cg.AnglePlan(delta), cg.SingletSampler(0))
+    one, two = cg.quantum_player_strategy(
+        cg.GeneralAnglePlan.equally_spaced(delta), cg.SingletSampler(0)
+    )
     records = cg.run_match(one, two, cg.uniform_schedule(rounds), seed=0)
     empirical = cg.empirical_profile(records)
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -150,7 +152,9 @@ class _Instrumented:
 def test_criterion_09_no_signaling():
     rounds_per_pair = 250_000  # one million rounds total
     schedule = cg.uniform_schedule(rounds_per_pair)
-    inner_one, inner_two = cg.quantum_player_strategy(cg.AnglePlan(0.1), cg.SingletSampler(0))
+    inner_one, inner_two = cg.quantum_player_strategy(
+        cg.GeneralAnglePlan.equally_spaced(0.1), cg.SingletSampler(0)
+    )
     one, two = _Instrumented(inner_one), _Instrumented(inner_two)
     records = cg.run_match(one, two, schedule, seed=0)
 

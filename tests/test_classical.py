@@ -178,6 +178,14 @@ class TestBitSequenceSet:
         with pytest.raises(ValueError):
             seqs.x0[0] ^= 1
 
+    def test_callers_arrays_stay_writable(self):
+        arrays = [np.array([0, 1, 1, k % 2], dtype=np.uint8) for k in range(4)]
+        seqs = BitSequenceSet(*arrays)
+        assert all(arr.flags.writeable for arr in arrays)
+        assert not any(seq.flags.writeable for seq in seqs.sequences)
+        arrays[0][0] = 1
+        assert seqs.x0[0] == 1  # views share the caller's memory, no copy
+
 
 class TestSequenceStrategy:
     def test_state_selects_sequence(self):

@@ -259,12 +259,41 @@ class TestReproducibility:
         assert code == 0, err
         assert out == (DATA / expected).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["quantum", "--delta", "0.1", "--rounds-per-pair", "1000", "--seed", "3"],
+                "quantum_seed3.json",
+            ),
+            (
+                ["match", "--strategy", "quantum", "--rounds-per-pair", "8", "--format", "csv"],
+                "match_quantum.csv",
+            ),
+            (["sweep", "--steps", "50"], "sweep_50.json"),
+        ],
+    )
+    def test_quantum_and_sweep_output_pinned_across_versions(self, capsys, argv, expected):
+        # recorded from version 0.1.0 before the angle plans, the singlet law
+        # and the singlet sampling rule were each merged into one definition
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == (DATA / expected).read_text(encoding="utf-8")
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "record.csv"
         _, out, _ = run_cli(capsys, "lhv", "--format", "csv")
         code, empty, _ = run_cli(capsys, "lhv", "--format", "csv", "--out", str(path))
         assert code == 0 and empty == ""
         assert path.read_text(encoding="utf-8") == out
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "record.json"
+        code, out, err = run_cli(capsys, "lhv", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("coordgame lhv: cannot write output:")
+        assert len(err.splitlines()) == 1
+        assert not path.exists()
 
     def test_nine_significant_digit_floats(self, capsys):
         code, out, _ = run_cli(capsys, "quantum", "--rounds-per-pair", "100", "--format", "csv")
@@ -282,6 +311,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for name in ("classical", "quantum", "sweep", "lhv", "bounds", "match"):
             assert name in proc.stdout
+
+    def test_memory_exhaustion_exits_two(self):
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            # 1 GiB of address space: enough to import numpy, so the huge
+            # match schedule fails to allocate instead of being touched
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "coordgame.cli", "quantum", "--rounds-per-pair", str(10**12)],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("coordgame quantum: out of memory:")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_missing_subcommand_exits_two(self):
         proc = subprocess.run(

@@ -17,7 +17,6 @@ from coordgame.game import (
     uniform_schedule,
 )
 from coordgame.quantum import (
-    AnglePlan,
     GeneralAnglePlan,
     JointOutcomeCounts,
     SingletSampler,
@@ -28,6 +27,7 @@ from coordgame.quantum import (
     sample_joint_outcomes,
 )
 
+equally_spaced = GeneralAnglePlan.equally_spaced
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 
 
@@ -75,25 +75,33 @@ class TestSingletLawOracle:
             mismatch_probability(phi2, phi1), abs=1e-15
         )
 
+    def test_array_input_equals_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        one = rng.uniform(-2 * np.pi, 2 * np.pi, size=(64, 1))
+        two = rng.uniform(-2 * np.pi, 2 * np.pi, size=(1, 48))
+        table = mismatch_probability(one, two)
+        assert table.shape == (64, 48)
+        scalar = np.array([[mismatch_probability(a, b) for b in two[0]] for a in one[:, 0]])
+        assert np.array_equal(table.view(np.uint64), scalar.view(np.uint64))
+
 
 class TestAnglePlans:
     def test_equally_spaced_angles(self):
-        plan = AnglePlan(0.25)
-        assert plan.angles == (0.0, 0.25, 0.5, 0.75)
-        assert plan.direction_one(0) == 0.0
-        assert plan.direction_one(1) == 0.5
-        assert plan.direction_two(0) == pytest.approx(np.pi + 0.75)
-        assert plan.direction_two(1) == pytest.approx(np.pi + 0.25)
+        plan = GeneralAnglePlan.equally_spaced(0.25)
+        assert plan == GeneralAnglePlan(0.0, 0.5, np.pi + 0.75, np.pi + 0.25)
+        assert (plan.a0, plan.a1) == (0.0, 0.5)
+        assert plan.b0 == pytest.approx(np.pi + 0.75)
+        assert plan.b1 == pytest.approx(np.pi + 0.25)
 
-    def test_as_general_round_trip(self):
-        g = AnglePlan(0.1).as_general()
+    def test_equally_spaced_at_tenth(self):
+        g = GeneralAnglePlan.equally_spaced(0.1)
         assert (g.a0, g.a1) == (0.0, 0.2)
         assert g.b0 == pytest.approx(np.pi + 0.3)
         assert g.b1 == pytest.approx(np.pi + 0.1)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            AnglePlan(float("nan"))
+            GeneralAnglePlan.equally_spaced(float("nan"))
         with pytest.raises(ValueError):
             GeneralAnglePlan(0.0, float("inf"), 0.0, 0.0)
 
@@ -220,6 +228,22 @@ class TestJointOutcomes:
         sigma = np.sqrt((1 - np.cos(theta) ** 2) / m)
         assert abs(corr - (-np.cos(theta))) < 4 * sigma
 
+    @pytest.mark.parametrize("a, b, seed", [(0.0, 2.0, 0), (0.5, 1.3, 3), (1.0, 1.0 + np.pi, 5)])
+    def test_counts_equal_the_coupled_strategies_moves(self, a, b, seed):
+        m = 5000
+        counts = sample_joint_outcomes(a, b, m, SingletSampler(seed))
+        one, two = quantum_player_strategy(GeneralAnglePlan(a, a, b, b), SingletSampler(seed))
+        states, rounds = np.zeros(m, dtype=np.uint8), np.arange(m)
+        move_one = one.moves(states, rounds, None).astype(bool)
+        move_two = two.moves(states, rounds, None).astype(bool)
+        assert counts == JointOutcomeCounts(
+            plus_plus=int(np.count_nonzero(~move_one & ~move_two)),
+            plus_minus=int(np.count_nonzero(~move_one & move_two)),
+            minus_plus=int(np.count_nonzero(move_one & ~move_two)),
+            minus_minus=int(np.count_nonzero(move_one & move_two)),
+            total=m,
+        )
+
     def test_both_marginals_are_fair(self):
         m = 100_000
         c = sample_joint_outcomes(0.0, 1.3, m, SingletSampler(5))
@@ -231,7 +255,7 @@ class TestJointOutcomes:
 class TestCoupledStrategies:
     def test_match_reproduces_analytic_profile(self):
         delta, rounds = 0.5, 20_000
-        one, two = quantum_player_strategy(AnglePlan(delta), SingletSampler(7))
+        one, two = quantum_player_strategy(equally_spaced(delta), SingletSampler(7))
         rec = run_match(one, two, uniform_schedule(rounds), seed=7)
         emp = empirical_profile(rec)
         ana = quantum_profile(delta)
@@ -241,16 +265,16 @@ class TestCoupledStrategies:
 
     def test_deterministic_for_fixed_seeds(self):
         sched = uniform_schedule(500)
-        a = run_match(*quantum_player_strategy(AnglePlan(0.3), SingletSampler(9)), sched, seed=9)
-        b = run_match(*quantum_player_strategy(AnglePlan(0.3), SingletSampler(9)), sched, seed=9)
+        a = run_match(*quantum_player_strategy(equally_spaced(0.3), SingletSampler(9)), sched, seed=9)
+        b = run_match(*quantum_player_strategy(equally_spaced(0.3), SingletSampler(9)), sched, seed=9)
         assert a == b
 
     def test_player_one_moves_independent_of_plan(self):
         # Player one's outcome is a bare coin: changing every measurement
         # direction leaves its move sequence bit-for-bit unchanged.
         sched = uniform_schedule(1000)
-        rec_a = run_match(*quantum_player_strategy(AnglePlan(0.1), SingletSampler(4)), sched, seed=4)
-        rec_b = run_match(*quantum_player_strategy(AnglePlan(1.0), SingletSampler(4)), sched, seed=4)
+        rec_a = run_match(*quantum_player_strategy(equally_spaced(0.1), SingletSampler(4)), sched, seed=4)
+        rec_b = run_match(*quantum_player_strategy(equally_spaced(1.0), SingletSampler(4)), sched, seed=4)
         assert np.array_equal(rec_a.move_one, rec_b.move_one)
         assert not np.array_equal(rec_a.move_two, rec_b.move_two)
 
@@ -259,8 +283,8 @@ class TestCoupledStrategies:
         sched_a = np.zeros((n, 2), dtype=np.uint8)
         sched_b = np.zeros((n, 2), dtype=np.uint8)
         sched_b[:, 1] = 1  # only player two's scheduled states change
-        rec_a = run_match(*quantum_player_strategy(AnglePlan(0.4), SingletSampler(2)), sched_a, seed=2)
-        rec_b = run_match(*quantum_player_strategy(AnglePlan(0.4), SingletSampler(2)), sched_b, seed=2)
+        rec_a = run_match(*quantum_player_strategy(equally_spaced(0.4), SingletSampler(2)), sched_a, seed=2)
+        rec_b = run_match(*quantum_player_strategy(equally_spaced(0.4), SingletSampler(2)), sched_b, seed=2)
         assert np.array_equal(rec_a.move_one, rec_b.move_one)
 
     def test_player_two_marginal_is_fair_under_either_partner_state(self):
@@ -269,18 +293,18 @@ class TestCoupledStrategies:
             sched = np.zeros((n, 2), dtype=np.uint8)
             sched[:, 0] = own_state_of_one
             rec = run_match(
-                *quantum_player_strategy(AnglePlan(0.7), SingletSampler(8)), sched, seed=8
+                *quantum_player_strategy(equally_spaced(0.7), SingletSampler(8)), sched, seed=8
             )
             freq = rec.move_two.mean()
             assert abs(freq - 0.5) < 4 * np.sqrt(0.25 / n)
 
     def test_player_two_cannot_measure_first(self):
-        one, two = quantum_player_strategy(AnglePlan(0.2), SingletSampler(0))
+        one, two = quantum_player_strategy(equally_spaced(0.2), SingletSampler(0))
         with pytest.raises(RuntimeError):
             two.moves(np.zeros(4, dtype=np.uint8), np.arange(4), np.zeros(4))
 
     def test_players_must_share_round_batches(self):
-        one, two = quantum_player_strategy(AnglePlan(0.2), SingletSampler(0))
+        one, two = quantum_player_strategy(equally_spaced(0.2), SingletSampler(0))
         one.moves(np.zeros(4, dtype=np.uint8), np.arange(4), np.zeros(4))
         with pytest.raises(RuntimeError):
             two.moves(np.zeros(4, dtype=np.uint8), np.arange(1, 5), np.zeros(4))
@@ -290,7 +314,7 @@ class TestCoupledStrategies:
         monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
         rng = np.random.default_rng(5)
         sched = rng.integers(0, 2, size=(3 * MATCH_CHUNK_ROUNDS + 17, 2), dtype=np.uint8)
-        plan = AnglePlan(0.6)
+        plan = equally_spaced(0.6)
         recorded = empirical_profile(
             run_match(*quantum_player_strategy(plan, SingletSampler(6)), sched, seed=6)
         )
@@ -318,7 +342,7 @@ class TestCoupledStrategies:
 
     def test_match_profile_memory_is_bounded(self):
         sched = uniform_schedule(250_000)  # one million rounds, built before tracing
-        one, two = quantum_player_strategy(AnglePlan(0.1), SingletSampler(0))
+        one, two = quantum_player_strategy(equally_spaced(0.1), SingletSampler(0))
         tracemalloc.start()
         try:
             match_profile(one, two, sched, seed=0)
