@@ -249,6 +249,10 @@ def sweep_quantum_payoff(delta_min: float, delta_max: float, steps: int) -> Swee
     Each row holds (delta, profile, payoff) with payoff equal to
     (1 - cos 3*delta) / (1 - cos delta).
     """
+    if not (np.isfinite(delta_min) and np.isfinite(delta_max)):
+        raise ValueError(
+            f"sweep bounds must be finite, got delta_min={delta_min!r}, delta_max={delta_max!r}"
+        )
     if not 0.0 < delta_min < delta_max:
         raise ValueError("need 0 < delta_min < delta_max")
     if steps < 2:

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -53,6 +54,24 @@ from .quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy, 
 __all__ = ["main", "build_parser"]
 
 _MOVE_NAMES = ("A", "B")
+
+
+class Table:
+    """A result table as named, equal-length columns, one entry per row.
+
+    A column is a list or a 1-D numpy array.  ``len`` is the row count.
+    Renderers format a table column by column, never row by row.
+    """
+
+    def __init__(self, columns: dict):
+        lengths = {len(column) for column in columns.values()}
+        if len(lengths) != 1:
+            raise RuntimeError(f"table needs columns of one length, got lengths {sorted(lengths)}")
+        self.columns = columns
+        self._rows = lengths.pop()
+
+    def __len__(self) -> int:
+        return self._rows
 
 
 def _profile_dict(profile: MismatchProfile) -> dict:
@@ -150,16 +169,15 @@ def _cmd_quantum(args) -> tuple[dict, dict, str | None]:
 
 def _cmd_sweep(args) -> tuple[dict, dict, str | None]:
     table = sweep_quantum_payoff(args.delta_min, args.delta_max, args.steps)
-    rows = [
+    rows = Table(
         {
-            "delta": row.delta,
-            "q00": row.profile.q00,
-            "q01": row.profile.q01,
-            "payoff_quantum": row.payoff,
-            "classical_bound_slack": classical_bound(row.profile).slack,
+            "delta": table.deltas,
+            "q00": [row.profile.q00 for row in table],
+            "q01": [row.profile.q01 for row in table],
+            "payoff_quantum": table.payoffs,
+            "classical_bound_slack": [classical_bound(row.profile).slack for row in table],
         }
-        for row in table
-    ]
+    )
     params = {
         "delta_min": args.delta_min,
         "delta_max": args.delta_max,
@@ -173,27 +191,28 @@ def _cmd_lhv(args) -> tuple[dict, dict, str | None]:
     supremum, witness = lhv_supremum_payoff()
     witness_profile = lhv_profile(witness)
 
-    vertices = []
-    for k, (pair, profile) in enumerate(pairs):
-        vertices.append(
-            {
-                "vertex_index": k,
-                "m1_state0": _MOVE_NAMES[pair.m1[0]],
-                "m1_state1": _MOVE_NAMES[pair.m1[1]],
-                "m2_state0": _MOVE_NAMES[pair.m2[0]],
-                "m2_state1": _MOVE_NAMES[pair.m2[1]],
-                "d00": int(profile.q00),
-                "d01": int(profile.q01),
-                "d10": int(profile.q10),
-                "d11": int(profile.q11),
-                "satisfies_bound": classical_bound(profile).holds,
-                "witness_weight": float(witness.weights[k]),
-            }
-        )
+    maps = [pair for pair, _ in pairs]
+    profiles = [profile for _, profile in pairs]
+    holds = [classical_bound(profile).holds for profile in profiles]
+    vertices = Table(
+        {
+            "vertex_index": list(range(len(pairs))),
+            "m1_state0": [_MOVE_NAMES[pair.m1[0]] for pair in maps],
+            "m1_state1": [_MOVE_NAMES[pair.m1[1]] for pair in maps],
+            "m2_state0": [_MOVE_NAMES[pair.m2[0]] for pair in maps],
+            "m2_state1": [_MOVE_NAMES[pair.m2[1]] for pair in maps],
+            "d00": [int(profile.q00) for profile in profiles],
+            "d01": [int(profile.q01) for profile in profiles],
+            "d10": [int(profile.q10) for profile in profiles],
+            "d11": [int(profile.q11) for profile in profiles],
+            "satisfies_bound": holds,
+            "witness_weight": witness.weights,
+        }
+    )
 
     results = {
         "vertices": vertices,
-        "all_vertices_satisfy_bound": all(v["satisfies_bound"] for v in vertices),
+        "all_vertices_satisfy_bound": all(holds),
         "supremum_payoff": supremum,
         "witness_q": 0.1,
         "witness_profile": _profile_dict(witness_profile),
@@ -230,16 +249,16 @@ def _cmd_match(args) -> tuple[dict, dict, str | None]:
         )
 
     records = run_match(one, two, uniform_schedule(args.rounds_per_pair), seed=args.seed)
-    rows = [
+    move_names = np.array(_MOVE_NAMES)
+    rounds = Table(
         {
-            "round_index": r.round_index,
-            "state_one": int(r.states.player_one),
-            "state_two": int(r.states.player_two),
-            "move_one": _MOVE_NAMES[r.move_one],
-            "move_two": _MOVE_NAMES[r.move_two],
+            "round_index": np.arange(len(records)),
+            "state_one": records.states[:, 0],
+            "state_two": records.states[:, 1],
+            "move_one": move_names[records.move_one],
+            "move_two": move_names[records.move_two],
         }
-        for r in records
-    ]
+    )
     empirical = empirical_profile(records)
 
     params = {
@@ -251,7 +270,7 @@ def _cmd_match(args) -> tuple[dict, dict, str | None]:
         "rounds_per_pair": args.rounds_per_pair,
     }
     results = {
-        "rounds": rows,
+        "rounds": rounds,
         "empirical": _payoff_block(empirical, samples=args.rounds_per_pair),
     }
     return params, results, "rounds"
@@ -268,9 +287,20 @@ _HANDLERS = {
 
 
 def _round_floats(value):
-    """Round floats to 9 significant digits so JSON output is stable and diffable."""
+    """Round floats to 9 significant digits so JSON output is stable and diffable.
+
+    A table becomes a list of row dicts, built after each column is rounded.
+    """
+    if isinstance(value, Table):
+        names = list(value.columns)
+        columns = [_round_floats(column) for column in value.columns.values()]
+        return [dict(zip(names, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        # a table column: tolist gives Python scalars, and only floats need rounding
+        values = value.tolist()
+        return [float("%.9g" % v) for v in values] if value.dtype.kind == "f" else values
     if isinstance(value, (list, tuple)):
         return [_round_floats(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
@@ -283,15 +313,12 @@ def _round_floats(value):
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
-    """Flatten nested result dicts to CSV columns with underscore-joined names.
-
-    List values are omitted; tables are emitted as CSV rows, not columns.
-    """
+    """Flatten nested result dicts to CSV columns with underscore-joined names."""
     flat = {}
     for key, value in record.items():
         if isinstance(value, dict):
             flat.update(_flatten(value, prefix=f"{prefix}{key}_"))
-        elif not isinstance(value, (list, tuple)):
+        else:
             flat[f"{prefix}{key}"] = value
     return flat
 
@@ -304,6 +331,15 @@ def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return "%.9g" % float(value)
     return str(value)
+
+
+def _column_cells(column) -> list:
+    """The CSV cells of one table column, each equal to ``_cell`` of its entry."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iuU":
+            return column.astype(str).tolist()
+        column = column.tolist()
+    return list(map(_cell, column))
 
 
 def render_json(subcommand: str, seed: int, params: dict, results: dict) -> str:
@@ -320,19 +356,31 @@ def render_json(subcommand: str, seed: int, params: dict, results: dict) -> str:
 def render_csv(
     subcommand: str, seed: int, params: dict, results: dict, table_key: str | None
 ) -> str:
+    """One header row, then one row per table row (a single row without a table).
+
+    The envelope, parameters and non-table results repeat on every row;
+    each of their cells and each table column is formatted once.
+    """
     lead = {"subcommand": subcommand, "version": __version__, "seed": seed}
     lead.update(_flatten(params))
+    summary = _flatten({k: v for k, v in results.items() if k != table_key})
     if table_key is None:
-        rows = [_flatten(results)]
+        table, rows = {}, 1
     else:
-        summary = _flatten({k: v for k, v in results.items() if k != table_key})
-        rows = [{**_flatten(row), **summary} for row in results[table_key]]
+        table, rows = results[table_key].columns, len(results[table_key])
+    header = [*lead, *table, *summary]
+    if len(set(header)) != len(header):
+        duplicates = sorted({name for name in header if header.count(name) > 1})
+        raise RuntimeError(f"duplicate CSV column names: {', '.join(duplicates)}")
+
+    columns = [repeat(_cell(v), rows) for v in lead.values()]
+    columns += [_column_cells(column) for column in table.values()]
+    columns += [repeat(_cell(v), rows) for v in summary.values()]
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(lead) + list(rows[0]))
-    for row in rows:
-        writer.writerow([_cell(v) for v in {**lead, **row}.values()])
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
     return buffer.getvalue()
 
 

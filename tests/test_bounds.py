@@ -238,6 +238,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_quantum_payoff(0.1, 0.5, 1)
 
+    @pytest.mark.parametrize(
+        "delta_min, delta_max", [(0.01, np.inf), (np.nan, 1.0), (0.01, np.nan), (-np.inf, 1.0)]
+    )
+    def test_rejects_non_finite_bounds(self, delta_min, delta_max):
+        with pytest.raises(ValueError, match="sweep bounds must be finite"):
+            sweep_quantum_payoff(delta_min, delta_max, 10)
+
     def test_rows_cover_requested_grid(self):
         table = sweep_quantum_payoff(0.1, 0.5, 5)
         assert len(table) == 5

@@ -1,14 +1,18 @@
 """CLI harness: schemas, formats, reproducibility, and exit codes."""
 
+import csv
+import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coordgame import __version__, bounds
-from coordgame.cli import main
+from coordgame import __version__, bounds, cli
+from coordgame.cli import Table, _cell, build_parser, main, render_csv
 from coordgame.game import MismatchProfile
 
 DATA = Path(__file__).parent / "data"
@@ -163,6 +167,20 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--delta-min", "0.5", "--delta-max", "0.1")
         assert code == 2
 
+    def test_infinite_bound_exits_two_with_one_line(self):
+        # a subprocess, so a numpy warning printed to stderr would show
+        proc = subprocess.run(
+            [sys.executable, "-m", "coordgame.cli", "sweep", "--delta-max", "inf"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "coordgame sweep: invalid parameters: "
+            "sweep bounds must be finite, got delta_min=0.01, delta_max=inf"
+        ]
+
 
 class TestLhvCommand:
     def test_summary_fields(self, capsys):
@@ -280,6 +298,32 @@ class TestReproducibility:
         assert code == 0, err
         assert out == (DATA / expected).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["match", "--N", "8", "--rounds-per-pair", "8"], "match_classical.json"),
+            (["match", "--strategy", "quantum", "--rounds-per-pair", "8"], "match_quantum.json"),
+            (["lhv", "--format", "csv"], "lhv.csv"),
+            (["lhv"], "lhv.json"),
+            (["sweep", "--steps", "50", "--format", "csv"], "sweep_50.csv"),
+        ],
+    )
+    def test_table_output_pinned_across_versions(self, capsys, argv, expected):
+        # recorded from version 0.1.0 while tables were rendered row by row
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == (DATA / expected).read_text(encoding="utf-8")
+
+    def test_match_dump_digest_pinned_across_versions(self, capsys):
+        # 10k rounds, too large to store; recorded with the files above
+        argv = ["match", "--N", "2500", "--rounds-per-pair", "2500", "--format", "csv", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(out) == 1_109_194
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "7e73f6d830bd3c3b5d88f373b4fd52bcb6e07acd86295f1f5e67830310ba48fc"
+        )
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "record.csv"
         _, out, _ = run_cli(capsys, "lhv", "--format", "csv")
@@ -299,6 +343,81 @@ class TestReproducibility:
         code, out, _ = run_cli(capsys, "quantum", "--rounds-per-pair", "100", "--format", "csv")
         assert code == 0
         assert "8.94014982" in out  # analytic payoff at delta 0.1, 9 significant digits
+
+
+class TestColumnTables:
+    @pytest.mark.parametrize(
+        "argv, table_key",
+        [
+            (["match", "--N", "16", "--rounds-per-pair", "5"], "rounds"),
+            (["match", "--strategy", "quantum", "--rounds-per-pair", "3"], "rounds"),
+            (["sweep", "--steps", "7"], "rows"),
+            (["lhv"], "vertices"),
+        ],
+    )
+    def test_length_is_the_csv_row_count(self, argv, table_key):
+        args = build_parser().parse_args([*argv, "--format", "csv"])
+        params, results, key = cli._HANDLERS[args.subcommand](args)
+        assert key == table_key
+        text = render_csv(args.subcommand, args.seed, params, results, key)
+        header, *rows = csv.reader(io.StringIO(text))
+        assert len(results[key]) == len(rows)
+        assert all(len(row) == len(header) for row in rows)
+
+    def test_render_equals_csv_writer_row_by_row(self):
+        columns = {
+            "label": ['plain', 'a,b', 'say "hi"', '"q",x', ""],
+            "maybe": [None, 1.5, None, "x", None],
+            "flag": np.array([True, False, True, True, False]),
+            "flag_list": [False, True, np.bool_(True), False, True],
+            "weight": np.array([0.1, 1e-12, 2.0 / 3.0, -0.0, 123456789.123]),
+            "index": np.arange(5, dtype=np.int64),
+            "small": np.array([0, 1, 1, 0, 255], dtype=np.uint8),
+            "move": np.array(["A", "B", "A", "B", "B"]),
+        }
+        params = {"name": "x,y", "nested": {"value": 0.25, "none": None}}
+        results = {"table": Table(columns), "summary": {"ok": True, "text": 'a "b"'}}
+
+        lead = ["cmd", __version__, 7, "x,y", 0.25, None]
+        summary = [True, 'a "b"']
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(
+            ["subcommand", "version", "seed", "name", "nested_value", "nested_none",
+             *columns, "summary_ok", "summary_text"]
+        )
+        for row in zip(*columns.values()):
+            writer.writerow([_cell(v) for v in (*lead, *row, *summary)])
+
+        assert render_csv("cmd", 7, params, results, "table") == expected.getvalue()
+
+    @pytest.mark.parametrize(
+        "params, columns, summary, duplicate",
+        [
+            ({}, {"seed": [1, 2]}, {}, "seed"),
+            ({}, {"payoff": [1, 2]}, {"payoff": 3.0}, "payoff"),
+            ({"rounds_per_pair": 8}, {"x": [1, 2]}, {"rounds": {"per_pair": 8}}, "rounds_per_pair"),
+        ],
+    )
+    def test_duplicate_column_names_raise(self, params, columns, summary, duplicate):
+        results = {"table": Table(columns), **summary}
+        with pytest.raises(RuntimeError, match=f"duplicate CSV column names: {duplicate}"):
+            render_csv("cmd", 0, params, results, "table")
+
+    def test_duplicate_column_names_exit_three(self, capsys, monkeypatch):
+        def clashing(args):
+            return {"delta": 0.5}, {"rows": Table({"delta": [0.1, 0.2]})}, "rows"
+
+        monkeypatch.setitem(cli._HANDLERS, "sweep", clashing)
+        code, out, err = run_cli(capsys, "sweep", "--format", "csv")
+        assert code == 3 and out == ""
+        assert err == "coordgame sweep: internal invariant failure: duplicate CSV column names: delta\n"
+
+    def test_columns_of_unequal_length_raise(self):
+        with pytest.raises(RuntimeError, match="one length"):
+            Table({"a": [1, 2], "b": np.arange(3)})
+        with pytest.raises(RuntimeError, match="one length"):
+            Table({})
 
 
 class TestEntryPoint:
