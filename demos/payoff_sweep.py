@@ -15,11 +15,11 @@ def main():
     print("= Quantum payoff sweep =")
     table = cg.sweep_quantum_payoff(0.01, 1.0, 100)
     print(f"{'delta':>7} {'q00':>10} {'q01':>10} {'payoff':>9} {'classical slack':>16}")
-    for row in list(table)[::11]:
-        slack = cg.classical_bound(row.profile).slack
+    slack = cg.classical_bound(table).slack
+    for k in range(0, len(table), 11):
         print(
-            f"{row.delta:7.3f} {row.profile.q00:10.6f} {row.profile.q01:10.6f} "
-            f"{row.payoff:9.4f} {slack:16.6f}"
+            f"{table.deltas[k]:7.3f} {table.q00[k]:10.6f} {table.q01[k]:10.6f} "
+            f"{table.payoffs[k]:9.4f} {slack[k]:16.6f}"
         )
     print("payoff decreases monotonically in delta; slack stays negative,")
     print("so every profile on the grid is classically unreachable\n")

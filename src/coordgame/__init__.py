@@ -7,7 +7,8 @@ joint states.  Shared classical randomness caps the payoff at 3, which
 the shared-sequence construction attains; measuring shared spin singlets
 approaches 9.  The package provides the match arbiter, both strategy
 families, the bound inequalities separating them, exhaustive enumeration
-of the deterministic strategies, and numerical searches, plus a CLI.
+of the deterministic strategies, a payoff sweep and an angle search, plus
+a CLI.
 """
 
 from .bounds import (
@@ -16,11 +17,9 @@ from .bounds import (
     BoundVerdict,
     DeterministicStrategyPair,
     LhvMixture,
-    SweepRow,
     SweepTable,
     classical_bound,
     enumerate_deterministic_pairs,
-    hill_climb_lhv_payoff,
     lhv_profile,
     lhv_supremum_payoff,
     optimize_general_angles,
@@ -120,7 +119,6 @@ __all__ = [
     "BoundVerdict",
     "DeterministicStrategyPair",
     "LhvMixture",
-    "SweepRow",
     "SweepTable",
     "AngleSearchResult",
     "classical_bound",
@@ -128,7 +126,6 @@ __all__ = [
     "enumerate_deterministic_pairs",
     "lhv_profile",
     "lhv_supremum_payoff",
-    "hill_climb_lhv_payoff",
     "sweep_quantum_payoff",
     "optimize_general_angles",
 ]

@@ -7,29 +7,29 @@ q00 <= q01 + q10 + q11 on those 16 vertices proves it for every mixture
 and caps the classical payoff at 3, attained by the shared-sequence
 construction.  Singlet-based profiles instead obey the weaker bound
 q00 <= (sqrt(q01) + sqrt(q10) + sqrt(q11))^2, which caps their payoff at
-9.  This module checks both inequalities, enumerates the vertices, and
-provides numerical searches over mixtures and measurement angles.
+9.  This module checks both inequalities, enumerates the vertices, sweeps
+the singlet payoff over a spacing grid, and searches measurement angles.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .game import MismatchProfile, Move
+from .game import DegenerateProfile, MismatchProfile, Move
 from .game import payoff as _payoff
-from .quantum import GeneralAnglePlan, general_quantum_profile, quantum_profile
+from .quantum import GeneralAnglePlan, _equally_spaced_angles, general_quantum_profile
 from .quantum import mismatch_probability
+from .quantum import quantum_profile  # noqa: F401  (the benchmark trace wraps this name)
 
 __all__ = [
     "BOUND_TOLERANCE",
     "BoundVerdict",
     "DeterministicStrategyPair",
     "LhvMixture",
-    "SweepRow",
     "SweepTable",
     "AngleSearchResult",
     "classical_bound",
@@ -37,7 +37,6 @@ __all__ = [
     "enumerate_deterministic_pairs",
     "lhv_profile",
     "lhv_supremum_payoff",
-    "hill_climb_lhv_payoff",
     "sweep_quantum_payoff",
     "optimize_general_angles",
 ]
@@ -59,7 +58,11 @@ class BoundVerdict:
 
 
 def classical_bound(profile: MismatchProfile) -> BoundVerdict:
-    """Check q00 <= q01 + q10 + q11, satisfied by every shared-randomness strategy."""
+    """Check q00 <= q01 + q10 + q11, satisfied by every shared-randomness strategy.
+
+    A profile with array-valued q fields, such as a sweep table, gets one
+    ``holds`` and one ``slack`` per row.
+    """
     slack = (profile.q01 + profile.q10 + profile.q11) - profile.q00
     return BoundVerdict.from_slack(slack)
 
@@ -170,84 +173,47 @@ def lhv_supremum_payoff() -> tuple[float, LhvMixture]:
     return 3.0, LhvMixture(weights=weights)
 
 
-def hill_climb_lhv_payoff(
-    restarts: int = 1000, steps: int = 60, seed: int = 0
-) -> float:
-    """Best mixture payoff found by random-restart local search on the simplex.
-
-    Independent corroboration of :func:`lhv_supremum_payoff`; it explores
-    the 16-simplex directly and should never exceed 3 by more than float
-    noise.  Mixtures whose three denominator entries all vanish are
-    scored 0 (their numerator vanishes too, by the vertex bound).
-    """
-    rng = np.random.default_rng(seed)
-    d = _vertex_matrix()
-
-    def score(w: np.ndarray) -> float:
-        q = w @ d
-        denom = q[1:].max()
-        return q[0] / denom if denom > 0.0 else 0.0
-
-    best = 0.0
-    for _ in range(restarts):
-        w = rng.dirichlet(np.ones(16))
-        current = score(w)
-        scale = 0.5
-        for _ in range(steps):
-            proposal = np.clip(w + scale * rng.normal(size=16), 0.0, None)
-            total = proposal.sum()
-            if total <= 0.0:
-                continue
-            proposal /= total
-            value = score(proposal)
-            if value > current:
-                w, current = proposal, value
-            else:
-                scale *= 0.9
-        best = max(best, current)
-    return best
-
-
-class SweepRow(NamedTuple):
-    delta: float
-    profile: MismatchProfile
-    payoff: float
-
-
 @dataclass(frozen=True)
 class SweepTable:
-    """Payoff sweep rows, sorted by the swept parameter value."""
+    """Payoff sweep as read-only columns, one row per spacing, sorted by spacing.
 
-    rows: tuple[SweepRow, ...]
+    The q columns make the table a profile with array fields, so
+    :func:`~coordgame.game.payoff` and :func:`classical_bound` take it
+    whole; ``payoffs`` is computed from them.
+    """
+
+    deltas: np.ndarray
+    q00: np.ndarray
+    q01: np.ndarray
+    q10: np.ndarray
+    q11: np.ndarray
+    payoffs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        deltas = [r.delta for r in self.rows]
-        if any(b <= a for a, b in zip(deltas, deltas[1:])):
+        names = ("deltas", "q00", "q01", "q10", "q11")
+        for name in names:
+            column = np.array(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if len({getattr(self, name).shape for name in names}) != 1 or self.deltas.ndim != 1:
+            raise ValueError("sweep columns must be 1-D and of one length")
+        if np.any(np.diff(self.deltas) <= 0.0):
             raise ValueError("sweep rows must be strictly sorted by parameter value")
+        payoffs = _payoff(self)
+        payoffs.setflags(write=False)
+        object.__setattr__(self, "payoffs", payoffs)
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, index):
-        return self.rows[index]
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([r.delta for r in self.rows])
-
-    @property
-    def payoffs(self) -> np.ndarray:
-        return np.array([r.payoff for r in self.rows])
+        return len(self.deltas)
 
 
 def sweep_quantum_payoff(delta_min: float, delta_max: float, steps: int) -> SweepTable:
-    """Singlet-strategy payoff over an angle-spacing grid.
+    """Payoff of the equally-spaced singlet plan over an angle-spacing grid.
 
-    Each row holds (delta, profile, payoff) with payoff equal to
-    (1 - cos 3*delta) / (1 - cos delta).
+    Row k holds spacing delta_k, the plan's four mismatch probabilities
+    and the payoff (1 - cos 3*delta_k) / (1 - cos delta_k), each equal to
+    what ``quantum_profile(delta_k)`` gives.  Every column is computed in
+    one pass over the grid.
     """
     if not (np.isfinite(delta_min) and np.isfinite(delta_max)):
         raise ValueError(
@@ -257,11 +223,17 @@ def sweep_quantum_payoff(delta_min: float, delta_max: float, steps: int) -> Swee
         raise ValueError("need 0 < delta_min < delta_max")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    rows = []
-    for delta in np.linspace(delta_min, delta_max, steps):
-        profile = quantum_profile(float(delta))
-        rows.append(SweepRow(float(delta), profile, _payoff(profile)))
-    return SweepTable(rows=tuple(rows))
+    deltas = np.linspace(delta_min, delta_max, steps)
+    # every angle grows with delta, so the plan at the largest one checks them all
+    GeneralAnglePlan.equally_spaced(float(deltas.max()))
+    a0, a1, b0, b1 = _equally_spaced_angles(deltas)
+    return SweepTable(
+        deltas=deltas,
+        q00=mismatch_probability(a0, b0),
+        q01=mismatch_probability(a0, b1),
+        q10=mismatch_probability(a1, b0),
+        q11=mismatch_probability(a1, b1),
+    )
 
 
 class AngleSearchResult(NamedTuple):
@@ -326,7 +298,9 @@ def optimize_general_angles(
 
     plan = GeneralAnglePlan(a0=0.0, a1=float(point[0]), b0=float(point[1]), b1=float(point[2]))
     profile = general_quantum_profile(plan)
-    denom = max(profile.q01, profile.q10, profile.q11)
-    near_degenerate = denom < 10.0 * floor
-    unfloored = profile.q00 / denom if denom > 0.0 else float("nan")
+    near_degenerate = max(profile.q01, profile.q10, profile.q11) < 10.0 * floor
+    try:
+        unfloored = float(_payoff(profile))
+    except DegenerateProfile:
+        unfloored = float("nan")
     return AngleSearchResult(plan=plan, payoff=unfloored, near_degenerate=near_degenerate)

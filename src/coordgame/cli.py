@@ -172,10 +172,10 @@ def _cmd_sweep(args) -> tuple[dict, dict, str | None]:
     rows = Table(
         {
             "delta": table.deltas,
-            "q00": [row.profile.q00 for row in table],
-            "q01": [row.profile.q01 for row in table],
+            "q00": table.q00,
+            "q01": table.q01,
             "payoff_quantum": table.payoffs,
-            "classical_bound_slack": [classical_bound(row.profile).slack for row in table],
+            "classical_bound_slack": classical_bound(table).slack,
         }
     )
     params = {

@@ -112,16 +112,20 @@ class MismatchProfile:
         return np.array([self.q00, self.q01, self.q10, self.q11])
 
 
-def payoff(profile: MismatchProfile) -> float:
+def payoff(profile: MismatchProfile):
     """Payoff of a mismatch profile: q00 / max(q01, q10, q11).
 
+    This is the one definition of the payoff.  It also takes any profile
+    whose q fields are equal-length arrays, such as a sweep table, and then
+    returns one payoff per row.
+
     Raises:
-        DegenerateProfile: if q01 = q10 = q11 = 0.  Both strategy-class
-            bounds force q00 = 0 in that case, so the ratio is an
-            uninformative 0/0 and no finite value would rank it honestly.
+        DegenerateProfile: if q01 = q10 = q11 = 0 (in any row).  Both
+            strategy-class bounds force q00 = 0 in that case, so the ratio
+            is an uninformative 0/0 and no finite value would rank it honestly.
     """
-    denom = max(profile.q01, profile.q10, profile.q11)
-    if denom == 0.0:
+    denom = np.maximum(np.maximum(profile.q01, profile.q10), profile.q11)
+    if np.any(denom == 0.0):
         raise DegenerateProfile(
             "payoff undefined: q01 = q10 = q11 = 0 (0/0 ratio)"
         )

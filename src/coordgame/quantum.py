@@ -60,7 +60,7 @@ class GeneralAnglePlan:
         every other pair by pi +/- delta.  A non-finite ``delta`` is
         rejected like any non-finite angle.
         """
-        return cls(a0=0.0, a1=2.0 * delta, b0=math.pi + 3.0 * delta, b1=math.pi + delta)
+        return cls(*_equally_spaced_angles(delta))
 
     def mismatch_angle(self, i: int, j: int) -> float:
         """Direction difference b_j - a_i for state pair (i, j).
@@ -69,6 +69,15 @@ class GeneralAnglePlan:
         angle(0,0) = angle(0,1) + angle(1,0) - angle(1,1) identically.
         """
         return (self.b0 if j == 0 else self.b1) - (self.a0 if i == 0 else self.a1)
+
+
+def _equally_spaced_angles(delta):
+    """The paper's directions (a0, a1, b0, b1) for spacing ``delta``.
+
+    Written once for :meth:`GeneralAnglePlan.equally_spaced` and the
+    payoff sweep; it broadcasts over an array of spacings.
+    """
+    return 0.0, 2.0 * delta, math.pi + 3.0 * delta, math.pi + delta
 
 
 def mismatch_probability(dir_one, dir_two):

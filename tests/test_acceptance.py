@@ -9,6 +9,7 @@ fixed seeds and 4-sigma windows; exact checks use 1e-12 tolerances.
 import functools
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,8 +117,12 @@ def test_criterion_06_lhv_optimum():
     assert supremum == 3.0
     assert cg.payoff(cg.lhv_profile(witness)) == pytest.approx(3.0, abs=1e-12)
 
-    best = cg.hill_climb_lhv_payoff(restarts=1000, seed=0)
-    assert best <= 3.0 + 1e-9
+    # 200k sparse random mixtures, scored at once through the column payoff
+    rng = np.random.default_rng(0)
+    weights = rng.dirichlet(np.full(16, 0.05), size=200_000)
+    q = weights @ np.array([p.as_array() for _, p in pairs])
+    best = cg.payoff(SimpleNamespace(q00=q[:, 0], q01=q[:, 1], q10=q[:, 2], q11=q[:, 3])).max()
+    assert 2.9 < best <= 3.0 + 1e-12
 
 
 @criterion(7, "singlet profiles break the classical bound but not the quantum bound", 1.0)

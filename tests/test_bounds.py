@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,9 @@ from coordgame.bounds import (
     BoundVerdict,
     DeterministicStrategyPair,
     LhvMixture,
-    SweepRow,
     SweepTable,
     classical_bound,
     enumerate_deterministic_pairs,
-    hill_climb_lhv_payoff,
     lhv_profile,
     lhv_supremum_payoff,
     optimize_general_angles,
@@ -48,6 +47,14 @@ class TestVerdicts:
         v = classical_bound(quantum_profile(0.1))
         assert not v.holds
         assert v.slack == pytest.approx(-0.014838003354236, abs=1e-13)
+
+    def test_classical_bound_on_columns_equals_row_calls(self):
+        q = np.random.default_rng(5).random((4, 1000))
+        q[:, 0] = 0.0  # a degenerate row has a bound verdict too
+        verdict = classical_bound(SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3]))
+        rows = [classical_bound(MismatchProfile(*map(float, column))) for column in q.T]
+        assert verdict.slack.tobytes() == np.array([v.slack for v in rows]).tobytes()
+        assert verdict.holds.tolist() == [v.holds for v in rows]
 
     def test_classical_bound_on_zero_profile(self):
         v = classical_bound(MismatchProfile(0, 0, 0, 0))
@@ -188,10 +195,14 @@ class TestSupremum:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_hill_climb_never_beats_three(self):
-        best = hill_climb_lhv_payoff(restarts=1000, seed=0)
-        assert best <= 3.0 + 1e-9
-        assert best > 2.5  # the search should land near the optimum, not stall
+    def test_random_mixtures_never_beat_three(self):
+        # 200k sparse mixtures scored at once through the column payoff
+        rng = np.random.default_rng(0)
+        weights = rng.dirichlet(np.full(16, 0.05), size=200_000)
+        q = weights @ bounds._vertex_matrix()
+        best = payoff(SimpleNamespace(q00=q[:, 0], q01=q[:, 1], q10=q[:, 2], q11=q[:, 3])).max()
+        assert best <= 3.0 + 1e-12
+        assert best > 2.9  # the sample reaches close to the optimum
 
 
 class TestSineInequality:
@@ -249,12 +260,26 @@ class TestSweep:
         table = sweep_quantum_payoff(0.1, 0.5, 5)
         assert len(table) == 5
         assert table.deltas == pytest.approx(np.linspace(0.1, 0.5, 5))
-        assert table[0].profile == quantum_profile(0.1)
+
+    def test_every_row_equals_the_scalar_profile(self):
+        table = sweep_quantum_payoff(0.01, 1.0, 101)
+        for k, delta in enumerate(table.deltas):
+            profile = quantum_profile(float(delta))
+            row = MismatchProfile(table.q00[k], table.q01[k], table.q10[k], table.q11[k])
+            assert row == profile
+            assert table.payoffs[k] == payoff(profile)
+
+    def test_columns_are_read_only(self):
+        table = sweep_quantum_payoff(0.1, 0.5, 5)
+        for column in (table.deltas, table.q00, table.q01, table.q10, table.q11, table.payoffs):
+            with pytest.raises(ValueError):
+                column[0] = 0.5
 
     def test_payoff_column_matches_ratio(self):
-        for row in sweep_quantum_payoff(0.2, 1.0, 9):
-            assert row.payoff == pytest.approx(
-                (1 - np.cos(3 * row.delta)) / (1 - np.cos(row.delta)), abs=1e-12
+        table = sweep_quantum_payoff(0.2, 1.0, 9)
+        for delta, value in zip(table.deltas, table.payoffs):
+            assert value == pytest.approx(
+                (1 - np.cos(3 * delta)) / (1 - np.cos(delta)), abs=1e-12
             )
 
     def test_payoff_strictly_decreasing_on_unit_grid(self):
@@ -266,10 +291,15 @@ class TestSweep:
         assert payoff(quantum_profile(np.pi / 3)) == pytest.approx(4.0, abs=1e-12)
 
     def test_table_rejects_unsorted_rows(self):
-        r1 = SweepRow(0.2, quantum_profile(0.2), payoff(quantum_profile(0.2)))
-        r2 = SweepRow(0.1, quantum_profile(0.1), payoff(quantum_profile(0.1)))
-        with pytest.raises(ValueError):
-            SweepTable(rows=(r1, r2))
+        q = [quantum_profile(0.2).as_array(), quantum_profile(0.1).as_array()]
+        q00, q01, q10, q11 = np.transpose(q)
+        with pytest.raises(ValueError, match="strictly sorted"):
+            SweepTable(deltas=[0.2, 0.1], q00=q00, q01=q01, q10=q10, q11=q11)
+
+    def test_table_rejects_columns_of_unequal_length(self):
+        q = np.full(2, 0.1)
+        with pytest.raises(ValueError, match="one length"):
+            SweepTable(deltas=[0.1, 0.2, 0.3], q00=q, q01=q, q10=q, q11=q)
 
 
 class TestAngleSearch:
@@ -284,6 +314,13 @@ class TestAngleSearch:
         assert not result.near_degenerate
         assert result.plan.a0 == 0.0
         assert quantum_bound(general_quantum_profile(result.plan)).holds
+
+    def test_degenerate_result_reports_nan(self, monkeypatch):
+        zero = MismatchProfile(0.0, 0.0, 0.0, 0.0)
+        monkeypatch.setattr(bounds, "general_quantum_profile", lambda plan: zero)
+        result = optimize_general_angles(resolution=8, refine_iters=1)
+        assert np.isnan(result.payoff)
+        assert result.near_degenerate
 
     def test_coarse_search_still_bounded(self):
         result = optimize_general_angles(resolution=8, refine_iters=20)

@@ -168,18 +168,32 @@ class TestSweepCommand:
         assert code == 2
 
     def test_infinite_bound_exits_two_with_one_line(self):
-        # a subprocess, so a numpy warning printed to stderr would show
-        proc = subprocess.run(
-            [sys.executable, "-m", "coordgame.cli", "sweep", "--delta-max", "inf"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "coordgame sweep: invalid parameters: "
-            "sweep bounds must be finite, got delta_min=0.01, delta_max=inf"
+        cases = [
+            (
+                ["--delta-max", "inf"],
+                "sweep bounds must be finite, got delta_min=0.01, delta_max=inf",
+            ),
+            (
+                # linspace repeats a value on a grid this fine
+                ["--delta-min", "1", "--delta-max", "1.000000000000001", "--steps", "100"],
+                "sweep rows must be strictly sorted by parameter value",
+            ),
+            (
+                # 3 * delta overflows, so the plan's angles are not finite
+                ["--delta-min", "1e307", "--delta-max", "1e308", "--steps", "2"],
+                "angle a1 must be finite",
+            ),
         ]
+        for argv, message in cases:
+            # a subprocess, so a numpy warning printed to stderr would show
+            proc = subprocess.run(
+                [sys.executable, "-m", "coordgame.cli", "sweep", *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2, argv
+            assert proc.stdout == "", argv
+            assert proc.stderr.splitlines() == [f"coordgame sweep: invalid parameters: {message}"]
 
 
 class TestLhvCommand:
@@ -322,6 +336,16 @@ class TestReproducibility:
         assert len(out) == 1_109_194
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "7e73f6d830bd3c3b5d88f373b4fd52bcb6e07acd86295f1f5e67830310ba48fc"
+        )
+
+    def test_sweep_digest_pinned_across_versions(self, capsys):
+        # 10k rows, too large to store; recorded while the sweep built one
+        # profile per row
+        code, out, err = run_cli(capsys, "sweep", "--steps", "10000")
+        assert code == 0, err
+        assert len(out) == 1_880_007
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "ba15c15e8fb738ff1dc26d6435fc8ea737766cea3d235dde11725b4a21696b09"
         )
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Core game types, payoff functional, arbiter, and empirical estimation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -92,6 +94,21 @@ class TestPayoff:
     def test_degenerate_denominator_raises(self):
         with pytest.raises(DegenerateProfile):
             payoff(MismatchProfile(0.5, 0.0, 0.0, 0.0))
+
+    def test_columns_equal_row_calls(self):
+        q = np.random.default_rng(4).random((4, 1000))
+        q[1:, :10] = 0.25  # ties between denominator entries
+        q[:, 10] = 0.0  # zero numerator and a zero denominator entry
+        q[3, 10] = 0.5
+        columns = SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3])
+        rows = [payoff(MismatchProfile(*map(float, column))) for column in q.T]
+        assert payoff(columns).tobytes() == np.array(rows).tobytes()
+
+    def test_one_degenerate_row_raises(self):
+        q = np.random.default_rng(4).random((4, 100))
+        q[1:, 37] = 0.0
+        with pytest.raises(DegenerateProfile):
+            payoff(SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3]))
 
     @given(profiles(min_denom=1e-9))
     def test_payoff_nonnegative_and_consistent(self, p):
