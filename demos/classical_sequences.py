@@ -13,6 +13,7 @@ import coordgame as cg
 N = 2000
 Q = 0.1
 SEED = 7
+MOVE = ("A", "B")
 
 
 def main():
@@ -34,8 +35,10 @@ def main():
     schedule = cg.uniform_schedule(N)  # each state pair walks the whole sequence once
     records = cg.run_match(one, two, schedule, seed=SEED)
     print(f"played {len(records)} rounds; first three records:")
-    for r in list(records)[:3]:
-        print(f"  {r}")
+    for k in range(3):
+        s1, s2 = records.states[k]
+        m1, m2 = MOVE[records.move_one[k]], MOVE[records.move_two[k]]
+        print(f"  round {k}: states ({s1}, {s2}), moves {m1} {m2}")
 
     profile = cg.empirical_profile(records)
     analytic = cg.analytic_classical_profile(Q)

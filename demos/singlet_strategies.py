@@ -17,14 +17,16 @@ SEED = 11
 
 def main():
     print("= Raw singlet outcomes =")
-    theta = 2.0
-    counts = cg.sample_joint_outcomes(0.0, theta, 100_000, cg.SingletSampler(SEED))
+    theta, m = 2.0, 100_000
+    # one fixed direction per player: every round measures along 0 and theta
+    plan = cg.GeneralAnglePlan(0.0, 0.0, theta, theta)
+    one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
+    records = cg.run_match(one, two, np.zeros((m, 2), dtype=np.uint8), seed=SEED)
+    differ = np.count_nonzero(records.move_one != records.move_two)
     print(f"directions separated by theta={theta}")
-    print(f"  observed mismatch fraction: {counts.mismatch_fraction:.5f}")
+    print(f"  observed mismatch fraction: {differ / m:.5f}")
     print(f"  (1 + cos theta) / 2:        {(1 + np.cos(theta)) / 2:.5f}")
-    corr = (
-        counts.plus_plus + counts.minus_minus - counts.plus_minus - counts.minus_plus
-    ) / counts.total
+    corr = (m - 2 * differ) / m  # equal signs count +1, differing signs -1
     print(f"  observed correlator:        {corr:+.5f}")
     print(f"  -cos theta:                 {-np.cos(theta):+.5f}\n")
 

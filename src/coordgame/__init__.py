@@ -7,13 +7,11 @@ joint states.  Shared classical randomness caps the payoff at 3, which
 the shared-sequence construction attains; measuring shared spin singlets
 approaches 9.  The package provides the match arbiter, both strategy
 families, the bound inequalities separating them, exhaustive enumeration
-of the deterministic strategies, a payoff sweep and an angle search, plus
-a CLI.
+of the deterministic strategies and a payoff sweep, plus a CLI.
 """
 
 from .bounds import (
     BOUND_TOLERANCE,
-    AngleSearchResult,
     BoundVerdict,
     DeterministicStrategyPair,
     LhvMixture,
@@ -22,7 +20,6 @@ from .bounds import (
     enumerate_deterministic_pairs,
     lhv_profile,
     lhv_supremum_payoff,
-    optimize_general_angles,
     quantum_bound,
     sweep_quantum_payoff,
 )
@@ -47,10 +44,7 @@ from .game import (
     MissingStatePair,
     Move,
     PayoffReport,
-    PlayerState,
     PlayerStrategy,
-    RoundRecord,
-    StatePair,
     analytic_report,
     empirical_profile,
     empirical_report,
@@ -61,13 +55,11 @@ from .game import (
 )
 from .quantum import (
     GeneralAnglePlan,
-    JointOutcomeCounts,
     SingletSampler,
     general_quantum_profile,
     mismatch_probability,
     quantum_player_strategy,
     quantum_profile,
-    sample_joint_outcomes,
 )
 
 __version__ = "0.1.0"
@@ -75,12 +67,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # game core
-    "PlayerState",
     "Move",
-    "StatePair",
     "STATE_PAIRS",
     "MismatchProfile",
-    "RoundRecord",
     "MatchRecords",
     "PayoffReport",
     "PlayerStrategy",
@@ -107,25 +96,21 @@ __all__ = [
     "analytic_classical_profile",
     # singlet strategies
     "GeneralAnglePlan",
-    "JointOutcomeCounts",
     "SingletSampler",
     "mismatch_probability",
     "quantum_profile",
     "general_quantum_profile",
-    "sample_joint_outcomes",
     "quantum_player_strategy",
-    # bounds and searches
+    # bounds and the sweep
     "BOUND_TOLERANCE",
     "BoundVerdict",
     "DeterministicStrategyPair",
     "LhvMixture",
     "SweepTable",
-    "AngleSearchResult",
     "classical_bound",
     "quantum_bound",
     "enumerate_deterministic_pairs",
     "lhv_profile",
     "lhv_supremum_payoff",
     "sweep_quantum_payoff",
-    "optimize_general_angles",
 ]

@@ -1,4 +1,4 @@
-"""Achievability bounds, exhaustive classical optimality, and payoff searches.
+"""Achievability bounds, exhaustive classical optimality, and the payoff sweep.
 
 Classically coordinated players can only mix deterministic state-to-move
 maps using shared randomness, so every classical profile is a convex
@@ -7,23 +7,27 @@ q00 <= q01 + q10 + q11 on those 16 vertices proves it for every mixture
 and caps the classical payoff at 3, attained by the shared-sequence
 construction.  Singlet-based profiles instead obey the weaker bound
 q00 <= (sqrt(q01) + sqrt(q10) + sqrt(q11))^2, which caps their payoff at
-9.  This module checks both inequalities, enumerates the vertices, sweeps
-the singlet payoff over a spacing grid, and searches measurement angles.
+9.  For any directions, write phi_ij = b_j - a_i - pi, so that
+q_ij = sin^2(phi_ij / 2) and phi_00 = phi_01 + phi_10 - phi_11; since
+|sin| is subadditive, sqrt(q00) <= sqrt(q01) + sqrt(q10) + sqrt(q11) <=
+3 * sqrt(max(q01, q10, q11)).  The equally-spaced plan reaches
+(1 + 2 cos delta)^2, which tends to 9.  This module checks both
+inequalities, enumerates the vertices and sweeps the singlet payoff over
+a spacing grid.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .game import DegenerateProfile, MismatchProfile, Move
+from .game import MismatchProfile, Move
 from .game import payoff as _payoff
-from .quantum import GeneralAnglePlan, _equally_spaced_angles, general_quantum_profile
-from .quantum import mismatch_probability
-from .quantum import quantum_profile  # noqa: F401  (the benchmark trace wraps this name)
+from .quantum import GeneralAnglePlan, _equally_spaced_angles, mismatch_probability
+# unused here, but the benchmark trace wraps these two names in this module
+from .quantum import general_quantum_profile, quantum_profile  # noqa: F401
 
 __all__ = [
     "BOUND_TOLERANCE",
@@ -31,14 +35,12 @@ __all__ = [
     "DeterministicStrategyPair",
     "LhvMixture",
     "SweepTable",
-    "AngleSearchResult",
     "classical_bound",
     "quantum_bound",
     "enumerate_deterministic_pairs",
     "lhv_profile",
     "lhv_supremum_payoff",
     "sweep_quantum_payoff",
-    "optimize_general_angles",
 ]
 
 #: Absolute tolerance for bound verdicts; all quantities are O(1) trig values.
@@ -68,9 +70,17 @@ def classical_bound(profile: MismatchProfile) -> BoundVerdict:
 
 
 def quantum_bound(profile: MismatchProfile) -> BoundVerdict:
-    """Check q00 <= (sqrt(q01) + sqrt(q10) + sqrt(q11))^2, satisfied by singlet profiles."""
+    """Check q00 <= (sqrt(q01) + sqrt(q10) + sqrt(q11))^2, satisfied by singlet profiles.
+
+    Every measurement plan satisfies it.  With phi_ij = b_j - a_i - pi the
+    singlet gives q_ij = sin^2(phi_ij / 2), and phi_00 = phi_01 + phi_10 -
+    phi_11 for any directions.  As |sin| is subadditive, sqrt(q00) <=
+    sqrt(q01) + sqrt(q10) + sqrt(q11) <= 3 * sqrt(max(q01, q10, q11)),
+    which caps the payoff at 9.  A profile with array-valued q fields gets
+    one ``holds`` and one ``slack`` per row, as in :func:`classical_bound`.
+    """
     rhs = (np.sqrt(profile.q01) + np.sqrt(profile.q10) + np.sqrt(profile.q11)) ** 2
-    return BoundVerdict.from_slack(float(rhs) - profile.q00)
+    return BoundVerdict.from_slack(rhs - profile.q00)
 
 
 @dataclass(frozen=True)
@@ -235,72 +245,3 @@ def sweep_quantum_payoff(delta_min: float, delta_max: float, steps: int) -> Swee
         q11=mismatch_probability(a1, b1),
     )
 
-
-class AngleSearchResult(NamedTuple):
-    plan: GeneralAnglePlan
-    payoff: float
-    near_degenerate: bool
-
-
-def optimize_general_angles(
-    resolution: int = 64,
-    refine_iters: int = 60,
-    floor: float = 1e-8,
-) -> AngleSearchResult:
-    """Search measurement angles for the largest singlet-strategy payoff.
-
-    Player one's state-0 direction is pinned at 0 (a global rotation of
-    all four directions changes nothing) and the three free angles are
-    grid-searched over [0, 2*pi), then refined by coordinate descent
-    whose step shrinks whenever a full sweep fails to improve.  During
-    the search the payoff denominator entries are floored at ``floor`` so
-    the objective stays finite near the all-zero profile; the supremum 9
-    is approached there but never attained.  The reported payoff is
-    recomputed without the floor and flagged near-degenerate when the
-    denominator is within 10 * floor of vanishing.
-
-    The maximizing configurations form a diagonal ridge in the three
-    angles (equally spaced directions with ever smaller spacing), which
-    single-coordinate moves cannot descend along, so the result is
-    essentially the best on-grid point and ``resolution`` controls how
-    close the reported payoff gets to the supremum.
-    """
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
-
-    def floored_payoff(a1, b0, b1):
-        q00 = mismatch_probability(0.0, b0)
-        q01 = mismatch_probability(0.0, b1)
-        q10 = mismatch_probability(a1, b0)
-        q11 = mismatch_probability(a1, b1)
-        denom = np.maximum(np.maximum(q01, q10), np.maximum(q11, floor))
-        return q00 / denom
-
-    grid = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    a1g, b0g, b1g = np.meshgrid(grid, grid, grid, indexing="ij")
-    values = floored_payoff(a1g, b0g, b1g)
-    flat = int(np.argmax(values))
-    point = np.array([a1g.flat[flat], b0g.flat[flat], b1g.flat[flat]])
-
-    step = float(grid[1] - grid[0])
-    best = float(values.flat[flat])
-    for _ in range(refine_iters):
-        improved = False
-        for axis in range(3):
-            for direction in (+1.0, -1.0):
-                candidate = point.copy()
-                candidate[axis] += direction * step
-                value = float(floored_payoff(*candidate))
-                if value > best:
-                    point, best, improved = candidate, value, True
-        if not improved:
-            step *= 0.5
-
-    plan = GeneralAnglePlan(a0=0.0, a1=float(point[0]), b0=float(point[1]), b1=float(point[2]))
-    profile = general_quantum_profile(plan)
-    near_degenerate = max(profile.q01, profile.q10, profile.q11) < 10.0 * floor
-    try:
-        unfloored = float(_payoff(profile))
-    except DegenerateProfile:
-        unfloored = float("nan")
-    return AngleSearchResult(plan=plan, payoff=unfloored, near_degenerate=near_degenerate)

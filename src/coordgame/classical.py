@@ -129,16 +129,6 @@ class BitSequenceSet:
         """Hamming distance between sequences alpha and beta."""
         return hamming_distance(self.sequences[alpha], self.sequences[beta])
 
-    def as_text(self) -> str:
-        """Four lines of '0'/'1' characters, line k holding sequence k."""
-        return "".join(
-            "".join("1" if b else "0" for b in seq) + "\n" for seq in self.sequences
-        )
-
-    def write_text(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.as_text())
-
 
 def generate_sequences(config: ClassicalConfig, x0=None) -> BitSequenceSet:
     """Generate the four shared sequences for the given configuration.

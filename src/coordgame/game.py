@@ -5,25 +5,22 @@ moves.  The figure of merit is the ratio between the mismatch probability
 when both players are in state 0 and the worst mismatch probability over
 the remaining three state pairs.  This module defines the domain types,
 the payoff functional, the match arbiter, and estimation of the four
-mismatch probabilities, either from recorded rounds or straight from a
-counts-only match that never holds per-round records.
+mismatch probabilities, either from the move columns of a recorded match
+or straight from a counts-only match that never holds those columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Protocol
+from typing import Protocol
 
 import numpy as np
 
 __all__ = [
-    "PlayerState",
     "Move",
-    "StatePair",
     "STATE_PAIRS",
     "MismatchProfile",
-    "RoundRecord",
     "MatchRecords",
     "PayoffReport",
     "PlayerStrategy",
@@ -41,13 +38,6 @@ __all__ = [
 ]
 
 
-class PlayerState(IntEnum):
-    """One player's private state; exactly two states exist."""
-
-    ZERO = 0
-    ONE = 1
-
-
 class Move(IntEnum):
     """One player's move; A and B are the only options."""
 
@@ -55,17 +45,8 @@ class Move(IntEnum):
     B = 1
 
 
-class StatePair(NamedTuple):
-    """Joint state of the two players for one round."""
-
-    player_one: PlayerState
-    player_two: PlayerState
-
-
-#: The four joint states in canonical order (0,0), (0,1), (1,0), (1,1).
-STATE_PAIRS: tuple[StatePair, ...] = tuple(
-    StatePair(PlayerState(i), PlayerState(j)) for i in (0, 1) for j in (0, 1)
-)
+#: The four joint states (player one's, player two's) in canonical order.
+STATE_PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 #: Rounds played per chunk by :func:`match_profile`.  It bounds the
@@ -132,22 +113,12 @@ def payoff(profile: MismatchProfile):
     return profile.q00 / denom
 
 
-class RoundRecord(NamedTuple):
-    """One simultaneous round of the game."""
-
-    round_index: int
-    states: StatePair
-    move_one: Move
-    move_two: Move
-
-
 @dataclass(frozen=True, eq=False)
 class MatchRecords:
     """Column-oriented, immutable collection of the rounds of one match.
 
-    Rounds are stored as arrays so million-round matches stay cheap;
-    indexing and iteration expose individual :class:`RoundRecord` values.
-    Round indices are the positions in schedule order, hence unique.
+    Rounds are stored as arrays so million-round matches stay cheap; row
+    k of every column is round k in schedule order.
     The columns are read-only uint8 copies of the arrays passed in, so the
     caller's arrays stay writable and later writes to them do not leak in.
     """
@@ -172,14 +143,6 @@ class MatchRecords:
 
     def __len__(self) -> int:
         return len(self.move_one)
-
-    def __getitem__(self, index: int) -> RoundRecord:
-        i = range(len(self))[index]  # normalizes negative indices, bounds-checks
-        pair = StatePair(PlayerState(self.states[i, 0]), PlayerState(self.states[i, 1]))
-        return RoundRecord(i, pair, Move(self.move_one[i]), Move(self.move_two[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatchRecords):
@@ -323,7 +286,7 @@ def _as_move_array(moves, n: int) -> np.ndarray:
     return arr
 
 
-def empirical_profile(records: MatchRecords | Iterable[RoundRecord]) -> MismatchProfile:
+def empirical_profile(records: MatchRecords) -> MismatchProfile:
     """Frequency estimate of the four mismatch probabilities from match records.
 
     Each entry is the fraction of rounds with that state pair in which the
@@ -332,14 +295,6 @@ def empirical_profile(records: MatchRecords | Iterable[RoundRecord]) -> Mismatch
     Raises:
         MissingStatePair: if any of the four state pairs has zero rounds.
     """
-    if not isinstance(records, MatchRecords):
-        rows = list(records)
-        records = MatchRecords(
-            states=np.array([r.states for r in rows], dtype=np.uint8).reshape(-1, 2),
-            move_one=np.array([r.move_one for r in rows], dtype=np.uint8),
-            move_two=np.array([r.move_two for r in rows], dtype=np.uint8),
-        )
-
     return _profile_from_counts(_tally(records.states, records.move_one, records.move_two))
 
 

@@ -21,12 +21,10 @@ from .game import MismatchProfile
 
 __all__ = [
     "GeneralAnglePlan",
-    "JointOutcomeCounts",
     "SingletSampler",
     "mismatch_probability",
     "quantum_profile",
     "general_quantum_profile",
-    "sample_joint_outcomes",
     "quantum_player_strategy",
 ]
 
@@ -57,10 +55,10 @@ class GeneralAnglePlan:
         Player one uses angle 0 in state 0 and 2*delta in state 1; player
         two uses pi + 3*delta in state 0 and pi + delta in state 1.  The
         directions for state pair (0,0) then differ by pi - 3*delta and
-        every other pair by pi +/- delta.  A non-finite ``delta`` is
-        rejected like any non-finite angle.
+        every other pair by pi +/- delta.  A non-finite ``delta``, or one so
+        large that an angle overflows, is rejected like any non-finite angle.
         """
-        return cls(*_equally_spaced_angles(delta))
+        return cls(*_equally_spaced_angles(float(delta)))
 
     def mismatch_angle(self, i: int, j: int) -> float:
         """Direction difference b_j - a_i for state pair (i, j).
@@ -132,51 +130,6 @@ class SingletSampler:
         """One pair of uniform streams: player one's outcome coin and the
         conditional-correlation coin, m values each."""
         return self._rng_u.random(m), self._rng_v.random(m)
-
-
-@dataclass(frozen=True)
-class JointOutcomeCounts:
-    """Counts of the four (player one, player two) outcome sign pairs."""
-
-    plus_plus: int
-    plus_minus: int
-    minus_plus: int
-    minus_minus: int
-    total: int
-
-    def __post_init__(self) -> None:
-        parts = self.plus_plus + self.plus_minus + self.minus_plus + self.minus_minus
-        if parts != self.total:
-            raise ValueError(f"outcome counts sum to {parts}, total says {self.total}")
-
-    @property
-    def mismatch_fraction(self) -> float:
-        """Fraction of draws whose outcome signs differ, i.e. whose moves differ."""
-        return (self.plus_minus + self.minus_plus) / self.total
-
-
-def sample_joint_outcomes(
-    dir_one: float, dir_two: float, m: int, sampler: SingletSampler
-) -> JointOutcomeCounts:
-    """Draw m independent singlet measurement outcome pairs.
-
-    Both marginals are fair coins and the joint law is
-    P(s, t) = (1 - s*t*cos(dir_two - dir_one)) / 4.  The pairs are the
-    moves of the coupled strategies for a plan that measures along
-    ``dir_one`` and ``dir_two`` in every state, over m all-zero rounds;
-    a positive sign is move A.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    plan = GeneralAnglePlan(dir_one, dir_one, dir_two, dir_two)
-    one, two = quantum_player_strategy(plan, sampler)
-    states, rounds = np.zeros(m, dtype=np.uint8), np.arange(m)
-    move_one = one.moves(states, rounds, None)
-    move_two = two.moves(states, rounds, None)
-    plus_plus, plus_minus, minus_plus, minus_minus = (
-        int(c) for c in np.bincount(2 * move_one + move_two, minlength=4)
-    )
-    return JointOutcomeCounts(plus_plus, plus_minus, minus_plus, minus_minus, total=m)
 
 
 class _SingletSource:

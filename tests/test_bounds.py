@@ -1,4 +1,4 @@
-"""Bound inequalities, vertex enumeration, mixtures, sweeps, and angle search."""
+"""Bound inequalities, vertex enumeration, mixtures, sweeps, and the singlet cap."""
 
 import os
 import subprocess
@@ -23,12 +23,17 @@ from coordgame.bounds import (
     enumerate_deterministic_pairs,
     lhv_profile,
     lhv_supremum_payoff,
-    optimize_general_angles,
     quantum_bound,
     sweep_quantum_payoff,
 )
 from coordgame.game import MismatchProfile, Move, payoff
-from coordgame.quantum import GeneralAnglePlan, general_quantum_profile, quantum_profile
+from coordgame.quantum import (
+    GeneralAnglePlan,
+    _equally_spaced_angles,
+    general_quantum_profile,
+    mismatch_probability,
+    quantum_profile,
+)
 
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 
@@ -53,6 +58,14 @@ class TestVerdicts:
         q[:, 0] = 0.0  # a degenerate row has a bound verdict too
         verdict = classical_bound(SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3]))
         rows = [classical_bound(MismatchProfile(*map(float, column))) for column in q.T]
+        assert verdict.slack.tobytes() == np.array([v.slack for v in rows]).tobytes()
+        assert verdict.holds.tolist() == [v.holds for v in rows]
+
+    def test_quantum_bound_on_columns_equals_row_calls(self):
+        q = np.random.default_rng(6).random((4, 1000))
+        q[:, 0] = 0.0  # a degenerate row has a bound verdict too
+        verdict = quantum_bound(SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3]))
+        rows = [quantum_bound(MismatchProfile(*map(float, column))) for column in q.T]
         assert verdict.slack.tobytes() == np.array([v.slack for v in rows]).tobytes()
         assert verdict.holds.tolist() == [v.holds for v in rows]
 
@@ -302,27 +315,33 @@ class TestSweep:
             SweepTable(deltas=[0.1, 0.2, 0.3], q00=q, q01=q, q10=q, q11=q)
 
 
-class TestAngleSearch:
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            optimize_general_angles(resolution=7)
+class TestSingletCap:
+    def test_random_plans_pass_the_bound_and_stay_below_nine(self):
+        rng = np.random.default_rng(2024)
+        half = 100_000
+        uniform = rng.uniform(0.0, 2 * np.pi, size=(4, half))
+        # near the ridge: the paper's plan, rotated and slightly perturbed
+        delta = 10.0 ** rng.uniform(-6.0, 0.0, half)
+        plan = np.array(np.broadcast_arrays(*_equally_spaced_angles(delta)))
+        rotation = rng.uniform(0.0, 2 * np.pi, half)
+        scale = 10.0 ** rng.uniform(-12.0, -2.0, half)
+        ridge = plan + rotation + scale * rng.standard_normal((4, half))
+        a0, a1, b0, b1 = np.concatenate([uniform, ridge], axis=1)
+        profile = SimpleNamespace(
+            q00=mismatch_probability(a0, b0),
+            q01=mismatch_probability(a0, b1),
+            q10=mismatch_probability(a1, b0),
+            q11=mismatch_probability(a1, b1),
+        )
+        assert quantum_bound(profile).holds.all()
+        best = payoff(profile).max()
+        assert best <= 9.0 + 1e-9
+        assert best > 8.9999  # the ridge half reaches close to the supremum
 
-    def test_default_search_result(self):
-        result = optimize_general_angles()
-        assert result.payoff <= 9.0 + 1e-6
-        assert result.payoff >= 8.5  # resolution-limited approach to the supremum
-        assert not result.near_degenerate
-        assert result.plan.a0 == 0.0
-        assert quantum_bound(general_quantum_profile(result.plan)).holds
-
-    def test_degenerate_result_reports_nan(self, monkeypatch):
-        zero = MismatchProfile(0.0, 0.0, 0.0, 0.0)
-        monkeypatch.setattr(bounds, "general_quantum_profile", lambda plan: zero)
-        result = optimize_general_angles(resolution=8, refine_iters=1)
-        assert np.isnan(result.payoff)
-        assert result.near_degenerate
-
-    def test_coarse_search_still_bounded(self):
-        result = optimize_general_angles(resolution=8, refine_iters=20)
-        assert 1.0 <= result.payoff <= 9.0 + 1e-6
-        assert quantum_bound(general_quantum_profile(result.plan)).holds
+    def test_equally_spaced_plan_follows_the_closed_form(self):
+        deltas = np.geomspace(1e-3, 1.0, 200)
+        payoffs = np.array([payoff(quantum_profile(d)) for d in deltas])
+        closed = (1.0 + 2.0 * np.cos(deltas)) ** 2
+        assert np.all(np.abs(payoffs / closed - 1.0) <= 1e-11)
+        assert np.all(payoffs < 9.0)
+        assert np.all(np.diff(payoffs) < 0.0)  # rises as the spacing falls

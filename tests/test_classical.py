@@ -151,19 +151,6 @@ class TestBscChain:
 
 
 class TestBitSequenceSet:
-    def test_text_round_trip(self, tmp_path):
-        seqs = generate_sequences(ClassicalConfig(n=16, q=0.125, seed=2))
-        text = seqs.as_text()
-        lines = text.splitlines()
-        assert len(lines) == 4 and text.endswith("\n")
-        assert all(set(line) <= {"0", "1"} and len(line) == 16 for line in lines)
-
-        path = tmp_path / "sequences.txt"
-        seqs.write_text(path)
-        back = path.read_text(encoding="utf-8").splitlines()
-        for line, seq in zip(back, seqs.sequences):
-            assert hamming_distance(line, seq) == 0
-
     def test_unequal_lengths_rejected(self):
         with pytest.raises(LengthMismatch):
             BitSequenceSet(

@@ -18,9 +18,6 @@ from coordgame.game import (
     MismatchProfile,
     MissingStatePair,
     Move,
-    PlayerState,
-    RoundRecord,
-    StatePair,
     analytic_report,
     empirical_profile,
     empirical_report,
@@ -43,17 +40,12 @@ def profiles(min_denom=0.0):
 
 class TestDomainTypes:
     def test_enums_are_binary(self):
-        assert [int(s) for s in PlayerState] == [0, 1]
         assert [int(m) for m in Move] == [0, 1]
         assert Move.A == 0 and Move.B == 1
 
     def test_state_pair_order(self):
-        assert STATE_PAIRS == (
-            StatePair(PlayerState.ZERO, PlayerState.ZERO),
-            StatePair(PlayerState.ZERO, PlayerState.ONE),
-            StatePair(PlayerState.ONE, PlayerState.ZERO),
-            StatePair(PlayerState.ONE, PlayerState.ONE),
-        )
+        assert STATE_PAIRS == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert all(type(state) is int for pair in STATE_PAIRS for state in pair)
 
     def test_profile_entry_lookup(self):
         p = MismatchProfile(0.1, 0.2, 0.3, 0.4)
@@ -206,16 +198,13 @@ class TestMatchRecords:
     def _small(self):
         return run_match(ConstantStrategy(Move.A), ConstantStrategy(Move.B), uniform_schedule(2), seed=0)
 
-    def test_indexing_and_iteration(self):
+    def test_columns_follow_schedule_order(self):
         rec = self._small()
-        first = rec[0]
-        assert first == RoundRecord(0, StatePair(PlayerState.ZERO, PlayerState.ZERO), Move.A, Move.B)
-        assert rec[-1].round_index == len(rec) - 1
-        assert [r.round_index for r in rec] == list(range(8))
-
-    def test_out_of_range_index(self):
-        with pytest.raises(IndexError):
-            self._small()[8]
+        assert len(rec) == 8
+        assert rec.states.tolist() == uniform_schedule(2).tolist()
+        assert rec.move_one.tolist() == [Move.A] * 8
+        assert rec.move_two.tolist() == [Move.B] * 8
+        assert all(col.dtype == np.uint8 for col in (rec.states, rec.move_one, rec.move_two))
 
     def test_columns_are_write_protected(self):
         rec = self._small()
@@ -266,10 +255,6 @@ class TestEmpiricalProfile:
         m2 = np.array([0, 1, 1, 1, 1, 0], dtype=np.uint8)
         prof = empirical_profile(MatchRecords(states=states, move_one=m1, move_two=m2))
         assert prof == MismatchProfile(0.5, 0.0, 1.0, 1.0)
-
-    def test_accepts_round_record_iterable(self):
-        rec = run_match(ConstantStrategy(Move.A), ConstantStrategy(Move.B), uniform_schedule(3), seed=0)
-        assert empirical_profile(list(rec)) == empirical_profile(rec)
 
     def test_missing_state_pair_raises(self):
         states = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.uint8)
