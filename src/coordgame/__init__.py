@@ -37,7 +37,6 @@ from .classical import (
 )
 from .game import (
     STATE_PAIRS,
-    ConstantStrategy,
     DegenerateProfile,
     MatchRecords,
     MismatchProfile,
@@ -73,7 +72,6 @@ __all__ = [
     "MatchRecords",
     "PayoffReport",
     "PlayerStrategy",
-    "ConstantStrategy",
     "DegenerateProfile",
     "MissingStatePair",
     "payoff",

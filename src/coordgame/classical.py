@@ -19,6 +19,7 @@ import numpy as np
 from .game import MismatchProfile
 
 __all__ = [
+    "MODES",
     "BitSequenceSet",
     "ClassicalConfig",
     "SequenceStrategy",

@@ -7,7 +7,8 @@ command line always produces byte-identical output.  Floats are printed
 with 9 significant digits.
 
 Exit codes: 0 success; 2 invalid parameters, memory exhausted, or output
-not writable (one line on stderr); 3 internal invariant failure.
+not writable (one line on stderr); 3 internal invariant failure, which
+includes a non-finite float in a JSON record.
 """
 
 from __future__ import annotations
@@ -238,6 +239,11 @@ def _cmd_bounds(args) -> tuple[dict, dict, str | None]:
 
 def _cmd_match(args) -> tuple[dict, dict, str | None]:
     _require(args.rounds_per_pair >= 1, "rounds-per-pair must be >= 1")
+    # both are echoed, whichever strategy family runs
+    _require(
+        math.isfinite(args.q) and math.isfinite(args.delta),
+        f"q and delta must be finite, got q={args.q!r}, delta={args.delta!r}",
+    )
     if args.strategy == "classical":
         config = ClassicalConfig(n=args.N, q=args.q, mode=args.mode, seed=args.seed)
         sequences = generate_sequences(config)
@@ -287,20 +293,9 @@ _HANDLERS = {
 
 
 def _round_floats(value):
-    """Round floats to 9 significant digits so JSON output is stable and diffable.
-
-    A table becomes a list of row dicts, built after each column is rounded.
-    """
-    if isinstance(value, Table):
-        names = list(value.columns)
-        columns = [_round_floats(column) for column in value.columns.values()]
-        return [dict(zip(names, row)) for row in zip(*columns)]
+    """Round floats to 9 significant digits so JSON output is stable and diffable."""
     if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        # a table column: tolist gives Python scalars, and only floats need rounding
-        values = value.tolist()
-        return [float("%.9g" % v) for v in values] if value.dtype.kind == "f" else values
     if isinstance(value, (list, tuple)):
         return [_round_floats(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
@@ -342,15 +337,83 @@ def _column_cells(column) -> list:
     return list(map(_cell, column))
 
 
+def _json_floats(values: list) -> list:
+    """``repr(float("%.9g" % v))`` for each float, the way ``json.dumps`` prints it rounded.
+
+    All values go through one ``%`` format.  A ``%.9g`` text in plain
+    decimal notation with a point is already that ``repr``: its exponent
+    lies in [-4, 9), where ``repr`` also writes plain decimals, and no
+    other decimal of at most 9 digits reads back as the same normal
+    float, so ``repr`` picks the same digits.  Only integer-valued and
+    exponent-notation texts (which include subnormals) are read back and
+    printed with ``repr``.
+    """
+    texts = ("%.9g\n" * len(values) % tuple(values)).split("\n")
+    texts.pop()
+    return [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
+
+
+def _json_cells(name: str, column) -> list:
+    """The JSON texts of one table column, each what ``json.dumps`` prints for its entry."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "f":
+            if not np.isfinite(column).all():
+                raise RuntimeError(f"table column {name!r} holds a non-finite float")
+            return _json_floats(column.tolist())
+        values = column.tolist()
+        if kind in "iu":
+            return list(map(str, values))
+        if kind in "bU":
+            # encode each distinct value once, then look it up
+            encoded = {v: json.dumps(v) for v in set(values)}
+            return list(map(encoded.__getitem__, values))
+        column = values
+    return [json.dumps(_round_floats(v), allow_nan=False) for v in column]
+
+
+# a table is a value of "results", two levels into the record
+_TABLE_INDENT = "    "
+
+
+def _json_table(table: Table) -> str:
+    """A table as the indented JSON list of row objects that sits under ``results``."""
+    if not len(table):
+        return "[]"
+    cells = [_json_cells(name, column) for name, column in table.columns.items()]
+    fields = ",\n".join(
+        _TABLE_INDENT + "    " + json.dumps(name).replace("%", "%%") + ": %s"
+        for name in table.columns
+    )
+    row = _TABLE_INDENT + "  {\n" + fields + "\n" + _TABLE_INDENT + "  }"
+    rows = ",\n".join(map(row.__mod__, zip(*cells)))
+    return "[\n" + rows + "\n" + _TABLE_INDENT + "]"
+
+
 def render_json(subcommand: str, seed: int, params: dict, results: dict) -> str:
+    """The record as one JSON object with a 2-space indent.
+
+    Every float is printed as the ``repr`` of its value rounded to 9
+    significant digits, exactly as ``json.dumps`` prints that rounded
+    float.  A non-finite float raises ``RuntimeError``: JSON has no
+    spelling for it.  Tables are formatted column by column and spliced
+    into the indented envelope in place of a marker string.
+    """
+    markers = {key: f"\0table:{key}" for key, value in results.items() if isinstance(value, Table)}
     payload = {
         "subcommand": subcommand,
         "version": __version__,
         "seed": seed,
         "parameters": params,
-        "results": results,
+        "results": {key: markers.get(key, value) for key, value in results.items()},
     }
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
+    try:
+        text = json.dumps(_round_floats(payload), indent=2, allow_nan=False)
+        for key, marker in markers.items():
+            text = text.replace(json.dumps(marker), _json_table(results[key]), 1)
+    except ValueError as exc:
+        raise RuntimeError(f"cannot render JSON: {exc}") from exc
+    return text + "\n"
 
 
 def render_csv(

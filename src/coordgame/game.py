@@ -24,7 +24,6 @@ __all__ = [
     "MatchRecords",
     "PayoffReport",
     "PlayerStrategy",
-    "ConstantStrategy",
     "DegenerateProfile",
     "MissingStatePair",
     "MATCH_CHUNK_ROUNDS",
@@ -166,16 +165,6 @@ class PlayerStrategy(Protocol):
     def moves(
         self, states: np.ndarray, round_indices: np.ndarray, shared: np.ndarray
     ) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class ConstantStrategy:
-    """Plays the same move in every round regardless of state."""
-
-    move: Move
-
-    def moves(self, states, round_indices, shared):
-        return np.full(len(states), int(self.move), dtype=np.uint8)
 
 
 def uniform_schedule(rounds_per_state_pair: int) -> np.ndarray:

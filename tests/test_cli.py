@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coordgame import __version__, bounds, cli
-from coordgame.cli import Table, _cell, build_parser, main, render_csv
+from coordgame.cli import Table, _cell, build_parser, main, render_csv, render_json
 from coordgame.game import MismatchProfile
 
 DATA = Path(__file__).parent / "data"
@@ -338,6 +340,17 @@ class TestReproducibility:
             "7e73f6d830bd3c3b5d88f373b4fd52bcb6e07acd86295f1f5e67830310ba48fc"
         )
 
+    def test_match_dump_json_digest_pinned_across_versions(self, capsys):
+        # the same 10k rounds as JSON; recorded while table rows went
+        # through json.dumps as row dicts
+        argv = ["match", "--N", "2500", "--rounds-per-pair", "2500", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(out) == 1_429_412
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "67dd6402f31005e6e7d2d1b9e16b09687e4147677377c970a72440f7f5226009"
+        )
+
     def test_sweep_digest_pinned_across_versions(self, capsys):
         # 10k rows, too large to store; recorded while the sweep built one
         # profile per row
@@ -442,6 +455,133 @@ class TestColumnTables:
             Table({"a": [1, 2], "b": np.arange(3)})
         with pytest.raises(RuntimeError, match="one length"):
             Table({})
+
+
+def _oracle_round_floats(value):
+    """Rounding as the row-dict JSON renderer did it: a table becomes row dicts."""
+    if isinstance(value, Table):
+        names = list(value.columns)
+        columns = [_oracle_round_floats(column) for column in value.columns.values()]
+        return [dict(zip(names, row)) for row in zip(*columns)]
+    if isinstance(value, dict):
+        return {k: _oracle_round_floats(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        values = value.tolist()
+        return [float("%.9g" % v) for v in values] if value.dtype.kind == "f" else values
+    if isinstance(value, (list, tuple)):
+        return [_oracle_round_floats(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        return float("%.9g" % float(value))
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return value
+
+
+def oracle_render_json(subcommand, seed, params, results):
+    """The JSON record as ``json.dumps(indent=2)`` printed it from row dicts."""
+    payload = {
+        "subcommand": subcommand,
+        "version": __version__,
+        "seed": seed,
+        "parameters": params,
+        "results": results,
+    }
+    return json.dumps(_oracle_round_floats(payload), indent=2) + "\n"
+
+
+# where %.9g and repr switch notation, where rounding carries into a new
+# digit, the extremes of the normal range, and subnormals
+EDGE_FLOATS = [
+    0.0, -0.0, 1e-4, 9.99999999e-5, 9.999999995e-5, 999999999.5, 1e9, 9999999995.0,
+    1e15, 9.9999999995e15, 1e16, 1e17, 123456789.4, 2.2250738585072014e-308,
+    5e-324, 1.7976931348623157e308,
+]
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e-300),
+    st.floats(min_value=1e9, max_value=1e16),
+    st.floats(min_value=-1e16, max_value=-1e9),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+    st.sampled_from(EDGE_FLOATS),
+)
+COLUMN_KINDS = {
+    "float": lambda n: st.lists(finite_floats, min_size=n, max_size=n).map(np.array),
+    "int64": lambda n: st.lists(
+        st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
+    ).map(lambda v: np.array(v, dtype=np.int64)),
+    "uint8": lambda n: st.lists(st.integers(0, 255), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.uint8)
+    ),
+    "str": lambda n: st.lists(st.text(max_size=4), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=str)
+    ),
+    "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=bool)
+    ),
+    "bool_list": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
+    "int_list": lambda n: st.lists(st.integers(), min_size=n, max_size=n),
+    "float_list": lambda n: st.lists(finite_floats, min_size=n, max_size=n),
+}
+
+
+@st.composite
+def table_columns(draw):
+    rows = draw(st.integers(min_value=0, max_value=12))
+    names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=6, unique=True))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(sorted(COLUMN_KINDS)))
+        columns[name] = draw(COLUMN_KINDS[kind](rows))
+    return columns
+
+
+class TestJsonRenderer:
+    @settings(max_examples=300)
+    @given(columns=table_columns(), before=finite_floats, after=finite_floats)
+    @example(
+        columns={"delta": np.array([0.25]), "index": np.arange(1), "move": np.array(["A"])},
+        before=1.0,
+        after=-0.0,
+    )
+    def test_equals_the_row_dict_encoder(self, columns, before, after):
+        params = {"x": before, "mode": "m%s"}
+        results = {"before": before, "table": Table(columns), "after": {"value": after, "ok": True}}
+        expected = oracle_render_json("cmd", 3, params, results)
+        assert render_json("cmd", 3, params, results) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["match", "--delta", "nan"],
+            ["match", "--strategy", "quantum", "--q", "nan"],
+            ["match", "--delta", "inf", "--format", "csv"],
+            ["match", "--q=-inf"],
+        ],
+    )
+    def test_non_finite_match_parameter_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("coordgame match: invalid parameters: q and delta must be finite")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "results",
+        [
+            {"rows": Table({"delta": np.array([0.1, np.nan])})},
+            {"rows": Table({"weight": [0.5, float("inf")]})},
+            {"rows": Table({"delta": [0.1]}), "payoff": float("nan")},
+            {"profile": {"q00": -np.inf}},
+        ],
+    )
+    def test_non_finite_float_exits_three(self, capsys, monkeypatch, results):
+        monkeypatch.setitem(cli._HANDLERS, "sweep", lambda args: ({}, results, "rows"))
+        code, out, err = run_cli(capsys, "sweep")
+        assert code == 3 and out == ""
+        assert err.startswith("coordgame sweep: internal invariant failure:")
+        assert len(err.splitlines()) == 1
 
 
 class TestEntryPoint:

@@ -1,17 +1,31 @@
-"""The README's code and the package exports name only what exists."""
+"""The README's code, the demos and the package exports name only what exists."""
 
+import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import coordgame
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PYTHON_BLOCKS = re.findall(
     r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S
 )
 SUBMODULES = ("bounds", "classical", "cli", "game", "quantum")
 MODULES = ["coordgame", *(f"coordgame.{name}" for name in SUBMODULES)]
+# (submodule, name) for every ``from .submodule import name`` in the package
+RE_EXPORTS = [
+    (node.module, alias.name)
+    for node in ast.parse(Path(coordgame.__file__).read_text(encoding="utf-8")).body
+    if isinstance(node, ast.ImportFrom) and node.level == 1
+    for alias in node.names
+]
 
 
 def test_readme_has_python_blocks():
@@ -28,3 +42,32 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def test_package_re_exports_something():
+    assert RE_EXPORTS
+
+
+@pytest.mark.parametrize("submodule", sorted({module for module, _ in RE_EXPORTS}))
+def test_re_exports_are_in_the_submodule_all(submodule):
+    # so ``from coordgame.<submodule> import *`` gives every name the package takes from it
+    exported = importlib.import_module(f"coordgame.{submodule}").__all__
+    missing = [name for module, name in RE_EXPORTS if module == submodule and name not in exported]
+    assert not missing
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    # as the CI demos step runs them: a numpy floating-point warning fails
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and not proc.stderr

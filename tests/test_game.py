@@ -12,7 +12,6 @@ from coordgame.classical import ClassicalConfig, classical_strategy, generate_se
 from coordgame.game import (
     MATCH_CHUNK_ROUNDS,
     STATE_PAIRS,
-    ConstantStrategy,
     DegenerateProfile,
     MatchRecords,
     MismatchProfile,
@@ -26,6 +25,7 @@ from coordgame.game import (
     run_match,
     uniform_schedule,
 )
+from helpers import ConstantStrategy
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
