@@ -13,13 +13,14 @@ import coordgame as cg
 
 def main():
     print("= Quantum payoff sweep =")
-    table = cg.sweep_quantum_payoff(0.01, 1.0, 100)
+    deltas, profile = cg.sweep_quantum_payoff(0.01, 1.0, 100)
     print(f"{'delta':>7} {'q00':>10} {'q01':>10} {'payoff':>9} {'classical slack':>16}")
-    slack = cg.classical_bound(table).slack
-    for k in range(0, len(table), 11):
+    payoffs = cg.payoff(profile)
+    slack = cg.classical_bound(profile).slack
+    for k in range(0, len(deltas), 11):
         print(
-            f"{table.deltas[k]:7.3f} {table.q00[k]:10.6f} {table.q01[k]:10.6f} "
-            f"{table.payoffs[k]:9.4f} {slack[k]:16.6f}"
+            f"{deltas[k]:7.3f} {profile.q00[k]:10.6f} {profile.q01[k]:10.6f} "
+            f"{payoffs[k]:9.4f} {slack[k]:16.6f}"
         )
     print("payoff decreases monotonically in delta; slack stays negative,")
     print("so every profile on the grid is classically unreachable\n")

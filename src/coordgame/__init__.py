@@ -15,7 +15,6 @@ from .bounds import (
     BoundVerdict,
     DeterministicStrategyPair,
     LhvMixture,
-    SweepTable,
     classical_bound,
     enumerate_deterministic_pairs,
     lhv_profile,
@@ -104,7 +103,6 @@ __all__ = [
     "BoundVerdict",
     "DeterministicStrategyPair",
     "LhvMixture",
-    "SweepTable",
     "classical_bound",
     "quantum_bound",
     "enumerate_deterministic_pairs",

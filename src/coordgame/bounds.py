@@ -13,28 +13,27 @@ q_ij = sin^2(phi_ij / 2) and phi_00 = phi_01 + phi_10 - phi_11; since
 3 * sqrt(max(q01, q10, q11)).  The equally-spaced plan reaches
 (1 + 2 cos delta)^2, which tends to 9.  This module checks both
 inequalities, enumerates the vertices and sweeps the singlet payoff over
-a spacing grid.
+a spacing grid as one column profile.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .game import MismatchProfile, Move
-from .game import payoff as _payoff
-from .quantum import GeneralAnglePlan, _equally_spaced_angles, mismatch_probability
+from .quantum import GeneralAnglePlan, quantum_profile
 # unused here, but the benchmark trace wraps these two names in this module
-from .quantum import general_quantum_profile, quantum_profile  # noqa: F401
+from .game import payoff as _payoff  # noqa: F401
+from .quantum import general_quantum_profile  # noqa: F401
 
 __all__ = [
     "BOUND_TOLERANCE",
     "BoundVerdict",
     "DeterministicStrategyPair",
     "LhvMixture",
-    "SweepTable",
     "classical_bound",
     "quantum_bound",
     "enumerate_deterministic_pairs",
@@ -62,8 +61,8 @@ class BoundVerdict:
 def classical_bound(profile: MismatchProfile) -> BoundVerdict:
     """Check q00 <= q01 + q10 + q11, satisfied by every shared-randomness strategy.
 
-    A profile with array-valued q fields, such as a sweep table, gets one
-    ``holds`` and one ``slack`` per row.
+    A column profile, such as a sweep's, gets one ``holds`` and one
+    ``slack`` per row.
     """
     slack = (profile.q01 + profile.q10 + profile.q11) - profile.q00
     return BoundVerdict.from_slack(slack)
@@ -76,8 +75,8 @@ def quantum_bound(profile: MismatchProfile) -> BoundVerdict:
     singlet gives q_ij = sin^2(phi_ij / 2), and phi_00 = phi_01 + phi_10 -
     phi_11 for any directions.  As |sin| is subadditive, sqrt(q00) <=
     sqrt(q01) + sqrt(q10) + sqrt(q11) <= 3 * sqrt(max(q01, q10, q11)),
-    which caps the payoff at 9.  A profile with array-valued q fields gets
-    one ``holds`` and one ``slack`` per row, as in :func:`classical_bound`.
+    which caps the payoff at 9.  A column profile gets one ``holds`` and
+    one ``slack`` per row, as in :func:`classical_bound`.
     """
     rhs = (np.sqrt(profile.q01) + np.sqrt(profile.q10) + np.sqrt(profile.q11)) ** 2
     return BoundVerdict.from_slack(rhs - profile.q00)
@@ -147,8 +146,7 @@ class LhvMixture:
 
 def lhv_profile(mixture: LhvMixture) -> MismatchProfile:
     """Profile of a mixture: the weighted average of the vertex indicator profiles."""
-    q = np.clip(mixture.weights @ _vertex_matrix(), 0.0, 1.0)
-    return MismatchProfile(q00=float(q[0]), q01=float(q[1]), q10=float(q[2]), q11=float(q[3]))
+    return MismatchProfile(*np.clip(mixture.weights @ _vertex_matrix(), 0.0, 1.0))
 
 
 def lhv_supremum_payoff() -> tuple[float, LhvMixture]:
@@ -183,47 +181,15 @@ def lhv_supremum_payoff() -> tuple[float, LhvMixture]:
     return 3.0, LhvMixture(weights=weights)
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Payoff sweep as read-only columns, one row per spacing, sorted by spacing.
+def sweep_quantum_payoff(
+    delta_min: float, delta_max: float, steps: int
+) -> tuple[np.ndarray, MismatchProfile]:
+    """The equally-spaced singlet plan over an angle-spacing grid.
 
-    The q columns make the table a profile with array fields, so
-    :func:`~coordgame.game.payoff` and :func:`classical_bound` take it
-    whole; ``payoffs`` is computed from them.
-    """
-
-    deltas: np.ndarray
-    q00: np.ndarray
-    q01: np.ndarray
-    q10: np.ndarray
-    q11: np.ndarray
-    payoffs: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        names = ("deltas", "q00", "q01", "q10", "q11")
-        for name in names:
-            column = np.array(getattr(self, name), dtype=float)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        if len({getattr(self, name).shape for name in names}) != 1 or self.deltas.ndim != 1:
-            raise ValueError("sweep columns must be 1-D and of one length")
-        if np.any(np.diff(self.deltas) <= 0.0):
-            raise ValueError("sweep rows must be strictly sorted by parameter value")
-        payoffs = _payoff(self)
-        payoffs.setflags(write=False)
-        object.__setattr__(self, "payoffs", payoffs)
-
-    def __len__(self) -> int:
-        return len(self.deltas)
-
-
-def sweep_quantum_payoff(delta_min: float, delta_max: float, steps: int) -> SweepTable:
-    """Payoff of the equally-spaced singlet plan over an angle-spacing grid.
-
-    Row k holds spacing delta_k, the plan's four mismatch probabilities
-    and the payoff (1 - cos 3*delta_k) / (1 - cos delta_k), each equal to
-    what ``quantum_profile(delta_k)`` gives.  Every column is computed in
-    one pass over the grid.
+    Returns the read-only, strictly increasing grid of ``steps`` spacings
+    and ``quantum_profile`` of it: a column profile whose row k is exactly
+    ``quantum_profile(deltas[k])``.  ``payoff`` and ``classical_bound``
+    take the profile whole and give one value per row.
     """
     if not (np.isfinite(delta_min) and np.isfinite(delta_max)):
         raise ValueError(
@@ -233,15 +199,10 @@ def sweep_quantum_payoff(delta_min: float, delta_max: float, steps: int) -> Swee
         raise ValueError("need 0 < delta_min < delta_max")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    # every angle grows with delta, so the largest plan checks them all before the grid exists
+    GeneralAnglePlan.equally_spaced(delta_max)
     deltas = np.linspace(delta_min, delta_max, steps)
-    # every angle grows with delta, so the plan at the largest one checks them all
-    GeneralAnglePlan.equally_spaced(float(deltas.max()))
-    a0, a1, b0, b1 = _equally_spaced_angles(deltas)
-    return SweepTable(
-        deltas=deltas,
-        q00=mismatch_probability(a0, b0),
-        q01=mismatch_probability(a0, b1),
-        q10=mismatch_probability(a1, b0),
-        q11=mismatch_probability(a1, b1),
-    )
-
+    if np.any(np.diff(deltas) <= 0.0):
+        raise ValueError("sweep rows must be strictly sorted by parameter value")
+    deltas.setflags(write=False)
+    return deltas, quantum_profile(deltas)

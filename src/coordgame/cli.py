@@ -169,14 +169,14 @@ def _cmd_quantum(args) -> tuple[dict, dict, str | None]:
 
 
 def _cmd_sweep(args) -> tuple[dict, dict, str | None]:
-    table = sweep_quantum_payoff(args.delta_min, args.delta_max, args.steps)
+    deltas, profile = sweep_quantum_payoff(args.delta_min, args.delta_max, args.steps)
     rows = Table(
         {
-            "delta": table.deltas,
-            "q00": table.q00,
-            "q01": table.q01,
-            "payoff_quantum": table.payoffs,
-            "classical_bound_slack": classical_bound(table).slack,
+            "delta": deltas,
+            "q00": profile.q00,
+            "q01": profile.q01,
+            "payoff_quantum": payoff(profile),
+            "classical_bound_slack": classical_bound(profile).slack,
         }
     )
     params = {
@@ -224,9 +224,7 @@ def _cmd_lhv(args) -> tuple[dict, dict, str | None]:
 
 def _cmd_bounds(args) -> tuple[dict, dict, str | None]:
     values = (args.q00, args.q01, args.q10, args.q11)
-    for name, v in zip(("q00", "q01", "q10", "q11"), values):
-        _require(0.0 <= v <= 1.0, f"{name}={v!r} outside [0, 1]")
-    profile = MismatchProfile(*values)
+    profile = MismatchProfile(*values)  # rejects an entry outside [0, 1]
 
     params = dict(zip(("q00", "q01", "q10", "q11"), values))
     results = {

@@ -70,6 +70,11 @@ class MismatchProfile:
     one is in state ``i`` and player two in state ``j``.  The entries are
     conditional probabilities for distinct conditions, so they carry no
     normalization constraint across each other.
+
+    The fields are either four floats or four arrays of one shape, one
+    profile per entry, such as a sweep's rows.  Arrays are stored as
+    read-only float copies, so the caller's arrays stay writable and later
+    writes to them do not leak in.
     """
 
     q00: float
@@ -78,17 +83,28 @@ class MismatchProfile:
     q11: float
 
     def __post_init__(self) -> None:
-        for name in ("q00", "q01", "q10", "q11"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v!r} outside [0, 1]")
+        names = ("q00", "q01", "q10", "q11")
+        columns = any(getattr(getattr(self, name), "ndim", 0) for name in names)
+        for name in names:
+            if columns:
+                v = np.array(getattr(self, name), dtype=float)
+                v.setflags(write=False)
+                outside = v[~((v >= 0.0) & (v <= 1.0))]  # NaN fails both comparisons
+            else:
+                v = float(getattr(self, name))
+                outside = [] if 0.0 <= v <= 1.0 else [v]
+            if len(outside):
+                raise ValueError(f"{name}={float(outside[0])!r} outside [0, 1]")
+            object.__setattr__(self, name, v)
+        if columns and len({getattr(self, name).shape for name in names}) != 1:
+            raise ValueError("profile columns must all have one shape")
 
     def entry(self, i: int, j: int) -> float:
         """Mismatch probability for player states (i, j)."""
         return getattr(self, f"q{int(i)}{int(j)}")
 
     def as_array(self) -> np.ndarray:
-        """Entries as a length-4 float array in (q00, q01, q10, q11) order."""
+        """Entries stacked in (q00, q01, q10, q11) order: length 4, or 4 by the column shape."""
         return np.array([self.q00, self.q01, self.q10, self.q11])
 
 
@@ -96,20 +112,26 @@ def payoff(profile: MismatchProfile):
     """Payoff of a mismatch profile: q00 / max(q01, q10, q11).
 
     This is the one definition of the payoff.  It also takes any profile
-    whose q fields are equal-length arrays, such as a sweep table, and then
+    whose q fields are equal-length arrays, such as a sweep's, and then
     returns one payoff per row.
 
     Raises:
         DegenerateProfile: if q01 = q10 = q11 = 0 (in any row).  Both
             strategy-class bounds force q00 = 0 in that case, so the ratio
             is an uninformative 0/0 and no finite value would rank it honestly.
+        ValueError: if the ratio overflows to infinity (in any row), which
+            happens when the largest denominator entry is subnormal.
     """
     denom = np.maximum(np.maximum(profile.q01, profile.q10), profile.q11)
     if np.any(denom == 0.0):
         raise DegenerateProfile(
             "payoff undefined: q01 = q10 = q11 = 0 (0/0 ratio)"
         )
-    return profile.q00 / denom
+    with np.errstate(over="ignore"):
+        ratio = profile.q00 / denom
+    if not np.all(np.isfinite(ratio)):
+        raise ValueError("payoff overflows: q00 / max(q01, q10, q11) is not finite")
+    return ratio
 
 
 @dataclass(frozen=True, eq=False)

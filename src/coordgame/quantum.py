@@ -35,7 +35,10 @@ class GeneralAnglePlan:
 
     ``a0``/``a1`` are player one's directions in states 0/1 and
     ``b0``/``b1`` player two's, all in radians in the XY plane.  Any pi
-    offsets are part of the stored values.
+    offsets are part of the stored values.  The angles are floats, or
+    arrays holding one plan per entry; a float may stand beside them when
+    every pair (a_i, b_j) holds an array, as ``equally_spaced``'s a0 = 0
+    does.
     """
 
     a0: float
@@ -45,20 +48,24 @@ class GeneralAnglePlan:
 
     def __post_init__(self) -> None:
         for name in ("a0", "a1", "b0", "b1"):
-            if not math.isfinite(getattr(self, name)):
+            angle = getattr(self, name)
+            if not (np.isfinite(angle).all() if getattr(angle, "ndim", 0) else math.isfinite(angle)):
                 raise ValueError(f"angle {name} must be finite")
 
     @classmethod
-    def equally_spaced(cls, delta: float) -> GeneralAnglePlan:
+    def equally_spaced(cls, delta) -> GeneralAnglePlan:
         """The paper's plan: measurement angles 0, delta, 2*delta, 3*delta.
 
         Player one uses angle 0 in state 0 and 2*delta in state 1; player
         two uses pi + 3*delta in state 0 and pi + delta in state 1.  The
         directions for state pair (0,0) then differ by pi - 3*delta and
-        every other pair by pi +/- delta.  A non-finite ``delta``, or one so
-        large that an angle overflows, is rejected like any non-finite angle.
+        every other pair by pi +/- delta.  An array of spacings gives one
+        plan per entry.  A non-finite ``delta``, or one so large that an
+        angle overflows, is rejected like any non-finite angle.
         """
-        return cls(*_equally_spaced_angles(float(delta)))
+        delta = float(delta) if np.ndim(delta) == 0 else np.asarray(delta, dtype=float)
+        with np.errstate(over="ignore"):
+            return cls(0.0, 2.0 * delta, math.pi + 3.0 * delta, math.pi + delta)
 
     def mismatch_angle(self, i: int, j: int) -> float:
         """Direction difference b_j - a_i for state pair (i, j).
@@ -69,42 +76,40 @@ class GeneralAnglePlan:
         return (self.b0 if j == 0 else self.b1) - (self.a0 if i == 0 else self.a1)
 
 
-def _equally_spaced_angles(delta):
-    """The paper's directions (a0, a1, b0, b1) for spacing ``delta``.
-
-    Written once for :meth:`GeneralAnglePlan.equally_spaced` and the
-    payoff sweep; it broadcasts over an array of spacings.
-    """
-    return 0.0, 2.0 * delta, math.pi + 3.0 * delta, math.pi + delta
-
-
 def mismatch_probability(dir_one, dir_two):
     """Probability the two moves differ for the given measurement directions.
 
     For the singlet, P(moves differ) = (1 + cos(dir_two - dir_one)) / 2,
     computed as cos((dir_two - dir_one) / 2)**2 to stay accurate when the
-    directions are nearly opposite and the probability is tiny.  This is
-    the one place the singlet law is evaluated; it broadcasts over arrays
-    and returns a numpy scalar for scalar input.  The square is a product
-    because numpy squares a scalar with libm ``pow``, which can differ
-    from an array's square in the last place.
+    directions are nearly opposite and the probability is tiny.  It
+    broadcasts over arrays and returns a numpy scalar for scalar input;
+    :func:`general_quantum_profile` is its one caller in the package.  The
+    square is a product because numpy squares a scalar with libm ``pow``,
+    which can differ from an array's square in the last place.
     """
     half_cos = np.cos(0.5 * (dir_two - dir_one))
     return half_cos * half_cos
 
 
-def quantum_profile(delta: float) -> MismatchProfile:
-    """Mismatch profile of the equally-spaced plan: ((1-cos 3d)/2, (1-cos d)/2, ...)."""
+def quantum_profile(delta) -> MismatchProfile:
+    """Mismatch profile of the equally-spaced plan: ((1-cos 3d)/2, (1-cos d)/2, ...).
+
+    An array of spacings gives a column profile, one row per spacing.
+    """
     return general_quantum_profile(GeneralAnglePlan.equally_spaced(delta))
 
 
 def general_quantum_profile(plan: GeneralAnglePlan) -> MismatchProfile:
-    """Mismatch profile for arbitrary per-state measurement directions."""
+    """Mismatch profile for per-state measurement directions: q_ij = law(a_i, b_j).
+
+    This is the one place the singlet law is tabulated over a plan; a plan
+    of column angles gives a column profile.
+    """
     return MismatchProfile(
-        q00=float(mismatch_probability(plan.a0, plan.b0)),
-        q01=float(mismatch_probability(plan.a0, plan.b1)),
-        q10=float(mismatch_probability(plan.a1, plan.b0)),
-        q11=float(mismatch_probability(plan.a1, plan.b1)),
+        q00=mismatch_probability(plan.a0, plan.b0),
+        q01=mismatch_probability(plan.a0, plan.b1),
+        q10=mismatch_probability(plan.a1, plan.b0),
+        q11=mismatch_probability(plan.a1, plan.b1),
     )
 
 
@@ -144,15 +149,12 @@ class _SingletSource:
     Moves are bits (1 for a negative projection, i.e. move B).  This is
     the one sampling rule: from uniforms u and v, ``move_one = u >= 0.5``
     and the moves differ when ``v >= p_same``, where player two's outcome
-    equals player one's with probability
-    ``p_same[i, j] = 1 - mismatch_probability(a_i, b_j)``, tabulated once
-    per plan.
+    equals player one's with probability ``p_same[i, j] = 1 - q_ij`` from
+    the plan's profile, tabulated once per plan.
     """
 
     def __init__(self, plan: GeneralAnglePlan, sampler: SingletSampler):
-        a = np.array([plan.a0, plan.a1])
-        b = np.array([plan.b0, plan.b1])
-        self._p_same = 1.0 - mismatch_probability(a[:, np.newaxis], b[np.newaxis, :])
+        self._p_same = 1.0 - general_quantum_profile(plan).as_array().reshape(2, 2)
         self._sampler = sampler
         self._pending = None
 

@@ -9,7 +9,6 @@ fixed seeds and 4-sigma windows; exact checks use 1e-12 tolerances.
 import functools
 import sys
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,8 +84,8 @@ def test_criterion_03_hamming_distance_property():
 @criterion(4, "quantum payoff hits 8.99940 at spacing 0.01 and decreases on the grid", 1.0)
 def test_criterion_04_quantum_analytic_limit():
     assert cg.payoff(cg.quantum_profile(0.01)) == pytest.approx(8.99940, abs=1e-4)
-    table = cg.sweep_quantum_payoff(0.01, 1.0, 100)
-    assert np.all(np.diff(table.payoffs) < 0)
+    _, profile = cg.sweep_quantum_payoff(0.01, 1.0, 100)
+    assert np.all(np.diff(cg.payoff(profile)) < 0)
 
 
 @criterion(5, "singlet Monte Carlo matches each analytic entry within 4 sigma", 10.0)
@@ -121,7 +120,7 @@ def test_criterion_06_lhv_optimum():
     rng = np.random.default_rng(0)
     weights = rng.dirichlet(np.full(16, 0.05), size=200_000)
     q = weights @ np.array([p.as_array() for _, p in pairs])
-    best = cg.payoff(SimpleNamespace(q00=q[:, 0], q01=q[:, 1], q10=q[:, 2], q11=q[:, 3])).max()
+    best = cg.payoff(cg.MismatchProfile(*q.T)).max()
     assert 2.9 < best <= 3.0 + 1e-12
 
 

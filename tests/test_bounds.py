@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from coordgame.bounds import (
     BoundVerdict,
     DeterministicStrategyPair,
     LhvMixture,
-    SweepTable,
     classical_bound,
     enumerate_deterministic_pairs,
     lhv_profile,
@@ -27,13 +25,7 @@ from coordgame.bounds import (
     sweep_quantum_payoff,
 )
 from coordgame.game import MismatchProfile, Move, payoff
-from coordgame.quantum import (
-    GeneralAnglePlan,
-    _equally_spaced_angles,
-    general_quantum_profile,
-    mismatch_probability,
-    quantum_profile,
-)
+from coordgame.quantum import GeneralAnglePlan, general_quantum_profile, quantum_profile
 
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 
@@ -56,16 +48,16 @@ class TestVerdicts:
     def test_classical_bound_on_columns_equals_row_calls(self):
         q = np.random.default_rng(5).random((4, 1000))
         q[:, 0] = 0.0  # a degenerate row has a bound verdict too
-        verdict = classical_bound(SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3]))
-        rows = [classical_bound(MismatchProfile(*map(float, column))) for column in q.T]
+        verdict = classical_bound(MismatchProfile(*q))
+        rows = [classical_bound(MismatchProfile(*column)) for column in q.T]
         assert verdict.slack.tobytes() == np.array([v.slack for v in rows]).tobytes()
         assert verdict.holds.tolist() == [v.holds for v in rows]
 
     def test_quantum_bound_on_columns_equals_row_calls(self):
         q = np.random.default_rng(6).random((4, 1000))
         q[:, 0] = 0.0  # a degenerate row has a bound verdict too
-        verdict = quantum_bound(SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3]))
-        rows = [quantum_bound(MismatchProfile(*map(float, column))) for column in q.T]
+        verdict = quantum_bound(MismatchProfile(*q))
+        rows = [quantum_bound(MismatchProfile(*column)) for column in q.T]
         assert verdict.slack.tobytes() == np.array([v.slack for v in rows]).tobytes()
         assert verdict.holds.tolist() == [v.holds for v in rows]
 
@@ -213,7 +205,7 @@ class TestSupremum:
         rng = np.random.default_rng(0)
         weights = rng.dirichlet(np.full(16, 0.05), size=200_000)
         q = weights @ bounds._vertex_matrix()
-        best = payoff(SimpleNamespace(q00=q[:, 0], q01=q[:, 1], q10=q[:, 2], q11=q[:, 3])).max()
+        best = payoff(MismatchProfile(*q.T)).max()
         assert best <= 3.0 + 1e-12
         assert best > 2.9  # the sample reaches close to the optimum
 
@@ -270,49 +262,48 @@ class TestSweep:
             sweep_quantum_payoff(delta_min, delta_max, 10)
 
     def test_rows_cover_requested_grid(self):
-        table = sweep_quantum_payoff(0.1, 0.5, 5)
-        assert len(table) == 5
-        assert table.deltas == pytest.approx(np.linspace(0.1, 0.5, 5))
+        deltas, profile = sweep_quantum_payoff(0.1, 0.5, 5)
+        assert deltas == pytest.approx(np.linspace(0.1, 0.5, 5))
+        assert profile.as_array().shape == (4, 5)
 
     def test_every_row_equals_the_scalar_profile(self):
-        table = sweep_quantum_payoff(0.01, 1.0, 101)
-        for k, delta in enumerate(table.deltas):
-            profile = quantum_profile(float(delta))
-            row = MismatchProfile(table.q00[k], table.q01[k], table.q10[k], table.q11[k])
-            assert row == profile
-            assert table.payoffs[k] == payoff(profile)
+        deltas, profile = sweep_quantum_payoff(0.01, 1.0, 101)
+        payoffs = payoff(profile)
+        for k, delta in enumerate(deltas):
+            row = quantum_profile(float(delta))
+            assert MismatchProfile(profile.q00[k], profile.q01[k], profile.q10[k], profile.q11[k]) == row
+            assert payoffs[k] == payoff(row)
 
     def test_columns_are_read_only(self):
-        table = sweep_quantum_payoff(0.1, 0.5, 5)
-        for column in (table.deltas, table.q00, table.q01, table.q10, table.q11, table.payoffs):
+        deltas, profile = sweep_quantum_payoff(0.1, 0.5, 5)
+        for column in (deltas, profile.q00, profile.q01, profile.q10, profile.q11):
             with pytest.raises(ValueError):
                 column[0] = 0.5
 
     def test_payoff_column_matches_ratio(self):
-        table = sweep_quantum_payoff(0.2, 1.0, 9)
-        for delta, value in zip(table.deltas, table.payoffs):
+        deltas, profile = sweep_quantum_payoff(0.2, 1.0, 9)
+        for delta, value in zip(deltas, payoff(profile)):
             assert value == pytest.approx(
                 (1 - np.cos(3 * delta)) / (1 - np.cos(delta)), abs=1e-12
             )
 
     def test_payoff_strictly_decreasing_on_unit_grid(self):
-        table = sweep_quantum_payoff(0.01, 1.0, 100)
-        assert np.all(np.diff(table.payoffs) < 0)
-        assert table.payoffs[0] >= 8.999
+        payoffs = payoff(sweep_quantum_payoff(0.01, 1.0, 100)[1])
+        assert np.all(np.diff(payoffs) < 0)
+        assert payoffs[0] >= 8.999
 
     def test_exact_value_at_pi_thirds(self):
         assert payoff(quantum_profile(np.pi / 3)) == pytest.approx(4.0, abs=1e-12)
 
-    def test_table_rejects_unsorted_rows(self):
-        q = [quantum_profile(0.2).as_array(), quantum_profile(0.1).as_array()]
-        q00, q01, q10, q11 = np.transpose(q)
+    def test_rejects_a_grid_that_repeats_a_spacing(self):
+        # linspace repeats a value on a grid this fine
         with pytest.raises(ValueError, match="strictly sorted"):
-            SweepTable(deltas=[0.2, 0.1], q00=q00, q01=q01, q10=q10, q11=q11)
+            sweep_quantum_payoff(1.0, 1.000000000000001, 100)
 
-    def test_table_rejects_columns_of_unequal_length(self):
-        q = np.full(2, 0.1)
-        with pytest.raises(ValueError, match="one length"):
-            SweepTable(deltas=[0.1, 0.2, 0.3], q00=q, q01=q, q10=q, q11=q)
+    def test_rejects_an_overflowing_plan_before_building_the_grid(self):
+        # a RuntimeWarning fails the suite: linspace would overflow on this range
+        with pytest.raises(ValueError, match="angle a1 must be finite"):
+            sweep_quantum_payoff(1.0, 1.7976931348623157e308, 1000)
 
 
 class TestSingletCap:
@@ -321,17 +312,13 @@ class TestSingletCap:
         half = 100_000
         uniform = rng.uniform(0.0, 2 * np.pi, size=(4, half))
         # near the ridge: the paper's plan, rotated and slightly perturbed
-        delta = 10.0 ** rng.uniform(-6.0, 0.0, half)
-        plan = np.array(np.broadcast_arrays(*_equally_spaced_angles(delta)))
+        paper = GeneralAnglePlan.equally_spaced(10.0 ** rng.uniform(-6.0, 0.0, half))
+        plan = np.array(np.broadcast_arrays(paper.a0, paper.a1, paper.b0, paper.b1))
         rotation = rng.uniform(0.0, 2 * np.pi, half)
         scale = 10.0 ** rng.uniform(-12.0, -2.0, half)
         ridge = plan + rotation + scale * rng.standard_normal((4, half))
-        a0, a1, b0, b1 = np.concatenate([uniform, ridge], axis=1)
-        profile = SimpleNamespace(
-            q00=mismatch_probability(a0, b0),
-            q01=mismatch_probability(a0, b1),
-            q10=mismatch_probability(a1, b0),
-            q11=mismatch_probability(a1, b1),
+        profile = general_quantum_profile(
+            GeneralAnglePlan(*np.concatenate([uniform, ridge], axis=1))
         )
         assert quantum_bound(profile).holds.all()
         best = payoff(profile).max()

@@ -1,16 +1,20 @@
 """CLI harness: schemas, formats, reproducibility, and exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coordgame import __version__, bounds, cli
@@ -18,6 +22,7 @@ from coordgame.cli import Table, _cell, build_parser, main, render_csv, render_j
 from coordgame.game import MismatchProfile
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +188,11 @@ class TestSweepCommand:
             (
                 # 3 * delta overflows, so the plan's angles are not finite
                 ["--delta-min", "1e307", "--delta-max", "1e308", "--steps", "2"],
+                "angle a1 must be finite",
+            ),
+            (
+                # the largest plan is checked before linspace could overflow
+                ["--delta-min", "1", "--delta-max", "1.7976931348623157e308", "--steps", "1000"],
                 "angle a1 must be finite",
             ),
         ]
@@ -619,3 +629,105 @@ class TestEntryPoint:
             [sys.executable, "-m", "coordgame.cli"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+
+# every float kind: NaN, infinities, subnormals, the largest double, and
+# plenty of values inside the commands' valid ranges
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308]),
+)
+# capped, so that no example asks for a large match or grid
+CAPPED_COUNT = st.integers(min_value=-3, max_value=2000)
+COMMAND_ARGS = st.one_of(
+    st.builds(
+        lambda lo, hi, steps: ["sweep", f"--delta-min={lo!r}", f"--delta-max={hi!r}", f"--steps={steps}"],
+        ANY_FLOAT, ANY_FLOAT, CAPPED_COUNT,
+    ),
+    st.builds(
+        lambda delta, rounds: ["quantum", f"--delta={delta!r}", f"--rounds-per-pair={rounds}"],
+        ANY_FLOAT, CAPPED_COUNT,
+    ),
+    # after "--", so that argparse takes "-inf" as a value rather than a flag
+    st.builds(lambda q: ["bounds", "--", *map(repr, q)], st.tuples(*[ANY_FLOAT] * 4)),
+)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+def _assert_one_finite_record(fmt, out):
+    if fmt == "json":
+        assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
+        return
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    for cell in (cell for row in rows for cell in row):
+        try:
+            value = float(cell)
+        except ValueError:
+            continue
+        assert math.isfinite(value), cell
+
+
+class TestCommandProperty:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        args=COMMAND_ARGS,
+        fmt=st.sampled_from(["json", "csv"]),
+        seed=st.integers(min_value=-2, max_value=2**70),
+    )
+    def test_every_input_ends_in_a_record_or_exit_two(self, args, fmt, seed):
+        subcommand, *rest = args
+        argv = [subcommand, f"--format={fmt}", f"--seed={seed}", *rest]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's own usage error
+                    assert exc.code == 2, argv
+                    assert out.getvalue() == "", argv
+                    return
+        if code == 0:
+            assert err.getvalue() == "", argv
+            _assert_one_finite_record(fmt, out.getvalue())
+        else:
+            assert code == 2, (argv, err.getvalue())
+            assert out.getvalue() == "", argv
+            assert len(err.getvalue().splitlines()) == 1, argv
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps names in ``cli`` and ``bounds``; each must resolve."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classical", "--N", "64", "--rounds-per-pair", "64"],
+            ["quantum", "--rounds-per-pair", "100"],
+            ["sweep", "--steps", "20"],
+            ["lhv", "--format", "csv"],
+            ["bounds", "0.3", "0.1", "0.1", "0.1"],
+            ["match", "--strategy", "quantum", "--rounds-per-pair", "4", "--format", "csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_traced_output_equals_the_cli(self, tmp_path, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        spans = tmp_path / "spans.json"
+        traced = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), str(spans), "0", *argv],
+            capture_output=True, cwd=ROOT, env=env,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "coordgame.cli", *argv], capture_output=True, cwd=ROOT, env=env
+        )
+        assert traced.returncode == 0, traced.stderr.decode()
+        assert traced.stderr == b""
+        assert plain.returncode == 0
+        assert traced.stdout == plain.stdout
+        assert "cli.handler" in json.loads(spans.read_text(encoding="utf-8"))["totals"]

@@ -62,7 +62,8 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    # as the CI demos step runs them: a numpy floating-point warning fails
+    # the only run of the demos, on every tier-1 leg: a numpy floating-point
+    # warning or any stderr output fails
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         capture_output=True,

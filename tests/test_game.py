@@ -1,6 +1,7 @@
 """Core game types, payoff functional, arbiter, and empirical estimation."""
 
-from types import SimpleNamespace
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +66,41 @@ class TestDomainTypes:
         with pytest.raises(AttributeError):
             p.q00 = 0.5
 
+    def test_scalar_entries_are_python_floats(self):
+        p = MismatchProfile(np.float64(0.1), 1, np.array(0.25), 0.5)
+        assert all(type(v) is float for v in p.as_array().tolist())
+        assert [type(p.entry(i, j)) for i, j in STATE_PAIRS] == [float] * 4
+        assert p == MismatchProfile(0.1, 1.0, 0.25, 0.5)
+
+
+class TestColumnProfile:
+    def test_rejects_columns_of_unequal_shape(self):
+        q = np.full(2, 0.1)
+        with pytest.raises(ValueError, match="one shape"):
+            MismatchProfile(np.full(3, 0.1), q, q, q)
+        with pytest.raises(ValueError, match="one shape"):
+            MismatchProfile(0.1, q, q, q)  # a float beside columns is not a column
+        with pytest.raises(ValueError, match="one shape"):
+            MismatchProfile(np.full((2, 1), 0.1), q, q, q)
+
+    @pytest.mark.parametrize("name", ["q00", "q01", "q10", "q11"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    def test_rejects_a_bad_entry_in_any_row_and_names_the_field(self, name, bad):
+        columns = dict(zip(["q00", "q01", "q10", "q11"], np.full((4, 5), 0.25)))
+        columns[name][3] = bad
+        with pytest.raises(ValueError, match=rf"^{name}={bad!r} outside \[0, 1\]$"):
+            MismatchProfile(**columns)
+
+    def test_columns_are_read_only_copies(self):
+        q = np.full((4, 3), 0.25)
+        profile = MismatchProfile(*q)
+        assert q.flags.writeable
+        q[0, 0] = 0.5  # later writes by the caller do not reach the profile
+        assert profile.q00[0] == 0.25
+        for i, j in STATE_PAIRS:
+            with pytest.raises(ValueError):
+                profile.entry(i, j)[0] = 0.5
+
 
 class TestPayoff:
     def test_construction_profile_pays_three(self):
@@ -92,15 +128,40 @@ class TestPayoff:
         q[1:, :10] = 0.25  # ties between denominator entries
         q[:, 10] = 0.0  # zero numerator and a zero denominator entry
         q[3, 10] = 0.5
-        columns = SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3])
-        rows = [payoff(MismatchProfile(*map(float, column))) for column in q.T]
-        assert payoff(columns).tobytes() == np.array(rows).tobytes()
+        rows = [payoff(MismatchProfile(*column)) for column in q.T]
+        assert payoff(MismatchProfile(*q)).tobytes() == np.array(rows).tobytes()
 
     def test_one_degenerate_row_raises(self):
         q = np.random.default_rng(4).random((4, 100))
         q[1:, 37] = 0.0
         with pytest.raises(DegenerateProfile):
-            payoff(SimpleNamespace(q00=q[0], q01=q[1], q10=q[2], q11=q[3]))
+            payoff(MismatchProfile(*q))
+
+    def test_overflowing_ratio_raises(self):
+        # a RuntimeWarning fails the suite, so this also checks that none is printed
+        with pytest.raises(ValueError, match="payoff overflows"):
+            payoff(MismatchProfile(1.0, 1e-310, 0.0, 0.0))
+
+    def test_one_overflowing_row_raises(self):
+        q = np.random.default_rng(4).random((4, 100))
+        q[:, 37] = (1.0, 1e-310, 0.0, 5e-324)
+        with pytest.raises(ValueError, match="payoff overflows"):
+            payoff(MismatchProfile(*q))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_ratio_exits_two_with_one_line(self, fmt):
+        # a subprocess, so a numpy warning printed to stderr would show
+        proc = subprocess.run(
+            [sys.executable, "-m", "coordgame.cli", "bounds", "1", "1e-310", "0", "0", "--format", fmt],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "coordgame bounds: invalid parameters: "
+            "payoff overflows: q00 / max(q01, q10, q11) is not finite"
+        ]
 
     @given(profiles(min_denom=1e-9))
     def test_payoff_nonnegative_and_consistent(self, p):

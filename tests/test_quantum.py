@@ -108,6 +108,18 @@ class TestAnglePlans:
         with pytest.raises(ValueError, match="angle a1 must be finite"):
             quantum_profile(np.float64(1e308))
 
+    def test_overflowing_spacing_column_raises_without_warning(self):
+        with pytest.raises(ValueError, match="angle a1 must be finite"):
+            GeneralAnglePlan.equally_spaced(np.array([0.1, 1e308]))
+
+    def test_spacing_column_gives_one_plan_per_entry(self):
+        deltas = np.geomspace(1e-6, 1.0, 40)
+        plans = GeneralAnglePlan.equally_spaced(deltas)
+        columns = np.broadcast_arrays(plans.a0, plans.a1, plans.b0, plans.b1)
+        for k, delta in enumerate(deltas):
+            plan = GeneralAnglePlan.equally_spaced(float(delta))
+            assert [column[k] for column in columns] == [plan.a0, plan.a1, plan.b0, plan.b1]
+
     @given(angles, angles, angles, angles)
     def test_mismatch_angle_linear_dependence(self, a0, a1, b0, b1):
         plan = GeneralAnglePlan(a0, a1, b0, b1)
@@ -154,6 +166,14 @@ class TestQuantumProfile:
             p = quantum_profile(delta)
             assert abs(p.q00 - 9 * delta**2 / 4) <= (27 / 16) * delta**4
             assert abs(p.q01 - delta**2 / 4) <= delta**4 / 40
+
+    def test_column_plan_rows_equal_the_scalar_profiles_bitwise(self):
+        angles = np.random.default_rng(8).uniform(-2 * np.pi, 2 * np.pi, size=(3, 64))
+        columns = general_quantum_profile(GeneralAnglePlan(0.3, *angles))  # a0 is shared
+        assert columns.as_array().shape == (4, 64)
+        for k in range(64):
+            row = general_quantum_profile(GeneralAnglePlan(0.3, *angles[:, k].tolist()))
+            assert columns.as_array()[:, k].tobytes() == row.as_array().tobytes()
 
     def test_general_profile_agrees_with_plan_directions(self):
         plan = GeneralAnglePlan(0.3, 1.1, 2.9, 4.0)
