@@ -41,7 +41,7 @@ def main():
         profile = cg.match_profile(
             cg.classical_strategy(1, sequences),
             cg.classical_strategy(2, sequences),
-            cg.uniform_schedule(n),
+            n,
             seed=3,
         )
         emp = cg.payoff(profile)

@@ -184,10 +184,12 @@ class SequenceStrategy:
     seq_state1: np.ndarray
 
     def moves(self, states, round_indices, shared):
-        pos = round_indices % len(self.seq_state0)
-        return np.where(states == 0, self.seq_state0[pos], self.seq_state1[pos]).astype(
-            np.uint8
-        )
+        # round mod N by floor division, which numpy runs faster than int64 %
+        n = len(self.seq_state0)
+        pos = round_indices // n
+        pos *= n
+        np.subtract(round_indices, pos, out=pos)
+        return np.where(states == 0, self.seq_state0[pos], self.seq_state1[pos])
 
 
 def classical_strategy(player: int, sequences: BitSequenceSet) -> SequenceStrategy:

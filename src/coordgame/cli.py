@@ -132,7 +132,7 @@ def _cmd_classical(args) -> tuple[dict, dict, str | None]:
     empirical = match_profile(
         classical_strategy(1, sequences),
         classical_strategy(2, sequences),
-        uniform_schedule(args.rounds_per_pair),
+        args.rounds_per_pair,
         seed=args.seed,
     )
 
@@ -157,7 +157,7 @@ def _cmd_quantum(args) -> tuple[dict, dict, str | None]:
 
     plan = GeneralAnglePlan.equally_spaced(args.delta)
     one, two = quantum_player_strategy(plan, SingletSampler(args.seed))
-    empirical = match_profile(one, two, uniform_schedule(args.rounds_per_pair), seed=args.seed)
+    empirical = match_profile(one, two, args.rounds_per_pair, seed=args.seed)
 
     params = {"delta": args.delta, "rounds_per_pair": args.rounds_per_pair}
     results = {

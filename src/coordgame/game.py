@@ -192,20 +192,27 @@ class PlayerStrategy(Protocol):
 def uniform_schedule(rounds_per_state_pair: int) -> np.ndarray:
     """Schedule with exactly ``rounds_per_state_pair`` rounds of each state pair.
 
-    The four pairs are laid out in consecutive blocks, (0,0) first.  Block
-    layout means a schedule with one full block per pair of length N walks
-    a length-N shared sequence through every position exactly once per
-    pair, which makes frequency estimates of sequence-based strategies
-    exact rather than sampled.
+    The four pairs are laid out in consecutive blocks, (0,0) first, as
+    :func:`match_profile` plays them without building this array.  With
+    one full block per pair of length N, a length-N shared sequence is
+    walked through every position exactly once per pair, which makes
+    frequency estimates of sequence-based strategies exact, not sampled.
 
     Returns an ``(4 * rounds_per_state_pair, 2)`` uint8 array; row k holds
     (player-one state, player-two state) for round k.
     """
+    pairs = np.array(STATE_PAIRS, dtype=np.uint8)
+    return np.repeat(pairs, _block_rounds(rounds_per_state_pair), axis=0)
+
+
+def _block_rounds(rounds_per_state_pair: int) -> int:
+    """The block length r, checked: r >= 1 and round indices 0..4r-1 fit in int64."""
     r = int(rounds_per_state_pair)
     if r < 1:
         raise ValueError("rounds_per_state_pair must be >= 1")
-    pairs = np.array(STATE_PAIRS, dtype=np.uint8)
-    return np.repeat(pairs, r, axis=0)
+    if 4 * r - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"rounds_per_state_pair={r} exceeds 2**61: round indices overflow int64")
+    return r
 
 
 def run_match(
@@ -225,35 +232,46 @@ def run_match(
     for the whole schedule.
     """
     sched = _as_schedule(schedule)
-    ((_, moves_one, moves_two),) = _play(strategy_one, strategy_two, sched, seed, len(sched))
+    chunks = [(0, sched[:, 0].copy(), sched[:, 1].copy())]
+    ((_, moves_one, moves_two),) = _play(strategy_one, strategy_two, chunks, seed)
     return MatchRecords(states=sched, move_one=moves_one, move_two=moves_two)
 
 
 def match_profile(
     strategy_one: PlayerStrategy,
     strategy_two: PlayerStrategy,
-    schedule,
+    rounds_per_state_pair: int,
     seed: int,
 ) -> MismatchProfile:
-    """Mismatch profile of a match, without recording its rounds.
+    """Mismatch profile of a match on ``uniform_schedule(rounds_per_state_pair)``.
 
-    Plays the same rounds as :func:`run_match`, with the same validation
-    and the same shared stream, but walks the schedule in chunks of
-    :data:`MATCH_CHUNK_ROUNDS` rounds and keeps only the per-state-pair
-    counts, so working memory beyond the schedule stays bounded for any
-    match length.  Strategies
-    whose moves depend only on their arguments and on streams that draw
-    the same values split or whole (both shipped families do) give
-    exactly ``empirical_profile(run_match(...))``.
+    Plays the same rounds as :func:`run_match` on that schedule, with the
+    same validation and shared stream, but builds neither the schedule nor
+    any record: each state pair's block is walked in chunks of at most
+    :data:`MATCH_CHUNK_ROUNDS` rounds of constant states, keeping one
+    mismatch count per pair.  Working memory is a few MiB for any length,
+    and time is linear in it.  Strategies whose moves depend only on their
+    arguments and on streams that draw the same values split or whole (both
+    shipped families do) give exactly ``empirical_profile(run_match(...))``.
 
     Raises:
-        MissingStatePair: if the schedule lacks one of the four state pairs.
+        ValueError: if ``rounds_per_state_pair`` is below 1 or above 2**61
+            (round indices would overflow int64), or on malformed moves.
     """
-    sched = _as_schedule(schedule)
-    counts = np.zeros(8, dtype=np.int64)
-    for chunk in _play(strategy_one, strategy_two, sched, seed, MATCH_CHUNK_ROUNDS):
-        counts += _tally(*chunk)
-    return _profile_from_counts(counts)
+    r = _block_rounds(rounds_per_state_pair)
+    differ = [0, 0, 0, 0]
+    for start, moves_one, moves_two in _play(strategy_one, strategy_two, _block_chunks(r), seed):
+        differ[start // r] += np.count_nonzero(moves_one != moves_two)
+    return _profile_from_counts([(r - d, d) for d in differ])
+
+
+def _block_chunks(r: int):
+    """The chunks of ``uniform_schedule(r)`` for :func:`_play`; none crosses a block."""
+    for k, (i, j) in enumerate(STATE_PAIRS):
+        stop = (k + 1) * r
+        for start in range(k * r, stop, MATCH_CHUNK_ROUNDS):
+            n = min(MATCH_CHUNK_ROUNDS, stop - start)
+            yield start, np.full(n, i, dtype=np.uint8), np.full(n, j, dtype=np.uint8)
 
 
 def _as_schedule(schedule) -> np.ndarray:
@@ -265,27 +283,25 @@ def _as_schedule(schedule) -> np.ndarray:
     return sched
 
 
-def _play(strategy_one, strategy_two, sched: np.ndarray, seed: int, chunk: int):
-    """Yield (states, moves one, moves two) for consecutive chunks of rounds.
+def _play(strategy_one, strategy_two, chunks, seed: int):
+    """Yield (first round, moves one, moves two) for each chunk of consecutive rounds.
 
-    Strategy one is queried before strategy two in every chunk.  The
-    shared stream comes from one generator drawn chunk by chunk;
-    ``Generator.random`` yields the same values split or whole, so every
-    round sees the same shared value whatever the chunk size.
+    ``chunks`` yields (first round index, player-one states, player-two
+    states) in round order.  Strategy one is queried before strategy two
+    in every chunk.  The shared stream comes from one generator drawn
+    chunk by chunk; ``Generator.random`` yields the same values split or
+    whole, so every round sees the same shared value whatever the chunking.
     """
     rng = np.random.default_rng(seed)
-    for start in range(0, len(sched), chunk):
-        stop = min(start + chunk, len(sched))
-        rounds = np.arange(start, stop, dtype=np.int64)
-        shared = rng.random(stop - start)
+    for start, states_one, states_two in chunks:
+        n = len(states_one)
+        rounds = np.arange(start, start + n, dtype=np.int64)
+        shared = rng.random(n)
         for arr in (rounds, shared):
             arr.setflags(write=False)
-        states = sched[start:stop]
-        moves_one = strategy_one.moves(states[:, 0].copy(), rounds, shared)
-        moves_one = _as_move_array(moves_one, stop - start)
-        moves_two = strategy_two.moves(states[:, 1].copy(), rounds, shared)
-        moves_two = _as_move_array(moves_two, stop - start)
-        yield states, moves_one, moves_two
+        moves_one = _as_move_array(strategy_one.moves(states_one, rounds, shared), n)
+        moves_two = _as_move_array(strategy_two.moves(states_two, rounds, shared), n)
+        yield start, moves_one, moves_two
 
 
 def _as_move_array(moves, n: int) -> np.ndarray:
@@ -306,22 +322,17 @@ def empirical_profile(records: MatchRecords) -> MismatchProfile:
     Raises:
         MissingStatePair: if any of the four state pairs has zero rounds.
     """
-    return _profile_from_counts(_tally(records.states, records.move_one, records.move_two))
+    # round counts indexed by 4*s1 + 2*s2 + (moves differ); states are 0/1
+    index = records.states[:, 0] * np.uint8(4)
+    index += records.states[:, 1] * np.uint8(2)
+    index += records.move_one != records.move_two
+    return _profile_from_counts(np.bincount(index, minlength=8).reshape(4, 2).tolist())
 
 
-def _tally(states: np.ndarray, move_one: np.ndarray, move_two: np.ndarray) -> np.ndarray:
-    """Round counts indexed by 4*s1 + 2*s2 + (moves differ); states must be 0/1."""
-    index = states[:, 0] * np.uint8(4)
-    index += states[:, 1] * np.uint8(2)
-    index += move_one != move_two
-    return np.bincount(index, minlength=8)
-
-
-def _profile_from_counts(counts: np.ndarray) -> MismatchProfile:
-    """Profile from the 8 tallies of :func:`_tally`: differ / total per state pair."""
-    table = counts.reshape(4, 2)
+def _profile_from_counts(table) -> MismatchProfile:
+    """Profile from (same, differ) round counts per state pair, in STATE_PAIRS order."""
     entries = {}
-    for (i, j), (same, differ) in zip(STATE_PAIRS, table.tolist()):
+    for (i, j), (same, differ) in zip(STATE_PAIRS, table):
         if same + differ == 0:
             raise MissingStatePair(f"no rounds recorded for state pair ({i}, {j})")
         entries[f"q{i}{j}"] = float(differ) / (same + differ)

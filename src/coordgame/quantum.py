@@ -149,12 +149,12 @@ class _SingletSource:
     Moves are bits (1 for a negative projection, i.e. move B).  This is
     the one sampling rule: from uniforms u and v, ``move_one = u >= 0.5``
     and the moves differ when ``v >= p_same``, where player two's outcome
-    equals player one's with probability ``p_same[i, j] = 1 - q_ij`` from
+    equals player one's with probability ``p_same[2*i + j] = 1 - q_ij`` from
     the plan's profile, tabulated once per plan.
     """
 
     def __init__(self, plan: GeneralAnglePlan, sampler: SingletSampler):
-        self._p_same = 1.0 - general_quantum_profile(plan).as_array().reshape(2, 2)
+        self._p_same = 1.0 - general_quantum_profile(plan).as_array()
         self._sampler = sampler
         self._pending = None
 
@@ -162,7 +162,9 @@ class _SingletSource:
         u, v = self._sampler.draw(len(states))
         move_one = u >= 0.5
         self._pending = (np.array(round_indices), np.array(states), move_one, v)
-        return move_one.astype(np.uint8)
+        moves = move_one.view(np.uint8)
+        moves.setflags(write=False)  # shares memory with the pending batch
+        return moves
 
     def measure_two(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray:
         if self._pending is None:
@@ -171,8 +173,10 @@ class _SingletSource:
         self._pending = None
         if not np.array_equal(rounds_one, round_indices):
             raise RuntimeError("both players must consume the same singlet rounds")
-        differ = v >= self._p_same[states_one, states]
-        return (move_one ^ differ).astype(np.uint8)
+        if max(np.max(states_one, initial=0), np.max(states, initial=0)) > 1:
+            raise ValueError("singlet measurement states must be 0 or 1")
+        differ = v >= self._p_same[states_one * 2 + states]
+        return (move_one ^ differ).view(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,22 @@ class TestSequenceStrategy:
         out = s.moves(np.zeros(7, dtype=np.uint8), np.arange(7), np.zeros(7))
         assert np.array_equal(out, [0, 1, 1, 0, 1, 1, 0])
 
+    @given(
+        n=st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=10**6)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_moves_equal_the_modulo_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        s0, s1 = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
+        states = rng.integers(0, 2, size=500, dtype=np.uint8)
+        rounds = rng.integers(0, 2**62, size=500, dtype=np.int64, endpoint=True)
+        rounds[:4] = (0, n - 1, n, np.iinfo(np.int64).max)
+        rounds.setflags(write=False)  # as the arbiter hands them over
+        out = SequenceStrategy(s0, s1).moves(states, rounds, None)
+        expected = np.where(states == 0, s0[rounds % n], s1[rounds % n])
+        assert out.dtype == np.uint8
+        assert out.tobytes() == expected.tobytes()
+
     def test_player_assignments(self):
         seqs = generate_sequences(ClassicalConfig(n=32, q=0.125, seed=5))
         one, two = classical_strategy(1, seqs), classical_strategy(2, seqs)

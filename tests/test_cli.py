@@ -594,6 +594,18 @@ class TestJsonRenderer:
         assert len(err.splitlines()) == 1
 
 
+class TestRoundCountOverflow:
+    @pytest.mark.parametrize("command", ["classical", "quantum", "match"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_round_indices_beyond_int64_exit_two(self, capsys, command, fmt):
+        code, out, err = run_cli(capsys, command, "--rounds-per-pair", str(10**20), "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"coordgame {command}: invalid parameters: rounds_per_state_pair={10**20} "
+            "exceeds 2**61: round indices overflow int64"
+        ]
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run(
@@ -605,24 +617,38 @@ class TestEntryPoint:
         for name in ("classical", "quantum", "sweep", "lhv", "bounds", "match"):
             assert name in proc.stdout
 
-    def test_memory_exhaustion_exits_two(self):
+    @staticmethod
+    def _run_capped(*argv):
         resource = pytest.importorskip("resource")
 
         def cap_address_space():
-            # 1 GiB of address space: enough to import numpy, so the huge
-            # match schedule fails to allocate instead of being touched
+            # 1 GiB of address space: enough to import numpy and play a
+            # counts-only match, too little for a huge match record
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "coordgame.cli", "quantum", "--rounds-per-pair", str(10**12)],
+        return subprocess.run(
+            [sys.executable, "-m", "coordgame.cli", *argv],
             capture_output=True,
             text=True,
             preexec_fn=cap_address_space,
+            timeout=300,
         )
+
+    def test_memory_exhaustion_exits_two(self):
+        # match records every round, so its schedule fails to allocate
+        proc = self._run_capped("match", "--rounds-per-pair", str(10**12))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert proc.stderr.startswith("coordgame quantum: out of memory:")
+        assert proc.stderr.startswith("coordgame match: out of memory:")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_counts_only_match_runs_in_bounded_memory(self):
+        # 4e7 rounds, counts only: it runs inside the cap that stops the match above
+        proc = self._run_capped("quantum", "--rounds-per-pair", str(10**7))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["results"]["empirical"]["samples_per_state_pair"] == 10**7
 
     def test_missing_subcommand_exits_two(self):
         proc = subprocess.run(

@@ -194,6 +194,11 @@ class TestUniformSchedule:
         with pytest.raises(ValueError):
             uniform_schedule(0)
 
+    def test_rejects_round_indices_beyond_int64(self):
+        # 4 * 2**61 rounds have indices up to 2**63 - 1, the largest int64
+        with pytest.raises(ValueError, match=r"exceeds 2\*\*61: round indices overflow int64"):
+            uniform_schedule(2**61 + 1)
+
 
 class _Recorder:
     """Constant-move strategy that records exactly what the arbiter shows it."""
@@ -328,71 +333,93 @@ class TestEmpiricalProfile:
             empirical_profile(rec)
 
 
-def _random_schedule(rounds: int, seed: int = 0) -> np.ndarray:
-    return np.random.default_rng(seed).integers(0, 2, size=(rounds, 2), dtype=np.uint8)
-
-
-#: Longer than two chunks, with a ragged last chunk, at either chunk size used below.
-EQUIVALENCE_ROUNDS = 3 * MATCH_CHUNK_ROUNDS + 17
-
-
 @pytest.fixture(params=[MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
 def chunk_rounds(request, monkeypatch):
     monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", request.param)
     return request.param
 
 
+def _ragged_rounds(chunk_rounds: int) -> int:
+    """Rounds per state pair such that block and chunk boundaries cut each other raggedly."""
+    return 3 * chunk_rounds + 17
+
+
+class _Untouchable:
+    def moves(self, states, round_indices, shared):
+        raise AssertionError("a rejected match must query no strategy")
+
+
 class TestMatchProfile:
     @pytest.mark.parametrize("mode", ["disjoint-flips", "bsc-chain"])
     def test_equals_profile_of_recorded_match(self, chunk_rounds, mode):
-        sched = _random_schedule(EQUIVALENCE_ROUNDS, seed=1)
+        r = _ragged_rounds(chunk_rounds)
         sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, mode=mode, seed=2))
         players = classical_strategy(1, sequences), classical_strategy(2, sequences)
-        recorded = empirical_profile(run_match(*players, sched, seed=3))
-        assert match_profile(*players, sched, seed=3) == recorded
+        recorded = empirical_profile(run_match(*players, uniform_schedule(r), seed=3))
+        assert match_profile(*players, r, seed=3) == recorded
 
     def test_strategies_see_the_whole_match_in_order(self, chunk_rounds):
-        sched = _random_schedule(3 * chunk_rounds + 5, seed=4)
+        r = _ragged_rounds(chunk_rounds)
+        sched = uniform_schedule(r)
         whole_one, whole_two = _Recorder(), _Recorder(Move.B)
         run_match(whole_one, whole_two, sched, seed=6)
         one, two = _Recorder(), _Recorder(Move.B)
-        match_profile(one, two, sched, seed=6)
-        assert len(one.seen) == len(two.seen) == 4
-        for chunked, whole in ((one, whole_one), (two, whole_two)):
+        match_profile(one, two, r, seed=6)
+        assert len(one.seen) == len(two.seen) == 4 * -(-r // chunk_rounds)  # ceil, per block
+        for player, (chunked, whole) in enumerate(((one, whole_one), (two, whole_two))):
+            for states, rounds, _ in chunked.seen:
+                assert 1 <= len(rounds) <= chunk_rounds
+                assert rounds[0] // r == rounds[-1] // r  # no chunk crosses a block
+                assert np.all(states == states[0])
+            assert np.array_equal(np.concatenate([seen[0] for seen in chunked.seen]), sched[:, player])
             for k in range(3):  # states, round indices, shared stream
                 joined = np.concatenate([seen[k] for seen in chunked.seen])
                 assert np.array_equal(joined, whole.seen[0][k])
 
-    @pytest.mark.parametrize(
-        "sched",
-        [np.zeros((0, 2)), np.zeros((4, 3)), np.array([[0, 2], [1, 0]])],
-    )
-    def test_rejects_malformed_schedule(self, sched):
-        with pytest.raises(ValueError, match="schedule"):
-            match_profile(ConstantStrategy(Move.A), ConstantStrategy(Move.A), sched, seed=0)
+    @pytest.mark.parametrize("r", [0, -1, 2**61 + 1], ids=["zero", "negative", "beyond-int64"])
+    def test_rejects_bad_round_count(self, r):
+        with pytest.raises(ValueError, match="rounds_per_state_pair"):
+            match_profile(_Untouchable(), _Untouchable(), r, seed=0)
+
+    def test_accepts_the_largest_round_count(self):
+        class Stop(Exception):
+            pass
+
+        class FirstChunk:
+            def moves(self, states, round_indices, shared):
+                raise Stop(round_indices[0], len(round_indices))
+
+        with pytest.raises(Stop) as info:
+            match_profile(FirstChunk(), _Untouchable(), 2**61, seed=0)
+        assert info.value.args == (0, MATCH_CHUNK_ROUNDS)
 
     def test_rejects_bad_strategy_output(self, chunk_rounds):
-        class BadLate:
-            """Valid moves, except 7s in rounds 9 and later."""
+        r = _ragged_rounds(chunk_rounds)
+        for bad_round in (9, 4 * r - 1):
 
-            def moves(self, states, round_indices, shared):
-                return np.where(round_indices >= 9, 7, 0).astype(np.uint8)
+            class BadLate:
+                """Valid moves, except a 7 in one late round."""
 
-        with pytest.raises(ValueError, match="moves must be 0"):
-            match_profile(BadLate(), ConstantStrategy(Move.A), uniform_schedule(5), seed=0)
+                def moves(self, states, round_indices, shared):
+                    return np.where(round_indices == bad_round, 7, 0).astype(np.uint8)
 
-    def test_rejects_wrong_length_output(self):
+            with pytest.raises(ValueError, match="moves must be 0"):
+                run_match(BadLate(), ConstantStrategy(Move.A), uniform_schedule(r), seed=0)
+            with pytest.raises(ValueError, match="moves must be 0"):
+                match_profile(BadLate(), ConstantStrategy(Move.A), r, seed=0)
+
+    def test_rejects_wrong_length_output(self, monkeypatch):
         class Short:
             def moves(self, states, round_indices, shared):
                 return np.zeros(len(states) - 1, dtype=np.uint8)
 
-        with pytest.raises(ValueError, match="expected"):
-            match_profile(ConstantStrategy(Move.A), Short(), uniform_schedule(2), seed=0)
-
-    def test_missing_state_pair_raises(self):
-        sched = np.array([[0, 0], [0, 1], [1, 0]] * 5, dtype=np.uint8)
-        with pytest.raises(MissingStatePair, match=r"\(1, 1\)"):
-            match_profile(ConstantStrategy(Move.A), ConstantStrategy(Move.B), sched, seed=0)
+        for chunk in (MATCH_CHUNK_ROUNDS, 7):
+            monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
+            r = _ragged_rounds(chunk)
+            with pytest.raises(ValueError, match="expected"):
+                run_match(ConstantStrategy(Move.A), Short(), uniform_schedule(r), seed=0)
+            with pytest.raises(ValueError, match="expected"):
+                match_profile(ConstantStrategy(Move.A), Short(), r, seed=0)
 
 
 class TestReports:

@@ -327,16 +327,25 @@ class TestCoupledStrategies:
         with pytest.raises(RuntimeError):
             two.moves(np.zeros(4, dtype=np.uint8), np.arange(1, 5), np.zeros(4))
 
+    @pytest.mark.parametrize("bad_player", [1, 2])
+    def test_rejects_a_state_above_one(self, bad_player):
+        # the flat p_same table would read a state pair (0, 2) as (1, 0)
+        one, two = quantum_player_strategy(equally_spaced(0.2), SingletSampler(0))
+        states = {1: np.zeros(4, dtype=np.uint8), 2: np.zeros(4, dtype=np.uint8)}
+        states[bad_player][1] = 2
+        one.moves(states[1], np.arange(4), None)
+        with pytest.raises(ValueError, match="states must be 0 or 1"):
+            two.moves(states[2], np.arange(4), None)
+
     @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
     def test_match_profile_equals_profile_of_recorded_match(self, monkeypatch, chunk):
         monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
-        rng = np.random.default_rng(5)
-        sched = rng.integers(0, 2, size=(3 * MATCH_CHUNK_ROUNDS + 17, 2), dtype=np.uint8)
+        r = 3 * chunk + 17  # block and chunk boundaries cut each other raggedly
         plan = equally_spaced(0.6)
         recorded = empirical_profile(
-            run_match(*quantum_player_strategy(plan, SingletSampler(6)), sched, seed=6)
+            run_match(*quantum_player_strategy(plan, SingletSampler(6)), uniform_schedule(r), seed=6)
         )
-        counted = match_profile(*quantum_player_strategy(plan, SingletSampler(6)), sched, seed=6)
+        counted = match_profile(*quantum_player_strategy(plan, SingletSampler(6)), r, seed=6)
         assert counted == recorded
 
     def test_moves_follow_the_sign_formulation(self):
@@ -359,15 +368,16 @@ class TestCoupledStrategies:
         assert np.array_equal(move_two, t < 0)
 
     def test_match_profile_memory_is_bounded(self):
-        sched = uniform_schedule(250_000)  # one million rounds, built before tracing
-        one, two = quantum_player_strategy(equally_spaced(0.1), SingletSampler(0))
-        tracemalloc.start()
-        try:
-            match_profile(one, two, sched, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        # one and ten million rounds in the same few MiB: nothing grows with the match
+        for rounds_per_pair in (250_000, 2_500_000):
+            one, two = quantum_player_strategy(equally_spaced(0.1), SingletSampler(0))
+            tracemalloc.start()
+            try:
+                match_profile(one, two, rounds_per_pair, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, rounds_per_pair
 
     def test_accepts_general_plan(self):
         plan = GeneralAnglePlan(0.0, 0.2, np.pi + 0.3, np.pi + 0.1)
