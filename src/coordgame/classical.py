@@ -182,6 +182,7 @@ class SequenceStrategy:
 
     seq_state0: np.ndarray
     seq_state1: np.ndarray
+    reads_shared = False  # the arbiter's shared stream is never read
 
     def moves(self, states, round_indices, shared):
         # round mod N by floor division, which numpy runs faster than int64 %

@@ -8,7 +8,7 @@ with 9 significant digits.
 
 Exit codes: 0 success; 2 invalid parameters, memory exhausted, or output
 not writable (one line on stderr); 3 internal invariant failure, which
-includes a non-finite float in a JSON record.
+includes a non-finite float in a JSON or CSV record.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .classical import (
     generate_sequences,
 )
 from .game import (
+    STATE_PAIRS,
     DegenerateProfile,
     MismatchProfile,
     analytic_report,
@@ -76,12 +77,7 @@ class Table:
 
 
 def _profile_dict(profile: MismatchProfile) -> dict:
-    return {
-        "q00": profile.q00,
-        "q01": profile.q01,
-        "q10": profile.q10,
-        "q11": profile.q11,
-    }
+    return {f"q{i}{j}": profile.entry(i, j) for i, j in STATE_PAIRS}
 
 
 def _verdict_dict(verdict) -> dict:
@@ -90,24 +86,18 @@ def _verdict_dict(verdict) -> dict:
 
 def _payoff_block(profile: MismatchProfile, samples: int | None = None) -> dict:
     """Profile plus payoff, with a degeneracy flag instead of a 0/0 crash."""
-    block = {"profile": _profile_dict(profile)}
     try:
-        if samples is None:
-            report = analytic_report(profile)
-        else:
-            report = empirical_report(profile, samples)
+        report = analytic_report(profile) if samples is None else empirical_report(profile, samples)
     except DegenerateProfile:
-        block["payoff"] = None
-        block["degenerate"] = True
-        if samples is not None:
-            block["confidence_halfwidth"] = None
-            block["samples_per_state_pair"] = samples
-        return block
-    block["payoff"] = report.payoff
-    block["degenerate"] = False
+        report = None
+    block = {
+        "profile": _profile_dict(profile),
+        "payoff": None if report is None else report.payoff,
+        "degenerate": report is None,
+    }
     if samples is not None:
-        block["confidence_halfwidth"] = report.confidence_halfwidth
-        block["samples_per_state_pair"] = report.samples_per_state_pair
+        block["confidence_halfwidth"] = None if report is None else report.confidence_halfwidth
+        block["samples_per_state_pair"] = samples
     return block
 
 
@@ -326,6 +316,17 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _check_finite(params: dict, results: dict) -> None:
+    """Both renderers' one check: a NaN or infinite float, which JSON cannot
+    spell and CSV would print as ``nan`` or ``inf``, raises ``RuntimeError``."""
+    for name, value in _flatten({"parameters": params, "results": results}).items():
+        for column in value.columns.values() if isinstance(value, Table) else [[value]]:
+            if not isinstance(column, np.ndarray):
+                column = np.array([v for v in column if isinstance(v, (float, np.floating))])
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                raise RuntimeError(f"{name} holds a non-finite float")
+
+
 def _column_cells(column) -> list:
     """The CSV cells of one table column, each equal to ``_cell`` of its entry."""
     if isinstance(column, np.ndarray):
@@ -351,13 +352,11 @@ def _json_floats(values: list) -> list:
     return [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
 
 
-def _json_cells(name: str, column) -> list:
+def _json_cells(column) -> list:
     """The JSON texts of one table column, each what ``json.dumps`` prints for its entry."""
     if isinstance(column, np.ndarray):
         kind = column.dtype.kind
         if kind == "f":
-            if not np.isfinite(column).all():
-                raise RuntimeError(f"table column {name!r} holds a non-finite float")
             return _json_floats(column.tolist())
         values = column.tolist()
         if kind in "iu":
@@ -378,7 +377,7 @@ def _json_table(table: Table) -> str:
     """A table as the indented JSON list of row objects that sits under ``results``."""
     if not len(table):
         return "[]"
-    cells = [_json_cells(name, column) for name, column in table.columns.items()]
+    cells = [_json_cells(column) for column in table.columns.values()]
     fields = ",\n".join(
         _TABLE_INDENT + "    " + json.dumps(name).replace("%", "%%") + ": %s"
         for name in table.columns
@@ -397,6 +396,7 @@ def render_json(subcommand: str, seed: int, params: dict, results: dict) -> str:
     spelling for it.  Tables are formatted column by column and spliced
     into the indented envelope in place of a marker string.
     """
+    _check_finite(params, results)
     markers = {key: f"\0table:{key}" for key, value in results.items() if isinstance(value, Table)}
     payload = {
         "subcommand": subcommand,
@@ -405,12 +405,9 @@ def render_json(subcommand: str, seed: int, params: dict, results: dict) -> str:
         "parameters": params,
         "results": {key: markers.get(key, value) for key, value in results.items()},
     }
-    try:
-        text = json.dumps(_round_floats(payload), indent=2, allow_nan=False)
-        for key, marker in markers.items():
-            text = text.replace(json.dumps(marker), _json_table(results[key]), 1)
-    except ValueError as exc:
-        raise RuntimeError(f"cannot render JSON: {exc}") from exc
+    text = json.dumps(_round_floats(payload), indent=2, allow_nan=False)
+    for key, marker in markers.items():
+        text = text.replace(json.dumps(marker), _json_table(results[key]), 1)
     return text + "\n"
 
 
@@ -422,6 +419,7 @@ def render_csv(
     The envelope, parameters and non-table results repeat on every row;
     each of their cells and each table column is formatted once.
     """
+    _check_finite(params, results)
     lead = {"subcommand": subcommand, "version": __version__, "seed": seed}
     lead.update(_flatten(params))
     summary = _flatten({k: v for k, v in results.items() if k != table_key})

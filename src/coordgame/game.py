@@ -48,10 +48,10 @@ class Move(IntEnum):
 STATE_PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-#: Rounds played per chunk by :func:`match_profile`.  It bounds the
-#: working memory of a counts-only match to a few MiB whatever its length;
-#: results do not depend on it.
-MATCH_CHUNK_ROUNDS = 65_536
+#: Rounds per chunk of :func:`match_profile`; results do not depend on it.
+#: A float64 chunk column is 64 KiB, below glibc's default 128 KiB mmap
+#: threshold, so chunk temporaries are reused from the heap, not re-faulted.
+MATCH_CHUNK_ROUNDS = 8_192
 
 
 class DegenerateProfile(ValueError):
@@ -180,12 +180,17 @@ class PlayerStrategy(Protocol):
 
     ``moves`` receives only this player's own states, the round indices,
     and the per-round shared randomness that both players see.  It must
-    return one move (0 for A, 1 for B) per round.  A strategy never sees
-    the other player's state.
+    return one move (0 for A, 1 for B) per round.  No argument holds the
+    other player's state, yet on the block schedule ``round_indices // r``
+    gives the state pair away.  A class attribute ``reads_shared = False``
+    declares that the strategy ignores the shared stream; if both players
+    do, none is drawn and ``shared`` is ``None``.  Unset, it reads as True.
     """
 
+    reads_shared: bool
+
     def moves(
-        self, states: np.ndarray, round_indices: np.ndarray, shared: np.ndarray
+        self, states: np.ndarray, round_indices: np.ndarray, shared: np.ndarray | None
     ) -> np.ndarray: ...
 
 
@@ -249,7 +254,7 @@ def match_profile(
     same validation and shared stream, but builds neither the schedule nor
     any record: each state pair's block is walked in chunks of at most
     :data:`MATCH_CHUNK_ROUNDS` rounds of constant states, keeping one
-    mismatch count per pair.  Working memory is a few MiB for any length,
+    mismatch count per pair.  Working memory is under 1 MiB for any length,
     and time is linear in it.  Strategies whose moves depend only on their
     arguments and on streams that draw the same values split or whole (both
     shipped families do) give exactly ``empirical_profile(run_match(...))``.
@@ -288,16 +293,17 @@ def _play(strategy_one, strategy_two, chunks, seed: int):
 
     ``chunks`` yields (first round index, player-one states, player-two
     states) in round order.  Strategy one is queried before strategy two
-    in every chunk.  The shared stream comes from one generator drawn
-    chunk by chunk; ``Generator.random`` yields the same values split or
-    whole, so every round sees the same shared value whatever the chunking.
+    in every chunk.  The shared stream (``None`` unless a player reads it)
+    is one generator drawn chunk by chunk; ``Generator.random`` yields the
+    same values split or whole, so no round's value depends on chunking.
     """
+    reads = any(getattr(s, "reads_shared", True) for s in (strategy_one, strategy_two))
     rng = np.random.default_rng(seed)
     for start, states_one, states_two in chunks:
         n = len(states_one)
         rounds = np.arange(start, start + n, dtype=np.int64)
-        shared = rng.random(n)
-        for arr in (rounds, shared):
+        shared = rng.random(n) if reads else None
+        for arr in (rounds, shared) if reads else (rounds,):
             arr.setflags(write=False)
         moves_one = _as_move_array(strategy_one.moves(states_one, rounds, shared), n)
         moves_two = _as_move_array(strategy_two.moves(states_two, rounds, shared), n)

@@ -183,6 +183,7 @@ class _SingletSource:
 class _EntangledPlayer:
     source: _SingletSource
     role: int  # 1 or 2
+    reads_shared = False  # correlated by the singlet source alone
 
     def moves(self, states, round_indices, shared):
         if self.role == 1:

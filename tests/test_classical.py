@@ -1,6 +1,7 @@
 """Shared-sequence generation, Hamming distances, and the classical strategy."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from coordgame.classical import (
     generate_sequences,
     hamming_distance,
 )
-from coordgame.game import empirical_profile, payoff, run_match, uniform_schedule
+from coordgame.game import empirical_profile, match_profile, payoff, run_match, uniform_schedule
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 
@@ -201,6 +202,19 @@ class TestSequenceStrategy:
         expected = np.where(states == 0, s0[rounds % n], s1[rounds % n])
         assert out.dtype == np.uint8
         assert out.tobytes() == expected.tobytes()
+
+    def test_match_profile_memory_is_bounded(self):
+        # one and ten million rounds in under 1 MiB, sequences aside
+        sequences = generate_sequences(ClassicalConfig(n=100_000, q=0.1, seed=0))
+        for rounds_per_pair in (250_000, 2_500_000):
+            one, two = classical_strategy(1, sequences), classical_strategy(2, sequences)
+            tracemalloc.start()
+            try:
+                match_profile(one, two, rounds_per_pair, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, rounds_per_pair
 
     def test_player_assignments(self):
         seqs = generate_sequences(ClassicalConfig(n=32, q=0.125, seed=5))

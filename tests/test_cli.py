@@ -340,6 +340,26 @@ class TestReproducibility:
         assert code == 0, err
         assert out == (DATA / expected).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["quantum", "--delta", "0.3", "--rounds-per-pair", "65537", "--seed", "4", "--format", "csv"],
+                "quantum_chunks_seed4.csv",
+            ),
+            (
+                ["classical", "--N", "777", "--rounds-per-pair", "131089", "--seed", "9"],
+                "classical_chunks_seed9.json",
+            ),
+        ],
+    )
+    def test_chunk_crossing_output_pinned_across_versions(self, capsys, argv, expected):
+        # recorded with 65 536-round chunks: every block crosses a chunk
+        # boundary then and now, so the bytes pin determinism across chunking
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == (DATA / expected).read_text(encoding="utf-8")
+
     def test_match_dump_digest_pinned_across_versions(self, capsys):
         # 10k rounds, too large to store; recorded with the files above
         argv = ["match", "--N", "2500", "--rounds-per-pair", "2500", "--format", "csv", "--seed", "1"]
@@ -592,6 +612,32 @@ class TestJsonRenderer:
         assert code == 3 and out == ""
         assert err.startswith("coordgame sweep: internal invariant failure:")
         assert len(err.splitlines()) == 1
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "results, where",
+        [
+            ({"rows": Table({"delta": [0.1, 0.2]}), "payoff": float("nan")}, "results_payoff"),
+            ({"rows": Table({"delta": np.array([0.1, -np.inf])})}, "results_rows"),
+            ({"rows": Table({"weight": [0.5, float("inf")], "index": [0, 1]})}, "results_rows"),
+        ],
+        ids=["summary-cell", "array-column", "list-column"],
+    )
+    def test_exits_three_in_either_format(self, capsys, monkeypatch, fmt, results, where):
+        monkeypatch.setitem(cli._HANDLERS, "sweep", lambda args: ({}, results, "rows"))
+        code, out, err = run_cli(capsys, "sweep", "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            f"coordgame sweep: internal invariant failure: {where} holds a non-finite float"
+        ]
+
+    @pytest.mark.parametrize("value", [float("nan"), np.float64("inf"), -np.inf])
+    def test_both_renderers_refuse_a_parameter(self, value):
+        for render in (render_json, lambda *a: render_csv(*a, None)):
+            with pytest.raises(RuntimeError, match="parameters_q holds a non-finite float"):
+                render("cmd", 0, {"q": value}, {"ok": True})
 
 
 class TestRoundCountOverflow:

@@ -26,6 +26,7 @@ from coordgame.game import (
     run_match,
     uniform_schedule,
 )
+from coordgame.quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy
 from helpers import ConstantStrategy
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -208,8 +209,15 @@ class _Recorder:
         self.seen = []
 
     def moves(self, states, round_indices, shared):
-        self.seen.append((states.copy(), round_indices.copy(), shared.copy()))
+        shared = None if shared is None else shared.copy()
+        self.seen.append((states.copy(), round_indices.copy(), shared))
         return np.full(len(states), int(self.move), dtype=np.uint8)
+
+
+class _Ignorer(_Recorder):
+    """A recorder that declares it ignores the shared stream."""
+
+    reads_shared = False
 
 
 class TestRunMatch:
@@ -420,6 +428,71 @@ class TestMatchProfile:
                 run_match(ConstantStrategy(Move.A), Short(), uniform_schedule(r), seed=0)
             with pytest.raises(ValueError, match="expected"):
                 match_profile(ConstantStrategy(Move.A), Short(), r, seed=0)
+
+
+def _shipped_pair(family: str):
+    """A fresh player pair of one shipped strategy family."""
+    if family == "classical":
+        sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, seed=2))
+        return classical_strategy(1, sequences), classical_strategy(2, sequences)
+    return quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.3), SingletSampler(2))
+
+
+class _StreamReader:
+    """An attribute-less proxy, so the arbiter draws the shared stream for it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def moves(self, states, round_indices, shared):
+        assert shared is not None and len(shared) == len(states)
+        return self.inner.moves(states, round_indices, shared)
+
+
+class TestSharedStreamDeclaration:
+    @pytest.mark.parametrize("family", ["classical", "quantum"])
+    def test_shipped_strategies_ignore_the_stream_and_get_none(self, monkeypatch, family):
+        one, two = _shipped_pair(family)
+        assert type(one).reads_shared is False and type(two).reads_shared is False
+        handed = []
+        moves = type(one).moves
+
+        def recording_moves(self, states, round_indices, shared):
+            handed.append(shared)
+            return moves(self, states, round_indices, shared)
+
+        monkeypatch.setattr(type(one), "moves", recording_moves)
+        r = MATCH_CHUNK_ROUNDS + 3
+        match_profile(one, two, r, seed=1)
+        run_match(*_shipped_pair(family), uniform_schedule(r), seed=1)
+        # both players: two chunks in each of the four blocks, then one whole-schedule call
+        assert len(handed) == 2 * (4 * 2 + 1)
+        assert all(shared is None for shared in handed)
+
+    def test_a_reader_beside_an_ignorer_sees_what_two_readers_see(self, chunk_rounds):
+        r = _ragged_rounds(chunk_rounds)
+        both = _Recorder(), _Recorder()
+        match_profile(*both, r, seed=5)
+        expected = np.concatenate([seen[2] for seen in both[0].seen])
+        assert np.array_equal(expected, np.concatenate([seen[2] for seen in both[1].seen]))
+        for order in (1, -1):  # the reader as player one, then as player two
+            reader = _Recorder()
+            match_profile(*(reader, _Ignorer())[::order], r, seed=5)
+            assert np.array_equal(np.concatenate([seen[2] for seen in reader.seen]), expected)
+
+    def test_two_ignorers_get_none(self, chunk_rounds):
+        one, two = _Ignorer(), _Ignorer(Move.B)
+        match_profile(one, two, _ragged_rounds(chunk_rounds), seed=5)
+        assert all(seen[2] is None for seen in one.seen + two.seen)
+
+    @pytest.mark.parametrize("family", ["classical", "quantum"])
+    def test_skipping_the_stream_changes_no_move(self, chunk_rounds, family):
+        r = _ragged_rounds(chunk_rounds)
+        proxied = [_StreamReader(s) for s in _shipped_pair(family)]
+        assert match_profile(*_shipped_pair(family), r, seed=4) == match_profile(*proxied, r, seed=4)
+        proxied = [_StreamReader(s) for s in _shipped_pair(family)]
+        sched = uniform_schedule(r)
+        assert run_match(*_shipped_pair(family), sched, seed=4) == run_match(*proxied, sched, seed=4)
 
 
 class TestReports:

@@ -1,5 +1,7 @@
 """Singlet measurement law, angle plans, sampling, and the coupled strategies."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -368,7 +370,7 @@ class TestCoupledStrategies:
         assert np.array_equal(move_two, t < 0)
 
     def test_match_profile_memory_is_bounded(self):
-        # one and ten million rounds in the same few MiB: nothing grows with the match
+        # one and ten million rounds in under 1 MiB: nothing grows with the match
         for rounds_per_pair in (250_000, 2_500_000):
             one, two = quantum_player_strategy(equally_spaced(0.1), SingletSampler(0))
             tracemalloc.start()
@@ -377,7 +379,27 @@ class TestCoupledStrategies:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * 2**20, rounds_per_pair
+            assert peak < 2**20, rounds_per_pair
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+    def test_match_profile_reuses_its_chunk_buffers(self):
+        # Chunk temporaries below glibc's mmap threshold come back from the
+        # heap; 512 KiB ones were mapped and faulted in afresh per chunk
+        # (about 18 000 minor faults for these 4e6 rounds).
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "from coordgame.game import match_profile\n"
+            "from coordgame.quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy\n"
+            "plan = GeneralAnglePlan.equally_spaced(0.1)\n"
+            "one, two = quantum_player_strategy(plan, SingletSampler(1))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "match_profile(one, two, 10**6, seed=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2_000
 
     def test_accepts_general_plan(self):
         plan = GeneralAnglePlan(0.0, 0.2, np.pi + 0.3, np.pi + 0.1)
