@@ -32,15 +32,14 @@ def main():
     print("= Full-cycle match =")
     one = cg.classical_strategy(1, sequences)  # reads X0 in state 0, X2 in state 1
     two = cg.classical_strategy(2, sequences)  # reads X3 in state 0, X1 in state 1
-    schedule = cg.uniform_schedule(N)  # each state pair walks the whole sequence once
-    records = cg.run_match(one, two, schedule, seed=SEED)
-    print(f"played {len(records)} rounds; first three records:")
+    # N rounds per state pair: each pair walks the whole sequence once
+    print(f"{N} rounds per state pair, {4 * N} in all; the first three records:")
+    start, move_one, move_two = next(cg.play_match(one, two, N, seed=SEED))
+    s1, s2 = cg.STATE_PAIRS[start // N]  # one state pair for the whole chunk
     for k in range(3):
-        s1, s2 = records.states[k]
-        m1, m2 = MOVE[records.move_one[k]], MOVE[records.move_two[k]]
-        print(f"  round {k}: states ({s1}, {s2}), moves {m1} {m2}")
+        print(f"  round {start + k}: states ({s1}, {s2}), moves {MOVE[move_one[k]]} {MOVE[move_two[k]]}")
 
-    profile = cg.empirical_profile(records)
+    profile = cg.match_profile(one, two, N, seed=SEED)
     analytic = cg.analytic_classical_profile(Q)
     print("\nempirical profile:", np.round(profile.as_array(), 6))
     print("analytic profile: ", np.round(analytic.as_array(), 6))

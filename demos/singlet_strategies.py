@@ -17,12 +17,14 @@ SEED = 11
 
 def main():
     print("= Raw singlet outcomes =")
-    theta, m = 2.0, 100_000
-    # one fixed direction per player: every round measures along 0 and theta
+    theta, r = 2.0, 25_000
+    m = 4 * r
+    # one direction per player in both states (a0 = a1, b0 = b1): every
+    # round, whatever its state pair, measures along 0 and theta
     plan = cg.GeneralAnglePlan(0.0, 0.0, theta, theta)
     one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
-    records = cg.run_match(one, two, np.zeros((m, 2), dtype=np.uint8), seed=SEED)
-    differ = np.count_nonzero(records.move_one != records.move_two)
+    chunks = cg.play_match(one, two, r, seed=SEED)
+    differ = sum(np.count_nonzero(move_one != move_two) for _, move_one, move_two in chunks)
     print(f"directions separated by theta={theta}")
     print(f"  observed mismatch fraction: {differ / m:.5f}")
     print(f"  (1 + cos theta) / 2:        {(1 + np.cos(theta)) / 2:.5f}")
@@ -47,13 +49,14 @@ def main():
 
     print("= No signaling =")
     n = 40_000
+    plan = cg.GeneralAnglePlan.equally_spaced(0.1)
+    one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
+    moves_b = [0, 0, 0, 0]  # player one's B moves per state-pair block
+    for start, move_one, _ in cg.play_match(one, two, n, seed=SEED):
+        moves_b[start // n] += np.count_nonzero(move_one)
+    # blocks (0,0) and (0,1): player one is in state 0 in both, the partner's state changes
     for partner_state in (0, 1):
-        schedule = np.zeros((n, 2), dtype=np.uint8)
-        schedule[:, 1] = partner_state  # player two's state changes, player one's never
-        plan = cg.GeneralAnglePlan.equally_spaced(0.1)
-        one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
-        records = cg.run_match(one, two, schedule, seed=SEED)
-        freq = records.move_one.mean()
+        freq = moves_b[partner_state] / n
         print(f"player one's move-B frequency with partner in state {partner_state}: {freq:.4f}")
     print("both frequencies sit at 1/2; the partner's state is invisible")
 

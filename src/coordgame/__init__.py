@@ -37,19 +37,15 @@ from .classical import (
 from .game import (
     STATE_PAIRS,
     DegenerateProfile,
-    MatchRecords,
     MismatchProfile,
-    MissingStatePair,
     Move,
     PayoffReport,
     PlayerStrategy,
     analytic_report,
-    empirical_profile,
     empirical_report,
     match_profile,
     payoff,
-    run_match,
-    uniform_schedule,
+    play_match,
 )
 from .quantum import (
     GeneralAnglePlan,
@@ -68,16 +64,12 @@ __all__ = [
     "Move",
     "STATE_PAIRS",
     "MismatchProfile",
-    "MatchRecords",
     "PayoffReport",
     "PlayerStrategy",
     "DegenerateProfile",
-    "MissingStatePair",
     "payoff",
-    "empirical_profile",
     "match_profile",
-    "run_match",
-    "uniform_schedule",
+    "play_match",
     "analytic_report",
     "empirical_report",
     # shared-sequence strategies

@@ -4,16 +4,16 @@ Two non-communicating players each sit in a binary state and make binary
 moves.  The figure of merit is the ratio between the mismatch probability
 when both players are in state 0 and the worst mismatch probability over
 the remaining three state pairs.  This module defines the domain types,
-the payoff functional, the match arbiter, and estimation of the four
-mismatch probabilities, either from the move columns of a recorded match
-or straight from a counts-only match that never holds those columns.
+the payoff functional, the match arbiter, which plays every state pair
+equally often in chunks of rounds, and the frequency estimate of the four
+mismatch probabilities from such a match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -21,17 +21,13 @@ __all__ = [
     "Move",
     "STATE_PAIRS",
     "MismatchProfile",
-    "MatchRecords",
     "PayoffReport",
     "PlayerStrategy",
     "DegenerateProfile",
-    "MissingStatePair",
     "MATCH_CHUNK_ROUNDS",
     "payoff",
-    "empirical_profile",
     "match_profile",
-    "run_match",
-    "uniform_schedule",
+    "play_match",
     "analytic_report",
     "empirical_report",
 ]
@@ -48,7 +44,7 @@ class Move(IntEnum):
 STATE_PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-#: Rounds per chunk of :func:`match_profile`; results do not depend on it.
+#: Rounds per chunk of :func:`play_match`; no move depends on it.
 #: A float64 chunk column is 64 KiB, below glibc's default 128 KiB mmap
 #: threshold, so chunk temporaries are reused from the heap, not re-faulted.
 MATCH_CHUNK_ROUNDS = 8_192
@@ -56,10 +52,6 @@ MATCH_CHUNK_ROUNDS = 8_192
 
 class DegenerateProfile(ValueError):
     """All three off-(0,0) mismatch probabilities are zero; the payoff is 0/0."""
-
-
-class MissingStatePair(ValueError):
-    """A state pair has no recorded rounds, so its mismatch probability is unestimable."""
 
 
 @dataclass(frozen=True)
@@ -134,47 +126,6 @@ def payoff(profile: MismatchProfile):
     return ratio
 
 
-@dataclass(frozen=True, eq=False)
-class MatchRecords:
-    """Column-oriented, immutable collection of the rounds of one match.
-
-    Rounds are stored as arrays so million-round matches stay cheap; row
-    k of every column is round k in schedule order.
-    The columns are read-only uint8 copies of the arrays passed in, so the
-    caller's arrays stay writable and later writes to them do not leak in.
-    """
-
-    states: np.ndarray  # (n, 2) uint8, one row per round
-    move_one: np.ndarray  # (n,) uint8
-    move_two: np.ndarray  # (n,) uint8
-
-    def __post_init__(self) -> None:
-        columns = {
-            name: np.array(getattr(self, name), dtype=np.uint8)
-            for name in ("states", "move_one", "move_two")
-        }
-        n = len(columns["move_one"])
-        if columns["states"].shape != (n, 2) or columns["move_two"].shape != (n,):
-            raise ValueError("mismatched record column lengths")
-        for name, arr in columns.items():
-            if arr.max(initial=0) > 1:
-                raise ValueError(f"{name} entries must be 0 or 1")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.move_one)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatchRecords):
-            return NotImplemented
-        return (
-            np.array_equal(self.states, other.states)
-            and np.array_equal(self.move_one, other.move_one)
-            and np.array_equal(self.move_two, other.move_two)
-        )
-
-
 class PlayerStrategy(Protocol):
     """Answers move queries from the arbiter.
 
@@ -194,52 +145,44 @@ class PlayerStrategy(Protocol):
     ) -> np.ndarray: ...
 
 
-def uniform_schedule(rounds_per_state_pair: int) -> np.ndarray:
-    """Schedule with exactly ``rounds_per_state_pair`` rounds of each state pair.
+def play_match(
+    strategy_one: PlayerStrategy,
+    strategy_two: PlayerStrategy,
+    rounds_per_state_pair: int,
+    seed: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Play a match on the block schedule, yielding each chunk's moves as played.
 
-    The four pairs are laid out in consecutive blocks, (0,0) first, as
-    :func:`match_profile` plays them without building this array.  With
-    one full block per pair of length N, a length-N shared sequence is
-    walked through every position exactly once per pair, which makes
-    frequency estimates of sequence-based strategies exact, not sampled.
+    The block schedule plays each state pair ``r = rounds_per_state_pair``
+    times in one block, (0,0) first, so round k has state pair
+    ``STATE_PAIRS[k // r]``.  With r equal to the length N of a shared
+    sequence, each pair walks the sequence through every position exactly
+    once, which makes frequency estimates of sequence-based strategies
+    exact, not sampled.
 
-    Returns an ``(4 * rounds_per_state_pair, 2)`` uint8 array; row k holds
-    (player-one state, player-two state) for round k.
+    Each block is played in order, in chunks of at most
+    :data:`MATCH_CHUNK_ROUNDS` rounds.  Per chunk, strategy one and then
+    strategy two receive only their own states, the round indices and a
+    shared random stream derived from ``seed``, the only run-time
+    coordination channel: both players get identical values per round.
+    Each chunk yields (first round index, moves one, moves two), the
+    moves as uint8 columns, 0 for A.  Output is deterministic for fixed
+    (strategies, r, seed), and the chunking changes no move of a strategy
+    whose moves depend only on its arguments and on streams that draw the
+    same values split or whole, as both shipped families do.
+
+    Raises:
+        ValueError: when called, before any strategy is queried, if
+            ``rounds_per_state_pair`` is below 1 or above 2**61 (round
+            indices would overflow int64); during iteration, on malformed
+            moves.
     """
-    pairs = np.array(STATE_PAIRS, dtype=np.uint8)
-    return np.repeat(pairs, _block_rounds(rounds_per_state_pair), axis=0)
-
-
-def _block_rounds(rounds_per_state_pair: int) -> int:
-    """The block length r, checked: r >= 1 and round indices 0..4r-1 fit in int64."""
     r = int(rounds_per_state_pair)
     if r < 1:
         raise ValueError("rounds_per_state_pair must be >= 1")
     if 4 * r - 1 > np.iinfo(np.int64).max:
         raise ValueError(f"rounds_per_state_pair={r} exceeds 2**61: round indices overflow int64")
-    return r
-
-
-def run_match(
-    strategy_one: PlayerStrategy,
-    strategy_two: PlayerStrategy,
-    schedule,
-    seed: int,
-) -> MatchRecords:
-    """Play every scheduled round and record both moves.
-
-    The arbiter queries strategy one first, then strategy two, handing
-    each only its own state column plus the round indices and a shared
-    random stream derived from ``seed``.  The shared stream is the only
-    run-time coordination channel: both players receive identical values
-    for the same round index.  Output is deterministic for fixed
-    (strategies, schedule, seed).  Each strategy is queried exactly once,
-    for the whole schedule.
-    """
-    sched = _as_schedule(schedule)
-    chunks = [(0, sched[:, 0].copy(), sched[:, 1].copy())]
-    ((_, moves_one, moves_two),) = _play(strategy_one, strategy_two, chunks, seed)
-    return MatchRecords(states=sched, move_one=moves_one, move_two=moves_two)
+    return _play(strategy_one, strategy_two, _block_chunks(r), seed)
 
 
 def match_profile(
@@ -248,44 +191,31 @@ def match_profile(
     rounds_per_state_pair: int,
     seed: int,
 ) -> MismatchProfile:
-    """Mismatch profile of a match on ``uniform_schedule(rounds_per_state_pair)``.
+    """Mismatch profile of :func:`play_match` with the same arguments.
 
-    Plays the same rounds as :func:`run_match` on that schedule, with the
-    same validation and shared stream, but builds neither the schedule nor
-    any record: each state pair's block is walked in chunks of at most
-    :data:`MATCH_CHUNK_ROUNDS` rounds of constant states, keeping one
-    mismatch count per pair.  Working memory is under 1 MiB for any length,
-    and time is linear in it.  Strategies whose moves depend only on their
-    arguments and on streams that draw the same values split or whole (both
-    shipped families do) give exactly ``empirical_profile(run_match(...))``.
+    Each entry is the fraction of its state pair's r rounds in which the
+    two moves differed: plain frequencies, no smoothing.  Only one
+    mismatch count per pair is kept, so working memory is under 1 MiB for
+    any length, and time is linear in it.
 
     Raises:
-        ValueError: if ``rounds_per_state_pair`` is below 1 or above 2**61
-            (round indices would overflow int64), or on malformed moves.
+        ValueError: as :func:`play_match` does.
     """
-    r = _block_rounds(rounds_per_state_pair)
+    chunks = play_match(strategy_one, strategy_two, rounds_per_state_pair, seed)
+    r = int(rounds_per_state_pair)
     differ = [0, 0, 0, 0]
-    for start, moves_one, moves_two in _play(strategy_one, strategy_two, _block_chunks(r), seed):
+    for start, moves_one, moves_two in chunks:
         differ[start // r] += np.count_nonzero(moves_one != moves_two)
-    return _profile_from_counts([(r - d, d) for d in differ])
+    return MismatchProfile(*(float(d) / r for d in differ))
 
 
 def _block_chunks(r: int):
-    """The chunks of ``uniform_schedule(r)`` for :func:`_play`; none crosses a block."""
+    """The block schedule's chunks for :func:`_play`; none crosses a block."""
     for k, (i, j) in enumerate(STATE_PAIRS):
         stop = (k + 1) * r
         for start in range(k * r, stop, MATCH_CHUNK_ROUNDS):
             n = min(MATCH_CHUNK_ROUNDS, stop - start)
             yield start, np.full(n, i, dtype=np.uint8), np.full(n, j, dtype=np.uint8)
-
-
-def _as_schedule(schedule) -> np.ndarray:
-    sched = np.asarray(schedule, dtype=np.uint8)
-    if sched.ndim != 2 or sched.shape[1] != 2 or len(sched) == 0:
-        raise ValueError("schedule must be a nonempty sequence of state pairs")
-    if sched.max(initial=0) > 1:
-        raise ValueError("schedule states must be 0 or 1")
-    return sched
 
 
 def _play(strategy_one, strategy_two, chunks, seed: int):
@@ -317,32 +247,6 @@ def _as_move_array(moves, n: int) -> np.ndarray:
     if arr.max(initial=0) > 1:
         raise ValueError("moves must be 0 (A) or 1 (B)")
     return arr
-
-
-def empirical_profile(records: MatchRecords) -> MismatchProfile:
-    """Frequency estimate of the four mismatch probabilities from match records.
-
-    Each entry is the fraction of rounds with that state pair in which the
-    two moves differed.  Plain frequencies, no smoothing.
-
-    Raises:
-        MissingStatePair: if any of the four state pairs has zero rounds.
-    """
-    # round counts indexed by 4*s1 + 2*s2 + (moves differ); states are 0/1
-    index = records.states[:, 0] * np.uint8(4)
-    index += records.states[:, 1] * np.uint8(2)
-    index += records.move_one != records.move_two
-    return _profile_from_counts(np.bincount(index, minlength=8).reshape(4, 2).tolist())
-
-
-def _profile_from_counts(table) -> MismatchProfile:
-    """Profile from (same, differ) round counts per state pair, in STATE_PAIRS order."""
-    entries = {}
-    for (i, j), (same, differ) in zip(STATE_PAIRS, table):
-        if same + differ == 0:
-            raise MissingStatePair(f"no rounds recorded for state pair ({i}, {j})")
-        entries[f"q{i}{j}"] = float(differ) / (same + differ)
-    return MismatchProfile(**entries)
 
 
 @dataclass(frozen=True)

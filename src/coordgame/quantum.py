@@ -200,7 +200,7 @@ def quantum_player_strategy(
     must be queried in player order, which the match arbiter does.  They
     ignore the arbiter's classical shared stream; their correlation comes
     entirely from the sampler's singlet randomness, so fixed (plan,
-    sampler seed, schedule, match seed) reproduces a match exactly.
+    sampler seed, rounds per pair, match seed) reproduces a match exactly.
     """
     source = _SingletSource(plan, sampler)
     return _EntangledPlayer(source, 1), _EntangledPlayer(source, 2)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coordgame.game import Move
+from coordgame.game import STATE_PAIRS, MismatchProfile, Move, play_match
 
 
 @dataclass(frozen=True)
@@ -15,3 +15,53 @@ class ConstantStrategy:
 
     def moves(self, states, round_indices, shared):
         return np.full(len(states), int(self.move), dtype=np.uint8)
+
+
+def block_schedule(r: int) -> np.ndarray:
+    """The schedule that ``play_match`` plays: row k holds round k's (state one, state two)."""
+    return np.repeat(np.array(STATE_PAIRS, dtype=np.uint8), r, axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class Recorded:
+    """Every round of a reference match: the schedule and both move columns."""
+
+    states: np.ndarray  # (n, 2) uint8
+    move_one: np.ndarray  # (n,) uint8
+    move_two: np.ndarray  # (n,) uint8
+
+
+def reference_match(strategy_one, strategy_two, schedule, seed: int) -> Recorded:
+    """The reference arbiter: one call per player for a whole, arbitrary schedule.
+
+    It hands each player its own state column, the round indices 0..n-1 and
+    the shared stream under the package's rule: ``n`` uniforms from
+    ``default_rng(seed)``, drawn unless both players set
+    ``reads_shared = False``, and read-only like the round indices.
+    """
+    states = np.asarray(schedule, dtype=np.uint8)
+    n = len(states)
+    rounds = np.arange(n, dtype=np.int64)
+    reads = any(getattr(s, "reads_shared", True) for s in (strategy_one, strategy_two))
+    shared = np.random.default_rng(seed).random(n) if reads else None
+    for arr in (rounds, shared) if reads else (rounds,):
+        arr.setflags(write=False)
+    move_one = np.asarray(strategy_one.moves(states[:, 0].copy(), rounds, shared), dtype=np.uint8)
+    move_two = np.asarray(strategy_two.moves(states[:, 1].copy(), rounds, shared), dtype=np.uint8)
+    return Recorded(states, move_one, move_two)
+
+
+def reference_profile(recorded: Recorded) -> MismatchProfile:
+    """Mismatch frequencies per state pair, counted with one bincount over all rounds."""
+    # round counts indexed by 4*s1 + 2*s2 + (moves differ); states are 0/1
+    index = recorded.states[:, 0] * np.uint8(4)
+    index += recorded.states[:, 1] * np.uint8(2)
+    index += recorded.move_one != recorded.move_two
+    table = np.bincount(index, minlength=8).reshape(4, 2).tolist()
+    return MismatchProfile(*(float(differ) / (same + differ) for same, differ in table))
+
+
+def played(strategy_one, strategy_two, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both move columns of ``play_match``, joined over its chunks in round order."""
+    chunks = list(play_match(strategy_one, strategy_two, r, seed))
+    return np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import coordgame as cg
+from helpers import block_schedule, played
 
 _SIGMA = 4.0  # statistical window for all Monte Carlo criteria
 
@@ -57,13 +58,12 @@ def test_criterion_02_classical_empirical_exactness():
     n, q = 10**4, 0.1
     f = round(q * n)
     sequences = cg.generate_sequences(cg.ClassicalConfig(n=n, q=q, seed=12345))
-    records = cg.run_match(
+    profile = cg.match_profile(
         cg.classical_strategy(1, sequences),
         cg.classical_strategy(2, sequences),
-        cg.uniform_schedule(n),
+        n,
         seed=12345,
     )
-    profile = cg.empirical_profile(records)
     assert profile.q00 == 3 * f / n
     assert profile.q01 == f / n
     assert profile.q10 == f / n
@@ -97,8 +97,7 @@ def test_criterion_05_quantum_monte_carlo_convergence():
     one, two = cg.quantum_player_strategy(
         cg.GeneralAnglePlan.equally_spaced(delta), cg.SingletSampler(0)
     )
-    records = cg.run_match(one, two, cg.uniform_schedule(rounds), seed=0)
-    empirical = cg.empirical_profile(records)
+    empirical = cg.match_profile(one, two, rounds, seed=0)
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         a = analytic.entry(i, j)
         sigma = np.sqrt(a * (1 - a) / rounds)
@@ -145,30 +144,30 @@ class _Instrumented:
 
     def __init__(self, inner):
         self.inner = inner
-        self.states_seen = None
+        self.states_seen = []
 
     def moves(self, states, round_indices, shared):
-        self.states_seen = states.copy()
+        self.states_seen.append(states.copy())
         return self.inner.moves(states, round_indices, shared)
 
 
 @criterion(9, "each player's move frequency is fair regardless of the partner's state", 10.0)
 def test_criterion_09_no_signaling():
     rounds_per_pair = 250_000  # one million rounds total
-    schedule = cg.uniform_schedule(rounds_per_pair)
+    schedule = block_schedule(rounds_per_pair)
     inner_one, inner_two = cg.quantum_player_strategy(
         cg.GeneralAnglePlan.equally_spaced(0.1), cg.SingletSampler(0)
     )
     one, two = _Instrumented(inner_one), _Instrumented(inner_two)
-    records = cg.run_match(one, two, schedule, seed=0)
+    move_one, move_two = played(one, two, rounds_per_pair, seed=0)
 
     # instrumentation: each strategy was shown only its own state column
-    assert np.array_equal(one.states_seen, schedule[:, 0])
-    assert np.array_equal(two.states_seen, schedule[:, 1])
+    assert np.array_equal(np.concatenate(one.states_seen), schedule[:, 0])
+    assert np.array_equal(np.concatenate(two.states_seen), schedule[:, 1])
 
-    for moves, other_column in ((records.move_one, 1), (records.move_two, 0)):
+    for moves, other_column in ((move_one, 1), (move_two, 0)):
         for other_state in (0, 1):
-            mask = records.states[:, other_column] == other_state
+            mask = schedule[:, other_column] == other_state
             n = int(mask.sum())
             frequency = float(moves[mask].mean())
             assert abs(frequency - 0.5) < _SIGMA * np.sqrt(0.25 / n)
@@ -179,13 +178,13 @@ def test_criterion_10_bsc_variant():
     n, q = 10**6, 0.05
     target = 3 - 6 * q + 4 * q**2
     sequences = cg.generate_sequences(cg.ClassicalConfig(n=n, q=q, mode="bsc-chain", seed=0))
-    records = cg.run_match(
+    profile = cg.match_profile(
         cg.classical_strategy(1, sequences),
         cg.classical_strategy(2, sequences),
-        cg.uniform_schedule(n),
+        n,
         seed=0,
     )
-    report = cg.empirical_report(cg.empirical_profile(records), n)
+    report = cg.empirical_report(profile, n)
     sigma = report.confidence_halfwidth / 1.96
     assert abs(report.payoff - target) < _SIGMA * sigma
 
@@ -195,11 +194,11 @@ def test_criterion_10_bsc_variant():
         seqs = cg.generate_sequences(
             cg.ClassicalConfig(n=n_step, q=q_step, mode="bsc-chain", seed=0)
         )
-        rec = cg.run_match(
+        profile = cg.match_profile(
             cg.classical_strategy(1, seqs),
             cg.classical_strategy(2, seqs),
-            cg.uniform_schedule(n_step),
+            n_step,
             seed=0,
         )
-        trend.append(cg.payoff(cg.empirical_profile(rec)))
+        trend.append(cg.payoff(profile))
     assert trend[0] < trend[1] < trend[2] < 3.0

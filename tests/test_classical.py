@@ -20,7 +20,7 @@ from coordgame.classical import (
     generate_sequences,
     hamming_distance,
 )
-from coordgame.game import empirical_profile, match_profile, payoff, run_match, uniform_schedule
+from coordgame.game import match_profile, payoff
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 
@@ -258,13 +258,7 @@ class TestFullCycleMatch:
     def test_block_schedule_reproduces_exact_frequencies(self):
         n, q = 100, 0.1
         seqs = generate_sequences(ClassicalConfig(n=n, q=q, seed=13))
-        rec = run_match(
-            classical_strategy(1, seqs),
-            classical_strategy(2, seqs),
-            uniform_schedule(n),
-            seed=13,
-        )
-        prof = empirical_profile(rec)
+        prof = match_profile(classical_strategy(1, seqs), classical_strategy(2, seqs), n, seed=13)
         assert prof.q00 == 3 * 10 / n
         assert prof.q01 == 10 / n
         assert prof.q10 == 10 / n

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from coordgame import __version__, bounds, cli
+from coordgame import __version__, bounds, cli, game
+from coordgame.classical import MODES, ClassicalConfig, classical_strategy, generate_sequences
 from coordgame.cli import Table, _cell, build_parser, main, render_csv, render_json
-from coordgame.game import MismatchProfile
+from coordgame.game import STATE_PAIRS, MismatchProfile, match_profile
+from coordgame.quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -271,6 +273,29 @@ class TestMatchCommand:
         assert code == 0
         assert len(out.splitlines()) == 33
 
+    @pytest.mark.parametrize("strategy", ["classical", "quantum"])
+    def test_rows_and_summary_equal_the_counts_only_match(self, capsys, monkeypatch, strategy):
+        # 7-round chunks, so that every block is copied into the columns in pieces
+        monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", 7)
+        r = 40
+        doc = run_json(
+            capsys, "match", "--strategy", strategy, "--N", "50", "--rounds-per-pair", str(r), "--seed", "3"
+        )
+        if strategy == "classical":
+            sequences = generate_sequences(ClassicalConfig(n=50, q=0.1, seed=3))
+            players = classical_strategy(1, sequences), classical_strategy(2, sequences)
+        else:
+            players = quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.1), SingletSampler(3))
+        profile = match_profile(*players, r, seed=3)
+
+        differ = [0, 0, 0, 0]
+        for row in doc["results"]["rounds"]:
+            differ[row["round_index"] // r] += row["move_one"] != row["move_two"]
+        assert [d / r for d in differ] == profile.as_array().tolist()
+        assert doc["results"]["empirical"]["profile"] == {
+            f"q{i}{j}": float("%.9g" % profile.entry(i, j)) for i, j in STATE_PAIRS
+        }
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -380,6 +405,31 @@ class TestReproducibility:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "67dd6402f31005e6e7d2d1b9e16b09687e4147677377c970a72440f7f5226009"
         )
+
+    @pytest.mark.parametrize(
+        "argv, size, digest",
+        [
+            (
+                ["match", "--strategy", "quantum", "--delta", "0.3", "--rounds-per-pair", "8193",
+                 "--seed", "5", "--format", "csv"],
+                4_904_994,
+                "b774da3464fa3ea8075acff593d23f67224b2dccdf92456c10c6b10037a8877a",
+            ),
+            (
+                ["match", "--mode", "bsc-chain", "--N", "777", "--rounds-per-pair", "9001", "--seed", "9"],
+                5_174_024,
+                "1856a8d5248f5474200cc9cc36c1b1a8053f00921760192066a5b33fed0d6757",
+            ),
+        ],
+        ids=["quantum-csv", "bsc-chain-json"],
+    )
+    def test_chunk_crossing_dump_digest_pinned_across_versions(self, capsys, argv, size, digest):
+        # recorded while the dump was played as one call for the whole
+        # schedule; each block now crosses a chunk boundary
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(out) == size
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_sweep_digest_pinned_across_versions(self, capsys):
         # 10k rows, too large to store; recorded while the sweep built one
@@ -681,7 +731,7 @@ class TestEntryPoint:
         )
 
     def test_memory_exhaustion_exits_two(self):
-        # match records every round, so its schedule fails to allocate
+        # match records every round, so its move columns fail to allocate
         proc = self._run_capped("match", "--rounds-per-pair", str(10**12))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -723,6 +773,21 @@ COMMAND_ARGS = st.one_of(
     ),
     # after "--", so that argparse takes "-inf" as a value rather than a flag
     st.builds(lambda q: ["bounds", "--", *map(repr, q)], st.tuples(*[ANY_FLOAT] * 4)),
+    st.builds(
+        lambda n, q, mode, rounds: [
+            "classical", f"--N={n}", f"--q={q!r}", f"--mode={mode}", f"--rounds-per-pair={rounds}"
+        ],
+        CAPPED_COUNT, ANY_FLOAT, st.sampled_from(MODES), CAPPED_COUNT,
+    ),
+    st.builds(
+        lambda strategy, n, q, mode, delta, rounds: [
+            "match", f"--strategy={strategy}", f"--N={n}", f"--q={q!r}", f"--mode={mode}",
+            f"--delta={delta!r}", f"--rounds-per-pair={rounds}",
+        ],
+        st.sampled_from(["classical", "quantum"]), CAPPED_COUNT, ANY_FLOAT,
+        st.sampled_from(MODES), ANY_FLOAT, CAPPED_COUNT,
+    ),
+    st.just(["lhv"]),
 )
 
 

@@ -10,14 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coordgame import game
-from coordgame.game import (
-    MATCH_CHUNK_ROUNDS,
-    empirical_profile,
-    match_profile,
-    payoff,
-    run_match,
-    uniform_schedule,
-)
+from coordgame.game import MATCH_CHUNK_ROUNDS, match_profile, payoff
 from coordgame.quantum import (
     GeneralAnglePlan,
     SingletSampler,
@@ -26,6 +19,7 @@ from coordgame.quantum import (
     quantum_player_strategy,
     quantum_profile,
 )
+from helpers import block_schedule, played, reference_match, reference_profile
 
 equally_spaced = GeneralAnglePlan.equally_spaced
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
@@ -222,7 +216,7 @@ def _joint_outcomes(dir_one: float, dir_two: float, m: int, seed: int) -> dict:
     """
     plan = GeneralAnglePlan(dir_one, dir_one, dir_two, dir_two)
     one, two = quantum_player_strategy(plan, SingletSampler(seed))
-    rec = run_match(one, two, np.zeros((m, 2), dtype=np.uint8), seed)
+    rec = reference_match(one, two, np.zeros((m, 2), dtype=np.uint8), seed)
     counts = np.bincount(2 * rec.move_one + rec.move_two, minlength=4)
     return dict(zip([(+1, +1), (+1, -1), (-1, +1), (-1, -1)], counts.tolist()))
 
@@ -276,35 +270,32 @@ class TestCoupledStrategies:
     def test_match_reproduces_analytic_profile(self):
         delta, rounds = 0.5, 20_000
         one, two = quantum_player_strategy(equally_spaced(delta), SingletSampler(7))
-        rec = run_match(one, two, uniform_schedule(rounds), seed=7)
-        emp = empirical_profile(rec)
+        emp = match_profile(one, two, rounds, seed=7)
         ana = quantum_profile(delta)
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             sigma = np.sqrt(ana.entry(i, j) * (1 - ana.entry(i, j)) / rounds)
             assert abs(emp.entry(i, j) - ana.entry(i, j)) < 4 * sigma
 
     def test_deterministic_for_fixed_seeds(self):
-        sched = uniform_schedule(500)
-        a = run_match(*quantum_player_strategy(equally_spaced(0.3), SingletSampler(9)), sched, seed=9)
-        b = run_match(*quantum_player_strategy(equally_spaced(0.3), SingletSampler(9)), sched, seed=9)
-        assert a == b
+        a = played(*quantum_player_strategy(equally_spaced(0.3), SingletSampler(9)), 500, seed=9)
+        b = played(*quantum_player_strategy(equally_spaced(0.3), SingletSampler(9)), 500, seed=9)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_player_one_moves_independent_of_plan(self):
         # Player one's outcome is a bare coin: changing every measurement
         # direction leaves its move sequence bit-for-bit unchanged.
-        sched = uniform_schedule(1000)
-        rec_a = run_match(*quantum_player_strategy(equally_spaced(0.1), SingletSampler(4)), sched, seed=4)
-        rec_b = run_match(*quantum_player_strategy(equally_spaced(1.0), SingletSampler(4)), sched, seed=4)
-        assert np.array_equal(rec_a.move_one, rec_b.move_one)
-        assert not np.array_equal(rec_a.move_two, rec_b.move_two)
+        one_a, two_a = played(*quantum_player_strategy(equally_spaced(0.1), SingletSampler(4)), 1000, seed=4)
+        one_b, two_b = played(*quantum_player_strategy(equally_spaced(1.0), SingletSampler(4)), 1000, seed=4)
+        assert np.array_equal(one_a, one_b)
+        assert not np.array_equal(two_a, two_b)
 
     def test_player_one_moves_independent_of_partner_states(self):
         n = 1000
         sched_a = np.zeros((n, 2), dtype=np.uint8)
         sched_b = np.zeros((n, 2), dtype=np.uint8)
         sched_b[:, 1] = 1  # only player two's scheduled states change
-        rec_a = run_match(*quantum_player_strategy(equally_spaced(0.4), SingletSampler(2)), sched_a, seed=2)
-        rec_b = run_match(*quantum_player_strategy(equally_spaced(0.4), SingletSampler(2)), sched_b, seed=2)
+        rec_a = reference_match(*quantum_player_strategy(equally_spaced(0.4), SingletSampler(2)), sched_a, seed=2)
+        rec_b = reference_match(*quantum_player_strategy(equally_spaced(0.4), SingletSampler(2)), sched_b, seed=2)
         assert np.array_equal(rec_a.move_one, rec_b.move_one)
 
     def test_player_two_marginal_is_fair_under_either_partner_state(self):
@@ -312,7 +303,7 @@ class TestCoupledStrategies:
         for own_state_of_one in (0, 1):
             sched = np.zeros((n, 2), dtype=np.uint8)
             sched[:, 0] = own_state_of_one
-            rec = run_match(
+            rec = reference_match(
                 *quantum_player_strategy(equally_spaced(0.7), SingletSampler(8)), sched, seed=8
             )
             freq = rec.move_two.mean()
@@ -344,8 +335,8 @@ class TestCoupledStrategies:
         monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
         r = 3 * chunk + 17  # block and chunk boundaries cut each other raggedly
         plan = equally_spaced(0.6)
-        recorded = empirical_profile(
-            run_match(*quantum_player_strategy(plan, SingletSampler(6)), uniform_schedule(r), seed=6)
+        recorded = reference_profile(
+            reference_match(*quantum_player_strategy(plan, SingletSampler(6)), block_schedule(r), seed=6)
         )
         counted = match_profile(*quantum_player_strategy(plan, SingletSampler(6)), r, seed=6)
         assert counted == recorded
@@ -404,5 +395,5 @@ class TestCoupledStrategies:
     def test_accepts_general_plan(self):
         plan = GeneralAnglePlan(0.0, 0.2, np.pi + 0.3, np.pi + 0.1)
         one, two = quantum_player_strategy(plan, SingletSampler(1))
-        rec = run_match(one, two, uniform_schedule(10), seed=1)
-        assert len(rec) == 40
+        move_one, move_two = played(one, two, 10, seed=1)
+        assert len(move_one) == len(move_two) == 40
