@@ -8,18 +8,23 @@ with 9 significant digits.
 
 Exit codes: 0 success; 2 invalid parameters, memory exhausted, or output
 not writable (one line on stderr); 3 internal invariant failure, which
-includes a non-finite float in a JSON or CSV record.
+includes a non-finite float in a JSON or CSV record.  Every check runs
+before ``--out`` is opened, so an input that fails one leaves an existing
+file as it was.  The record is then written slice by slice as it is
+rendered: memory exhausted or a write error mid-record still exits 2, but
+can leave partial output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
+import os
 import sys
-from itertools import repeat
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from .classical import (
     generate_sequences,
 )
 from .game import (
+    MATCH_CHUNK_ROUNDS,
     STATE_PAIRS,
     DegenerateProfile,
     MismatchProfile,
@@ -65,7 +71,8 @@ class Table:
     """A result table as named, equal-length columns, one entry per row.
 
     A column is a list or a 1-D numpy array.  ``len`` is the row count.
-    Renderers format a table column by column, never row by row.
+    Renderers format a table in slices of ``MATCH_CHUNK_ROUNDS`` rows, each
+    slice column by column, never row by row.
     """
 
     def __init__(self, columns: dict):
@@ -339,13 +346,22 @@ def _check_finite(params: dict, results: dict) -> None:
                 raise RuntimeError(f"{name} holds a non-finite float")
 
 
-def _column_cells(column) -> list:
-    """The CSV cells of one table column, each equal to ``_cell`` of its entry."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind in "iuU":
-            return column.astype(str).tolist()
+def _slices(table: Table):
+    """The table's columns cut into slices of ``MATCH_CHUNK_ROUNDS`` rows, in row order."""
+    for start in range(0, len(table), MATCH_CHUNK_ROUNDS):
+        yield [column[start : start + MATCH_CHUNK_ROUNDS] for column in table.columns.values()]
+
+
+def _column_cells(column, quote) -> list:
+    """The CSV cells of one table column: each entry's ``_cell`` as ``quote`` writes it."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind != "O":
         column = column.tolist()
-    return list(map(_cell, column))
+    if kind in "iu":
+        return list(map(str, column))  # digits and a sign: never quoted
+    cells = column if kind == "U" else list(map(_cell, column))  # a str is its own cell
+    quoted = {cell: quote(cell) for cell in set(cells)}  # each distinct cell once
+    return list(map(quoted.__getitem__, cells))
 
 
 def _json_floats(values: list) -> list:
@@ -385,28 +401,32 @@ def _json_cells(column) -> list:
 _TABLE_INDENT = "    "
 
 
-def _json_table(table: Table) -> str:
-    """A table as the indented JSON list of row objects that sits under ``results``."""
+def _json_table(table: Table):
+    """A table as the indented JSON list of row objects that sits under ``results``, in pieces."""
     if not len(table):
-        return "[]"
-    cells = [_json_cells(column) for column in table.columns.values()]
+        yield "[]"
+        return
     fields = ",\n".join(
         _TABLE_INDENT + "    " + json.dumps(name).replace("%", "%%") + ": %s"
         for name in table.columns
     )
     row = _TABLE_INDENT + "  {\n" + fields + "\n" + _TABLE_INDENT + "  }"
-    rows = ",\n".join(map(row.__mod__, zip(*cells)))
-    return "[\n" + rows + "\n" + _TABLE_INDENT + "]"
+    separator = "[\n"
+    for columns in _slices(table):
+        yield separator + ",\n".join(map(row.__mod__, zip(*map(_json_cells, columns))))
+        separator = ",\n"
+    yield "\n" + _TABLE_INDENT + "]"
 
 
-def render_json(subcommand: str, seed: int, params: dict, results: dict) -> str:
-    """The record as one JSON object with a 2-space indent.
+def render_json(subcommand: str, seed: int, params: dict, results: dict):
+    """The record as one JSON object with a 2-space indent, as an iterator of text pieces.
 
     Every float is printed as the ``repr`` of its value rounded to 9
     significant digits, exactly as ``json.dumps`` prints that rounded
-    float.  A non-finite float raises ``RuntimeError``: JSON has no
-    spelling for it.  Tables are formatted column by column and spliced
-    into the indented envelope in place of a marker string.
+    float.  A non-finite float raises ``RuntimeError`` before the return:
+    JSON has no spelling for it.  Tables are formatted column by column,
+    one row slice at a time, in place of a marker string in the indented
+    envelope.
     """
     _check_finite(params, results)
     markers = {key: f"\0table:{key}" for key, value in results.items() if isinstance(value, Table)}
@@ -418,41 +438,48 @@ def render_json(subcommand: str, seed: int, params: dict, results: dict) -> str:
         "results": {key: markers.get(key, value) for key, value in results.items()},
     }
     text = json.dumps(_round_floats(payload), indent=2, allow_nan=False)
+    pieces = []
     for key, marker in markers.items():
-        text = text.replace(json.dumps(marker), _json_table(results[key]), 1)
-    return text + "\n"
+        head, text = text.split(json.dumps(marker), 1)
+        pieces += [[head], _json_table(results[key])]
+    return chain(*pieces, [text + "\n"])
 
 
-def render_csv(
-    subcommand: str, seed: int, params: dict, results: dict, table_key: str | None
-) -> str:
+def render_csv(subcommand: str, seed: int, params: dict, results: dict, table_key: str | None):
     """One header row, then one row per table row (a single row without a table).
 
-    The envelope, parameters and non-table results repeat on every row;
-    each of their cells and each table column is formatted once.
+    Returns an iterator of text pieces, the header and then one per row
+    slice, after every check.  The envelope, parameters and non-table
+    results repeat on every row, so they are quoted once into a row
+    template; table cells are quoted once per distinct value per slice.
+    All quoting is ``csv.writer``'s, whose rules differ between versions.
     """
     _check_finite(params, results)
     lead = {"subcommand": subcommand, "version": __version__, "seed": seed}
     lead.update(_flatten(params))
     summary = _flatten({k: v for k, v in results.items() if k != table_key})
-    if table_key is None:
-        table, rows = {}, 1
-    else:
-        table, rows = results[table_key].columns, len(results[table_key])
+    table = {} if table_key is None else results[table_key].columns
     header = [*lead, *table, *summary]
     if len(set(header)) != len(header):
         duplicates = sorted({name for name in header if header.count(name) > 1})
         raise RuntimeError(f"duplicate CSV column names: {', '.join(duplicates)}")
 
-    columns = [repeat(_cell(v), rows) for v in lead.values()]
-    columns += [_column_cells(column) for column in table.values()]
-    columns += [repeat(_cell(v), rows) for v in summary.values()]
+    # writerow returns what its file's write returns: here, the row's text
+    write_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    lead_cells = [_cell(v).replace("%", "%%") for v in lead.values()]
+    summary_cells = [_cell(v).replace("%", "%%") for v in summary.values()]
+    template = write_row([*lead_cells, *["%s"] * len(table), *summary_cells])
+    if table_key is None:
+        return iter([write_row(header) + template % ()])  # % () undoes the escape
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    return buffer.getvalue()
+    def quote(cell: str) -> str:
+        return write_row((cell, ""))[:-2]  # a lone empty field would be written as ""
+
+    slices = (
+        "".join(map(template.__mod__, zip(*(_column_cells(c, quote) for c in columns))))
+        for columns in _slices(results[table_key])
+    )
+    return chain([write_row(header)], slices)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,9 +570,16 @@ def main(argv=None) -> int:
     try:
         params, results, table_key = _HANDLERS[args.subcommand](args)
         if args.format == "json":
-            text = render_json(args.subcommand, args.seed, params, results)
+            pieces = render_json(args.subcommand, args.seed, params, results)
         else:
-            text = render_csv(args.subcommand, args.seed, params, results, table_key)
+            pieces = render_csv(args.subcommand, args.seed, params, results, table_key)
+        # every check has passed; each piece is written as soon as it is made
+        if args.out is None:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
     except ValueError as exc:
         print(f"{prefix}: invalid parameters: {exc}", file=sys.stderr)
         return 2
@@ -555,15 +589,11 @@ def main(argv=None) -> int:
     except (AssertionError, RuntimeError, ArithmeticError) as exc:
         print(f"{prefix}: internal invariant failure: {exc}", file=sys.stderr)
         return 3
-
-    try:
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
     except OSError as exc:
         print(f"{prefix}: cannot write output: {exc}", file=sys.stderr)
+        if args.out is None:
+            # the interpreter flushes stdout again at exit; let that flush succeed
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from coordgame import __version__, bounds, cli, game
@@ -456,6 +456,27 @@ class TestReproducibility:
         assert len(err.splitlines()) == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["match", "--rounds-per-pair", "0"], 2),
+            (["match", "--delta", "nan", "--format", "csv"], 2),
+            (["sweep", "--format", "csv"], 3),  # the handler below returns a NaN cell
+            (["sweep"], 3),
+        ],
+    )
+    def test_failed_check_leaves_an_existing_out_file_as_it_was(
+        self, capsys, monkeypatch, tmp_path, argv, code
+    ):
+        results = {"rows": Table({"x": [0.5, math.nan]})}
+        monkeypatch.setitem(cli._HANDLERS, "sweep", lambda args: ({}, results, "rows"))
+        path = tmp_path / "record.out"
+        path.write_bytes(b"earlier record\r\n")
+        result, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (result, out) == (code, "")
+        assert len(err.splitlines()) == 1
+        assert path.read_bytes() == b"earlier record\r\n"
+
     def test_nine_significant_digit_floats(self, capsys):
         code, out, _ = run_cli(capsys, "quantum", "--rounds-per-pair", "100", "--format", "csv")
         assert code == 0
@@ -476,7 +497,7 @@ class TestColumnTables:
         args = build_parser().parse_args([*argv, "--format", "csv"])
         params, results, key = cli._HANDLERS[args.subcommand](args)
         assert key == table_key
-        text = render_csv(args.subcommand, args.seed, params, results, key)
+        text = "".join(render_csv(args.subcommand, args.seed, params, results, key))
         header, *rows = csv.reader(io.StringIO(text))
         assert len(results[key]) == len(rows)
         assert all(len(row) == len(header) for row in rows)
@@ -506,7 +527,7 @@ class TestColumnTables:
         for row in zip(*columns.values()):
             writer.writerow([_cell(v) for v in (*lead, *row, *summary)])
 
-        assert render_csv("cmd", 7, params, results, "table") == expected.getvalue()
+        assert "".join(render_csv("cmd", 7, params, results, "table")) == expected.getvalue()
 
     @pytest.mark.parametrize(
         "params, columns, summary, duplicate",
@@ -587,6 +608,10 @@ finite_floats = st.one_of(
     st.integers(min_value=-(2**60), max_value=2**60).map(float),
     st.sampled_from(EDGE_FLOATS),
 )
+# strings that csv.writer quotes, or whose quoting changed between Python
+# versions ("\r" since 3.13), and "%" for the row template
+csv_text = st.text(alphabet=[",", '"', "\r", "\n", " ", "%", "a", "é"], max_size=4)
+csv_values = st.one_of(st.none(), st.booleans(), st.integers(), finite_floats, csv_text)
 COLUMN_KINDS = {
     "float": lambda n: st.lists(finite_floats, min_size=n, max_size=n).map(np.array),
     "int64": lambda n: st.lists(
@@ -604,6 +629,10 @@ COLUMN_KINDS = {
     "bool_list": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
     "int_list": lambda n: st.lists(st.integers(), min_size=n, max_size=n),
     "float_list": lambda n: st.lists(finite_floats, min_size=n, max_size=n),
+    "csv_str": lambda n: st.lists(csv_text, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=str)
+    ),
+    "object_list": lambda n: st.lists(csv_values, min_size=n, max_size=n),
 }
 
 
@@ -630,7 +659,7 @@ class TestJsonRenderer:
         params = {"x": before, "mode": "m%s"}
         results = {"before": before, "table": Table(columns), "after": {"value": after, "ok": True}}
         expected = oracle_render_json("cmd", 3, params, results)
-        assert render_json("cmd", 3, params, results) == expected
+        assert "".join(render_json("cmd", 3, params, results)) == expected
 
     @pytest.mark.parametrize(
         "argv",
@@ -662,6 +691,80 @@ class TestJsonRenderer:
         assert code == 3 and out == ""
         assert err.startswith("coordgame sweep: internal invariant failure:")
         assert len(err.splitlines()) == 1
+
+
+class TestCsvRenderer:
+    @settings(max_examples=300)
+    @given(
+        columns=table_columns(),
+        lead=st.lists(csv_values, max_size=4),
+        summary=st.lists(csv_values, max_size=4),
+        seed=st.integers(),
+    )
+    @example(
+        columns={"move": np.array(["A", "", "a,b", 'say "hi"', "\r", "x\ny", "%s"])},
+        lead=["", "100%", None],
+        summary=["", "\r\n", "%"],
+        seed=0,
+    )
+    def test_equals_csv_writer_row_by_row(self, columns, lead, summary, seed):
+        params = {f"p{i}": value for i, value in enumerate(lead)}
+        results = {"table": Table(columns), "s": {str(i): value for i, value in enumerate(summary)}}
+        summary_names = [f"s_{i}" for i in range(len(summary))]
+        header = ["subcommand", "version", "seed", *params, *columns, *summary_names]
+        assume(len(set(header)) == len(header))
+
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns.values()):
+            writer.writerow([_cell(v) for v in ("cmd", __version__, seed, *lead, *row, *summary)])
+        assert "".join(render_csv("cmd", seed, params, results, "table")) == expected.getvalue()
+
+    @given(lead=st.lists(csv_values, max_size=4), summary=st.lists(csv_values, max_size=4))
+    @example(lead=[""], summary=[])
+    def test_a_record_without_a_table_is_one_csv_writer_row(self, lead, summary):
+        params = {f"p{i}": value for i, value in enumerate(lead)}
+        results = {f"s{i}": value for i, value in enumerate(summary)}
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["subcommand", "version", "seed", *params, *results])
+        writer.writerow([_cell(v) for v in ("cmd", __version__, 1, *lead, *summary)])
+        assert "".join(render_csv("cmd", 1, params, results, None)) == expected.getvalue()
+
+
+class TestRowSlices:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["match", "--strategy", "quantum", "--rounds-per-pair", "5"],
+            ["match", "--N", "16", "--rounds-per-pair", "4", "--seed", "2"],
+            ["sweep", "--steps", "10"],
+            ["lhv"],
+        ],
+        ids=["match-quantum", "match-classical", "sweep", "lhv"],
+    )
+    def test_slice_size_never_changes_a_byte(self, capsys, monkeypatch, fmt, argv):
+        code, expected, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0, err
+        for size in (1, 3):
+            monkeypatch.setattr(cli, "MATCH_CHUNK_ROUNDS", size)
+            assert run_cli(capsys, *argv, "--format", fmt) == (0, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pieces_are_the_header_then_one_per_slice(self, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "MATCH_CHUNK_ROUNDS", 3)
+        results = {"rows": Table({"x": np.arange(7)}), "ok": True}
+        if fmt == "json":
+            pieces = list(render_json("cmd", 0, {}, results))
+            # envelope head, three slices, the closing bracket, envelope tail
+            assert len(pieces) == 6
+        else:
+            pieces = list(render_csv("cmd", 0, {}, results, "rows"))
+            rows = [f"cmd,{__version__},0,{i},true\n" for i in range(7)]
+            expected = ["".join(rows[:3]), "".join(rows[3:6]), rows[6]]
+            assert pieces == ["subcommand,version,seed,x,ok\n", *expected]
 
 
 class TestNonFiniteFloats:
@@ -714,13 +817,13 @@ class TestEntryPoint:
             assert name in proc.stdout
 
     @staticmethod
-    def _run_capped(*argv):
+    def _run_capped(*argv, limit=2**30, env=None):
         resource = pytest.importorskip("resource")
 
         def cap_address_space():
-            # 1 GiB of address space: enough to import numpy and play a
-            # counts-only match, too little for a huge match record
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+            # 1 GiB of address space by default: enough to import numpy and
+            # play a counts-only match, too little for a huge match record
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         return subprocess.run(
             [sys.executable, "-m", "coordgame.cli", *argv],
@@ -728,6 +831,7 @@ class TestEntryPoint:
             text=True,
             preexec_fn=cap_address_space,
             timeout=300,
+            env=env,
         )
 
     def test_memory_exhaustion_exits_two(self):
@@ -745,6 +849,59 @@ class TestEntryPoint:
         assert proc.stderr == ""
         doc = json.loads(proc.stdout)
         assert doc["results"]["empirical"]["samples_per_state_pair"] == 10**7
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "44171bf585ca6aff98733d99a3532c95c98cf6919374c187be5f26903e2964fe"),
+            ("json", "344d2e0f17d029cd7fd1091871fa728761e0b36336e503c6d13247c26cc0db08"),
+        ],
+    )
+    def test_large_match_dump_streams_in_bounded_memory(self, tmp_path, fmt, digest):
+        # 1e6 rounds, about 120 MB of CSV and 700 MB of JSON, inside a 256 MiB
+        # cap; the digests were recorded while the whole record was built in memory
+        path = tmp_path / f"match.{fmt}"
+        argv = ["match", "--rounds-per-pair", "250000", "--format", fmt, "--out", str(path)]
+        # the BLAS pool reserves about 40 MiB of address space per core at
+        # import; one thread keeps the cap about the dump on any machine
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        proc = self._run_capped(*argv, limit=2**28, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            (["match", "--rounds-per-pair", "20000"], 10),
+            (["match", "--rounds-per-pair", "20000", "--format", "csv"], 10),
+            (["sweep", "--steps", "10000"], 10),
+            # closed before the first write: a record this small fails only
+            # when stdout is flushed, and the interpreter flushes it again at exit
+            (["bounds", "0.3", "0.1", "0.1", "0.1"], 0),
+        ],
+        ids=["match-json", "match-csv", "sweep", "bounds-unread"],
+    )
+    # block-buffered, as stdout is by default on a pipe, and unbuffered (-u),
+    # where the text layer drops the unwritten rest of a short write silently
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_closing_the_pipe_exits_two(self, argv, read, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coordgame.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, err
+        assert err.startswith(f"coordgame {argv[0]}: cannot write output: ")
+        assert len(err.splitlines()) == 1, err
 
     def test_missing_subcommand_exits_two(self):
         proc = subprocess.run(
