@@ -42,7 +42,6 @@ def main():
             cg.classical_strategy(1, sequences),
             cg.classical_strategy(2, sequences),
             n,
-            seed=3,
         )
         emp = cg.payoff(profile)
         print(f"{q:6.2f} {emp:11.4f} {3 - 6 * q + 4 * q**2:10.4f}")

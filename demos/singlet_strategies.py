@@ -1,10 +1,10 @@
 """Demonstrate the entanglement-assisted strategy and its payoff near 9.
 
-Samples raw singlet measurement outcomes against the closed-form joint
-law, then runs full matches at several angle spacings and compares the
-empirical mismatch profiles and payoffs against the cosine formulas.
-Finishes with a direct check that neither player's move statistics react
-to the partner's state.
+Samples raw singlet measurement outcomes, seeded through the strategy
+pair itself, against the closed-form joint law, then runs full matches
+at several angle spacings and compares the empirical mismatch profiles
+and payoffs against the cosine formulas.  Finishes with a direct check
+that neither player's move statistics react to the partner's state.
 """
 
 import numpy as np
@@ -22,8 +22,10 @@ def main():
     # one direction per player in both states (a0 = a1, b0 = b1): every
     # round, whatever its state pair, measures along 0 and theta
     plan = cg.GeneralAnglePlan(0.0, 0.0, theta, theta)
-    one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
-    chunks = cg.play_match(one, two, r, seed=SEED)
+    # the pair owns its randomness: SEED fixes every singlet's outcome coins,
+    # and the arbiter that plays the match draws none of its own
+    one, two = cg.quantum_player_strategy(plan, SEED)
+    chunks = cg.play_match(one, two, r)
     differ = sum(np.count_nonzero(move_one != move_two) for _, move_one, move_two in chunks)
     print(f"directions separated by theta={theta}")
     print(f"  observed mismatch fraction: {differ / m:.5f}")
@@ -36,8 +38,8 @@ def main():
     print(f"{'delta':>7} {'q00 emp':>10} {'q00 exact':>10} {'payoff emp':>11} {'payoff exact':>13}")
     for delta in (0.8, 0.4, 0.2, 0.1):
         plan = cg.GeneralAnglePlan.equally_spaced(delta)
-        one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
-        emp = cg.match_profile(one, two, ROUNDS, seed=SEED)
+        one, two = cg.quantum_player_strategy(plan, SEED)
+        emp = cg.match_profile(one, two, ROUNDS)
         exact = cg.quantum_profile(delta)
         print(
             f"{delta:7.2f} {emp.q00:10.5f} {exact.q00:10.5f} "
@@ -50,9 +52,9 @@ def main():
     print("= No signaling =")
     n = 40_000
     plan = cg.GeneralAnglePlan.equally_spaced(0.1)
-    one, two = cg.quantum_player_strategy(plan, cg.SingletSampler(SEED))
+    one, two = cg.quantum_player_strategy(plan, SEED)
     moves_b = [0, 0, 0, 0]  # player one's B moves per state-pair block
-    for start, move_one, _ in cg.play_match(one, two, n, seed=SEED):
+    for start, move_one, _ in cg.play_match(one, two, n):
         moves_b[start // n] += np.count_nonzero(move_one)
     # blocks (0,0) and (0,1): player one is in state 0 in both, the partner's state changes
     for partner_state in (0, 1):

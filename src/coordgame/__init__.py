@@ -49,7 +49,6 @@ from .game import (
 )
 from .quantum import (
     GeneralAnglePlan,
-    SingletSampler,
     general_quantum_profile,
     mismatch_probability,
     quantum_player_strategy,
@@ -85,7 +84,6 @@ __all__ = [
     "analytic_classical_profile",
     # singlet strategies
     "GeneralAnglePlan",
-    "SingletSampler",
     "mismatch_probability",
     "quantum_profile",
     "general_quantum_profile",

@@ -44,10 +44,7 @@ class LengthMismatch(ValueError):
 
 
 def _as_bits(seq) -> np.ndarray:
-    if isinstance(seq, str):
-        arr = np.frombuffer(seq.encode("ascii"), dtype=np.uint8) - ord("0")
-    else:
-        arr = np.asarray(seq, dtype=np.uint8)
+    arr = np.asarray(seq, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
     if arr.max(initial=0) > 1:
@@ -131,25 +128,19 @@ class BitSequenceSet:
         return hamming_distance(self.sequences[alpha], self.sequences[beta])
 
 
-def generate_sequences(config: ClassicalConfig, x0=None) -> BitSequenceSet:
+def generate_sequences(config: ClassicalConfig) -> BitSequenceSet:
     """Generate the four shared sequences for the given configuration.
 
-    The base sequence is fair-coin random unless ``x0`` is injected.  In
-    disjoint-flips mode each later sequence flips round(q*n) positions of
-    its predecessor chosen uniformly from positions untouched by every
-    earlier step, so d(Xa, Xb) = round(q*n) * |a - b| holds exactly.  In
-    bsc-chain mode each later sequence is its predecessor sent through a
-    binary symmetric channel with crossover probability q, independently
-    per bit.
+    The base sequence is fair-coin random.  In disjoint-flips mode each
+    later sequence flips round(q*n) positions of its predecessor chosen
+    uniformly from positions untouched by every earlier step, so
+    d(Xa, Xb) = round(q*n) * |a - b| holds exactly.  In bsc-chain mode
+    each later sequence is its predecessor sent through a binary symmetric
+    channel with crossover probability q, independently per bit.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n
-    if x0 is None:
-        base = rng.integers(0, 2, size=n, dtype=np.uint8)
-    else:
-        base = _as_bits(x0).copy()
-        if len(base) != n:
-            raise LengthMismatch(f"injected x0 has length {len(base)}, config says {n}")
+    base = rng.integers(0, 2, size=n, dtype=np.uint8)
 
     if config.mode == "disjoint-flips":
         f = flip_count(config.q, n)
@@ -182,9 +173,8 @@ class SequenceStrategy:
 
     seq_state0: np.ndarray
     seq_state1: np.ndarray
-    reads_shared = False  # the arbiter's shared stream is never read
 
-    def moves(self, states, round_indices, shared):
+    def moves(self, states, round_indices):
         # round mod N by floor division, which numpy runs faster than int64 %
         n = len(self.seq_state0)
         pos = round_indices // n

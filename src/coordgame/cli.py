@@ -55,7 +55,7 @@ from .game import (
     payoff,
     play_match,
 )
-from .quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy, quantum_profile
+from .quantum import GeneralAnglePlan, quantum_player_strategy, quantum_profile
 
 __all__ = ["main", "build_parser"]
 
@@ -133,7 +133,6 @@ def _cmd_classical(args) -> tuple[dict, dict, str | None]:
         classical_strategy(1, sequences),
         classical_strategy(2, sequences),
         args.rounds_per_pair,
-        seed=args.seed,
     )
 
     params = {
@@ -156,8 +155,8 @@ def _cmd_quantum(args) -> tuple[dict, dict, str | None]:
     analytic = quantum_profile(args.delta)
 
     plan = GeneralAnglePlan.equally_spaced(args.delta)
-    one, two = quantum_player_strategy(plan, SingletSampler(args.seed))
-    empirical = match_profile(one, two, args.rounds_per_pair, seed=args.seed)
+    one, two = quantum_player_strategy(plan, args.seed)
+    empirical = match_profile(one, two, args.rounds_per_pair)
 
     params = {"delta": args.delta, "rounds_per_pair": args.rounds_per_pair}
     results = {
@@ -237,23 +236,22 @@ def _cmd_bounds(args) -> tuple[dict, dict, str | None]:
 
 def _cmd_match(args) -> tuple[dict, dict, str | None]:
     _require(args.rounds_per_pair >= 1, "rounds-per-pair must be >= 1")
-    # both are echoed, whichever strategy family runs
+    # every parameter is echoed, whichever strategy family plays, so each
+    # gets the checks of the family that uses it
     _require(
         math.isfinite(args.q) and math.isfinite(args.delta),
         f"q and delta must be finite, got q={args.q!r}, delta={args.delta!r}",
     )
+    config = ClassicalConfig(n=args.N, q=args.q, mode=args.mode, seed=args.seed)
+    _require(0.0 < args.delta < math.pi / 3.0, "delta must lie in (0, pi/3)")
     if args.strategy == "classical":
-        config = ClassicalConfig(n=args.N, q=args.q, mode=args.mode, seed=args.seed)
         sequences = generate_sequences(config)
         one, two = classical_strategy(1, sequences), classical_strategy(2, sequences)
     else:
-        _require(0.0 < args.delta < math.pi / 3.0, "delta must lie in (0, pi/3)")
-        one, two = quantum_player_strategy(
-            GeneralAnglePlan.equally_spaced(args.delta), SingletSampler(args.seed)
-        )
+        one, two = quantum_player_strategy(GeneralAnglePlan.equally_spaced(args.delta), args.seed)
 
     r = args.rounds_per_pair
-    chunks = play_match(one, two, r, seed=args.seed)  # checks r before the columns exist
+    chunks = play_match(one, two, r)  # checks r before the columns exist
     move_one = np.empty(4 * r, dtype=np.uint8)
     move_two = np.empty(4 * r, dtype=np.uint8)
     differ = [0, 0, 0, 0]

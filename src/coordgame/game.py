@@ -129,27 +129,20 @@ def payoff(profile: MismatchProfile):
 class PlayerStrategy(Protocol):
     """Answers move queries from the arbiter.
 
-    ``moves`` receives only this player's own states, the round indices,
-    and the per-round shared randomness that both players see.  It must
-    return one move (0 for A, 1 for B) per round.  No argument holds the
-    other player's state, yet on the block schedule ``round_indices // r``
-    gives the state pair away.  A class attribute ``reads_shared = False``
-    declares that the strategy ignores the shared stream; if both players
-    do, none is drawn and ``shared`` is ``None``.  Unset, it reads as True.
+    ``moves`` receives only this player's own states and the round
+    indices, and must return one move (0 for A, 1 for B) per round.  A
+    strategy brings its own randomness: the arbiter hands out none.  No
+    argument holds the other player's state, yet on the block schedule
+    ``round_indices // r`` gives the state pair away.
     """
 
-    reads_shared: bool
-
-    def moves(
-        self, states: np.ndarray, round_indices: np.ndarray, shared: np.ndarray | None
-    ) -> np.ndarray: ...
+    def moves(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray: ...
 
 
 def play_match(
     strategy_one: PlayerStrategy,
     strategy_two: PlayerStrategy,
     rounds_per_state_pair: int,
-    seed: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Play a match on the block schedule, yielding each chunk's moves as played.
 
@@ -162,14 +155,13 @@ def play_match(
 
     Each block is played in order, in chunks of at most
     :data:`MATCH_CHUNK_ROUNDS` rounds.  Per chunk, strategy one and then
-    strategy two receive only their own states, the round indices and a
-    shared random stream derived from ``seed``, the only run-time
-    coordination channel: both players get identical values per round.
-    Each chunk yields (first round index, moves one, moves two), the
-    moves as uint8 columns, 0 for A.  Output is deterministic for fixed
-    (strategies, r, seed), and the chunking changes no move of a strategy
-    whose moves depend only on its arguments and on streams that draw the
-    same values split or whole, as both shipped families do.
+    strategy two receive only their own states and the round indices; the
+    arbiter draws no randomness.  Each chunk yields (first round index,
+    moves one, moves two), the moves as uint8 columns, 0 for A.  Output is
+    deterministic for fixed strategies and r, and the chunking changes no
+    move of a strategy whose moves depend only on its arguments and on
+    streams that draw the same values split or whole, as both shipped
+    families do.
 
     Raises:
         ValueError: when called, before any strategy is queried, if
@@ -182,14 +174,13 @@ def play_match(
         raise ValueError("rounds_per_state_pair must be >= 1")
     if 4 * r - 1 > np.iinfo(np.int64).max:
         raise ValueError(f"rounds_per_state_pair={r} exceeds 2**61: round indices overflow int64")
-    return _play(strategy_one, strategy_two, _block_chunks(r), seed)
+    return _play(strategy_one, strategy_two, _block_chunks(r))
 
 
 def match_profile(
     strategy_one: PlayerStrategy,
     strategy_two: PlayerStrategy,
     rounds_per_state_pair: int,
-    seed: int,
 ) -> MismatchProfile:
     """Mismatch profile of :func:`play_match` with the same arguments.
 
@@ -201,7 +192,7 @@ def match_profile(
     Raises:
         ValueError: as :func:`play_match` does.
     """
-    chunks = play_match(strategy_one, strategy_two, rounds_per_state_pair, seed)
+    chunks = play_match(strategy_one, strategy_two, rounds_per_state_pair)
     r = int(rounds_per_state_pair)
     differ = [0, 0, 0, 0]
     for start, moves_one, moves_two in chunks:
@@ -218,25 +209,19 @@ def _block_chunks(r: int):
             yield start, np.full(n, i, dtype=np.uint8), np.full(n, j, dtype=np.uint8)
 
 
-def _play(strategy_one, strategy_two, chunks, seed: int):
+def _play(strategy_one, strategy_two, chunks):
     """Yield (first round, moves one, moves two) for each chunk of consecutive rounds.
 
     ``chunks`` yields (first round index, player-one states, player-two
     states) in round order.  Strategy one is queried before strategy two
-    in every chunk.  The shared stream (``None`` unless a player reads it)
-    is one generator drawn chunk by chunk; ``Generator.random`` yields the
-    same values split or whole, so no round's value depends on chunking.
+    in every chunk, and both get the same read-only round indices.
     """
-    reads = any(getattr(s, "reads_shared", True) for s in (strategy_one, strategy_two))
-    rng = np.random.default_rng(seed)
     for start, states_one, states_two in chunks:
         n = len(states_one)
         rounds = np.arange(start, start + n, dtype=np.int64)
-        shared = rng.random(n) if reads else None
-        for arr in (rounds, shared) if reads else (rounds,):
-            arr.setflags(write=False)
-        moves_one = _as_move_array(strategy_one.moves(states_one, rounds, shared), n)
-        moves_two = _as_move_array(strategy_two.moves(states_two, rounds, shared), n)
+        rounds.setflags(write=False)
+        moves_one = _as_move_array(strategy_one.moves(states_one, rounds), n)
+        moves_two = _as_move_array(strategy_two.moves(states_two, rounds), n)
         yield start, moves_one, moves_two
 
 

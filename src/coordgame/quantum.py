@@ -21,7 +21,6 @@ from .game import MismatchProfile
 
 __all__ = [
     "GeneralAnglePlan",
-    "SingletSampler",
     "mismatch_probability",
     "quantum_profile",
     "general_quantum_profile",
@@ -113,30 +112,6 @@ def general_quantum_profile(plan: GeneralAnglePlan) -> MismatchProfile:
     )
 
 
-class SingletSampler:
-    """Seeded random streams feeding singlet measurements.
-
-    The streams are stateful: every draw consumes fresh randomness, and
-    the full sequence of draws is deterministic for a fixed seed.  The
-    outcome coins and the correlation coins come from two independent
-    children of ``SeedSequence(seed)``, so ``draw(a)`` followed by
-    ``draw(b)`` returns the same values as one ``draw(a + b)``: results do
-    not depend on how a match is split into batches.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._rng_u, self._rng_v = (
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(self.seed).spawn(2)
-        )
-
-    def draw(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """One pair of uniform streams: player one's outcome coin and the
-        conditional-correlation coin, m values each."""
-        return self._rng_u.random(m), self._rng_v.random(m)
-
-
 class _SingletSource:
     """Produces correlated move pairs for the two coupled strategies.
 
@@ -150,16 +125,19 @@ class _SingletSource:
     the one sampling rule: from uniforms u and v, ``move_one = u >= 0.5``
     and the moves differ when ``v >= p_same``, where player two's outcome
     equals player one's with probability ``p_same[2*i + j] = 1 - q_ij`` from
-    the plan's profile, tabulated once per plan.
+    the plan's profile, tabulated once per plan.  The u and v coins come
+    from two independent children of ``SeedSequence(seed)``, each drawn
+    as one stream, so the moves do not depend on how rounds are batched.
     """
 
-    def __init__(self, plan: GeneralAnglePlan, sampler: SingletSampler):
+    def __init__(self, plan: GeneralAnglePlan, seed: int):
         self._p_same = 1.0 - general_quantum_profile(plan).as_array()
-        self._sampler = sampler
+        children = np.random.SeedSequence(int(seed)).spawn(2)
+        self._rng_u, self._rng_v = map(np.random.default_rng, children)
         self._pending = None
 
     def measure_one(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray:
-        u, v = self._sampler.draw(len(states))
+        u, v = self._rng_u.random(len(states)), self._rng_v.random(len(states))
         move_one = u >= 0.5
         self._pending = (np.array(round_indices), np.array(states), move_one, v)
         moves = move_one.view(np.uint8)
@@ -183,24 +161,23 @@ class _SingletSource:
 class _EntangledPlayer:
     source: _SingletSource
     role: int  # 1 or 2
-    reads_shared = False  # correlated by the singlet source alone
 
-    def moves(self, states, round_indices, shared):
+    def moves(self, states, round_indices):
         if self.role == 1:
             return self.source.measure_one(states, round_indices)
         return self.source.measure_two(states, round_indices)
 
 
 def quantum_player_strategy(
-    plan: GeneralAnglePlan, sampler: SingletSampler
+    plan: GeneralAnglePlan, seed: int
 ) -> tuple[_EntangledPlayer, _EntangledPlayer]:
     """Coupled strategy pair sharing one singlet per round.
 
     The returned strategies are bound to a common entanglement source and
-    must be queried in player order, which the match arbiter does.  They
-    ignore the arbiter's classical shared stream; their correlation comes
-    entirely from the sampler's singlet randomness, so fixed (plan,
-    sampler seed, rounds per pair, match seed) reproduces a match exactly.
+    must be queried in player order, which the match arbiter does.  Their
+    correlation comes entirely from the source's singlet randomness,
+    seeded by ``seed``: fixed (plan, seed, rounds per pair) reproduces a
+    match exactly, however its rounds are split into batches.
     """
-    source = _SingletSource(plan, sampler)
+    source = _SingletSource(plan, seed)
     return _EntangledPlayer(source, 1), _EntangledPlayer(source, 2)

@@ -13,7 +13,7 @@ class ConstantStrategy:
 
     move: Move
 
-    def moves(self, states, round_indices, shared):
+    def moves(self, states, round_indices):
         return np.full(len(states), int(self.move), dtype=np.uint8)
 
 
@@ -31,23 +31,17 @@ class Recorded:
     move_two: np.ndarray  # (n,) uint8
 
 
-def reference_match(strategy_one, strategy_two, schedule, seed: int) -> Recorded:
+def reference_match(strategy_one, strategy_two, schedule) -> Recorded:
     """The reference arbiter: one call per player for a whole, arbitrary schedule.
 
-    It hands each player its own state column, the round indices 0..n-1 and
-    the shared stream under the package's rule: ``n`` uniforms from
-    ``default_rng(seed)``, drawn unless both players set
-    ``reads_shared = False``, and read-only like the round indices.
+    It hands each player its own state column and the read-only round
+    indices 0..n-1.
     """
     states = np.asarray(schedule, dtype=np.uint8)
-    n = len(states)
-    rounds = np.arange(n, dtype=np.int64)
-    reads = any(getattr(s, "reads_shared", True) for s in (strategy_one, strategy_two))
-    shared = np.random.default_rng(seed).random(n) if reads else None
-    for arr in (rounds, shared) if reads else (rounds,):
-        arr.setflags(write=False)
-    move_one = np.asarray(strategy_one.moves(states[:, 0].copy(), rounds, shared), dtype=np.uint8)
-    move_two = np.asarray(strategy_two.moves(states[:, 1].copy(), rounds, shared), dtype=np.uint8)
+    rounds = np.arange(len(states), dtype=np.int64)
+    rounds.setflags(write=False)
+    move_one = np.asarray(strategy_one.moves(states[:, 0].copy(), rounds), dtype=np.uint8)
+    move_two = np.asarray(strategy_two.moves(states[:, 1].copy(), rounds), dtype=np.uint8)
     return Recorded(states, move_one, move_two)
 
 
@@ -61,7 +55,7 @@ def reference_profile(recorded: Recorded) -> MismatchProfile:
     return MismatchProfile(*(float(differ) / (same + differ) for same, differ in table))
 
 
-def played(strategy_one, strategy_two, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def played(strategy_one, strategy_two, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Both move columns of ``play_match``, joined over its chunks in round order."""
-    chunks = list(play_match(strategy_one, strategy_two, r, seed))
+    chunks = list(play_match(strategy_one, strategy_two, r))
     return np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks])

@@ -62,7 +62,6 @@ def test_criterion_02_classical_empirical_exactness():
         cg.classical_strategy(1, sequences),
         cg.classical_strategy(2, sequences),
         n,
-        seed=12345,
     )
     assert profile.q00 == 3 * f / n
     assert profile.q01 == f / n
@@ -94,10 +93,8 @@ def test_criterion_05_quantum_monte_carlo_convergence():
     analytic = cg.quantum_profile(delta)
     assert analytic.q00 == pytest.approx(0.0873322, abs=5e-8)
     assert analytic.q01 == pytest.approx(0.0099667, abs=5e-8)
-    one, two = cg.quantum_player_strategy(
-        cg.GeneralAnglePlan.equally_spaced(delta), cg.SingletSampler(0)
-    )
-    empirical = cg.match_profile(one, two, rounds, seed=0)
+    one, two = cg.quantum_player_strategy(cg.GeneralAnglePlan.equally_spaced(delta), 0)
+    empirical = cg.match_profile(one, two, rounds)
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         a = analytic.entry(i, j)
         sigma = np.sqrt(a * (1 - a) / rounds)
@@ -146,9 +143,9 @@ class _Instrumented:
         self.inner = inner
         self.states_seen = []
 
-    def moves(self, states, round_indices, shared):
+    def moves(self, states, round_indices):
         self.states_seen.append(states.copy())
-        return self.inner.moves(states, round_indices, shared)
+        return self.inner.moves(states, round_indices)
 
 
 @criterion(9, "each player's move frequency is fair regardless of the partner's state", 10.0)
@@ -156,10 +153,10 @@ def test_criterion_09_no_signaling():
     rounds_per_pair = 250_000  # one million rounds total
     schedule = block_schedule(rounds_per_pair)
     inner_one, inner_two = cg.quantum_player_strategy(
-        cg.GeneralAnglePlan.equally_spaced(0.1), cg.SingletSampler(0)
+        cg.GeneralAnglePlan.equally_spaced(0.1), 0
     )
     one, two = _Instrumented(inner_one), _Instrumented(inner_two)
-    move_one, move_two = played(one, two, rounds_per_pair, seed=0)
+    move_one, move_two = played(one, two, rounds_per_pair)
 
     # instrumentation: each strategy was shown only its own state column
     assert np.array_equal(np.concatenate(one.states_seen), schedule[:, 0])
@@ -182,7 +179,6 @@ def test_criterion_10_bsc_variant():
         cg.classical_strategy(1, sequences),
         cg.classical_strategy(2, sequences),
         n,
-        seed=0,
     )
     report = cg.empirical_report(profile, n)
     sigma = report.confidence_halfwidth / 1.96
@@ -198,7 +194,6 @@ def test_criterion_10_bsc_variant():
             cg.classical_strategy(1, seqs),
             cg.classical_strategy(2, seqs),
             n_step,
-            seed=0,
         )
         trend.append(cg.payoff(profile))
     assert trend[0] < trend[1] < trend[2] < 3.0

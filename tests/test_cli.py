@@ -21,7 +21,7 @@ from coordgame import __version__, bounds, cli, game
 from coordgame.classical import MODES, ClassicalConfig, classical_strategy, generate_sequences
 from coordgame.cli import Table, _cell, build_parser, main, render_csv, render_json
 from coordgame.game import STATE_PAIRS, MismatchProfile, match_profile
-from coordgame.quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy
+from coordgame.quantum import GeneralAnglePlan, quantum_player_strategy
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -285,8 +285,8 @@ class TestMatchCommand:
             sequences = generate_sequences(ClassicalConfig(n=50, q=0.1, seed=3))
             players = classical_strategy(1, sequences), classical_strategy(2, sequences)
         else:
-            players = quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.1), SingletSampler(3))
-        profile = match_profile(*players, r, seed=3)
+            players = quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.1), 3)
+        profile = match_profile(*players, r)
 
         differ = [0, 0, 0, 0]
         for row in doc["results"]["rounds"]:
@@ -674,6 +674,25 @@ class TestJsonRenderer:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("coordgame match: invalid parameters: q and delta must be finite")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--strategy", "quantum", "--N", "-5"], "sequence length n must be >= 1"),
+            (["--strategy", "quantum", "--q", "5"], "flip fraction q=5.0 outside [0, 1]"),
+            (["--strategy", "quantum", "--N", "-5", "--q", "5"], "sequence length n must be >= 1"),
+            (["--strategy", "quantum", "--q", "0.34"], "3 * round(q*n) = 9 exceeds n = 8"),
+            (["--delta", "5"], "delta must lie in (0, pi/3)"),
+            (["--strategy", "classical", "--delta", "-0.1", "--format", "csv"], "delta must lie in (0, pi/3)"),
+        ],
+        ids=["N", "q", "N-and-q", "infeasible-q", "delta", "negative-delta-csv"],
+    )
+    def test_parameter_of_the_unplayed_family_exits_two(self, capsys, argv, message):
+        # every parameter is echoed, so each is checked whichever family plays
+        code, out, err = run_cli(capsys, "match", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"coordgame match: invalid parameters: {message}")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from coordgame.game import (
     payoff,
     play_match,
 )
-from coordgame.quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy
+from coordgame.quantum import GeneralAnglePlan, quantum_player_strategy
 from helpers import ConstantStrategy, block_schedule, played, reference_match, reference_profile
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -180,25 +180,18 @@ class _Recorder:
         self.move = move
         self.seen = []
 
-    def moves(self, states, round_indices, shared):
-        shared = None if shared is None else shared.copy()
-        self.seen.append((states.copy(), round_indices.copy(), shared))
+    def moves(self, states, round_indices):
+        self.seen.append((states.copy(), round_indices.copy()))
         return np.full(len(states), int(self.move), dtype=np.uint8)
 
 
-class _Ignorer(_Recorder):
-    """A recorder that declares it ignores the shared stream."""
-
-    reads_shared = False
-
-
 class _Untouchable:
-    def moves(self, states, round_indices, shared):
+    def moves(self, states, round_indices):
         raise AssertionError("a rejected match must query no strategy")
 
 
 def _seen(recorder: _Recorder, k: int) -> np.ndarray:
-    """What a recorder was shown, joined over its calls: 0 states, 1 round indices, 2 shared."""
+    """What a recorder was shown, joined over its calls: 0 states, 1 round indices."""
     return np.concatenate([seen[k] for seen in recorder.seen])
 
 
@@ -207,7 +200,7 @@ class TestUniformSchedule:
 
     def test_block_layout(self):
         one, two = _Recorder(), _Recorder()
-        assert [start for start, _, _ in play_match(one, two, 3, seed=0)] == [0, 3, 6, 9]
+        assert [start for start, _, _ in play_match(one, two, 3)] == [0, 3, 6, 9]
         expected = np.repeat([[0, 0], [0, 1], [1, 0], [1, 1]], 3, axis=0)
         assert np.array_equal(np.column_stack([_seen(one, 0), _seen(two, 0)]), expected)
         assert np.array_equal(_seen(one, 1), np.arange(12))
@@ -215,7 +208,7 @@ class TestUniformSchedule:
     @given(st.integers(min_value=1, max_value=50))
     def test_each_pair_appears_exactly_r_times(self, r):
         one, two = _Recorder(), _Recorder()
-        played(one, two, r, seed=0)
+        played(one, two, r)
         states_one, states_two = _seen(one, 0), _seen(two, 0)
         assert len(states_one) == 4 * r
         for i, j in STATE_PAIRS:
@@ -223,60 +216,65 @@ class TestUniformSchedule:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            play_match(_Untouchable(), _Untouchable(), 0, seed=0)
+            play_match(_Untouchable(), _Untouchable(), 0)
 
     def test_rejects_round_indices_beyond_int64(self):
         # 4 * 2**61 rounds have indices up to 2**63 - 1, the largest int64;
         # the call itself raises, before any strategy is queried
         with pytest.raises(ValueError, match=r"exceeds 2\*\*61: round indices overflow int64"):
-            play_match(_Untouchable(), _Untouchable(), 2**61 + 1, seed=0)
+            play_match(_Untouchable(), _Untouchable(), 2**61 + 1)
 
 
 class TestRunMatch:
     """Running a match through ``play_match``."""
 
     def test_constant_strategies_never_mismatch(self):
-        move_one, move_two = played(ConstantStrategy(Move.A), ConstantStrategy(Move.A), 5, seed=0)
+        move_one, move_two = played(ConstantStrategy(Move.A), ConstantStrategy(Move.A), 5)
         assert len(move_one) == 20
         assert np.array_equal(move_one, move_two)
 
     def test_each_player_sees_only_its_own_state_column(self):
         r = MATCH_CHUNK_ROUNDS + 3  # two chunks per block
         one, two = _Recorder(), _Recorder(Move.B)
-        played(one, two, r, seed=3)
+        played(one, two, r)
         sched = block_schedule(r)
         assert np.array_equal(_seen(one, 0), sched[:, 0])
         assert np.array_equal(_seen(two, 0), sched[:, 1])
 
-    def test_both_players_see_identical_shared_stream(self):
+    def test_both_players_see_identical_round_indices(self):
         one, two = _Recorder(), _Recorder()
-        played(one, two, 4, seed=11)
-        assert np.array_equal(_seen(one, 2), _seen(two, 2))
+        played(one, two, 4)
         assert np.array_equal(_seen(one, 1), np.arange(16))
+        assert np.array_equal(_seen(two, 1), np.arange(16))
 
     def test_deterministic_for_fixed_seed(self):
-        a = played(ConstantStrategy(Move.A), ConstantStrategy(Move.B), 7, seed=5)
-        b = played(ConstantStrategy(Move.A), ConstantStrategy(Move.B), 7, seed=5)
+        plan = GeneralAnglePlan.equally_spaced(0.3)
+        a = played(*quantum_player_strategy(plan, 5), 7)
+        b = played(*quantum_player_strategy(plan, 5), 7)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_shared_stream_depends_on_seed(self):
-        one_a, one_b = _Recorder(), _Recorder()
-        played(one_a, _Recorder(), 4, seed=0)
-        played(one_b, _Recorder(), 4, seed=1)
-        assert not np.array_equal(_seen(one_a, 2), _seen(one_b, 2))
+    def test_draws_no_randomness(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the arbiter must not draw randomness")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        one, two = ConstantStrategy(Move.A), ConstantStrategy(Move.B)
+        assert match_profile(one, two, MATCH_CHUNK_ROUNDS + 3) == MismatchProfile(1.0, 1.0, 1.0, 1.0)
+        move_one, move_two = played(one, two, 5)
+        assert move_one.tolist() == [Move.A] * 20 and move_two.tolist() == [Move.B] * 20
 
     def test_rejects_bad_strategy_output(self):
         class Bad:
-            def moves(self, states, round_indices, shared):
+            def moves(self, states, round_indices):
                 return np.full(len(states), 7, dtype=np.uint8)
 
-        chunks = play_match(Bad(), ConstantStrategy(Move.A), 2, seed=0)
+        chunks = play_match(Bad(), ConstantStrategy(Move.A), 2)
         with pytest.raises(ValueError):
             next(chunks)
 
     def test_queries_no_strategy_until_iterated(self):
         one, two = _Recorder(), _Recorder()
-        chunks = play_match(one, two, 5, seed=0)
+        chunks = play_match(one, two, 5)
         assert one.seen == two.seen == []
         next(chunks)
         assert len(one.seen) == len(two.seen) == 1
@@ -285,8 +283,8 @@ class TestRunMatch:
     def test_equals_the_reference_arbiter_on_the_block_schedule(self, chunk_rounds, family):
         # one call per player for the whole schedule gives the same moves
         r = _ragged_rounds(chunk_rounds)
-        recorded = reference_match(*_shipped_pair(family), block_schedule(r), seed=4)
-        move_one, move_two = played(*_shipped_pair(family), r, seed=4)
+        recorded = reference_match(*_shipped_pair(family), block_schedule(r))
+        move_one, move_two = played(*_shipped_pair(family), r)
         assert np.array_equal(move_one, recorded.move_one)
         assert np.array_equal(move_two, recorded.move_two)
 
@@ -295,7 +293,7 @@ class TestMatchRecords:
     """The chunk records that ``play_match`` yields and the arrays it hands out."""
 
     def test_columns_follow_schedule_order(self):
-        chunks = list(play_match(ConstantStrategy(Move.A), ConstantStrategy(Move.B), 2, seed=0))
+        chunks = list(play_match(ConstantStrategy(Move.A), ConstantStrategy(Move.B), 2))
         assert [start for start, _, _ in chunks] == [0, 2, 4, 6]
         for _, move_one, move_two in chunks:
             assert move_one.dtype == move_two.dtype == np.uint8
@@ -303,33 +301,33 @@ class TestMatchRecords:
             assert move_two.tolist() == [Move.B] * 2
 
     def test_columns_are_write_protected(self):
-        # the round indices and the shared stream that both players are
-        # handed; neither player can change what the other one sees
+        # the round indices that both players are handed; neither player
+        # can change what the other one sees
         flags = []
 
         class Writer:
-            def moves(self, states, round_indices, shared):
-                flags.append((round_indices.flags.writeable, shared.flags.writeable))
+            def moves(self, states, round_indices):
+                flags.append(round_indices.flags.writeable)
                 return np.zeros(len(states), dtype=np.uint8)
 
-        played(Writer(), Writer(), 3, seed=0)
-        assert flags == [(False, False)] * 8
+        played(Writer(), Writer(), 3)
+        assert flags == [False] * 8
 
     def test_non_binary_entries_rejected(self):
         class Two:
-            def moves(self, states, round_indices, shared):
+            def moves(self, states, round_indices):
                 return np.where(round_indices == 5, 2, 0).astype(np.uint8)
 
         with pytest.raises(ValueError, match="moves must be 0"):
-            played(ConstantStrategy(Move.A), Two(), 2, seed=0)
+            played(ConstantStrategy(Move.A), Two(), 2)
 
     def test_mismatched_columns_rejected(self):
         class Long:
-            def moves(self, states, round_indices, shared):
+            def moves(self, states, round_indices):
                 return np.zeros(len(states) + 1, dtype=np.uint8)
 
         with pytest.raises(ValueError, match=r"returned \(3,\), expected \(2,\)"):
-            played(Long(), ConstantStrategy(Move.A), 2, seed=0)
+            played(Long(), ConstantStrategy(Move.A), 2)
 
 
 class TestEmpiricalProfile:
@@ -339,14 +337,14 @@ class TestEmpiricalProfile:
             def __init__(self, moves):
                 self.table = np.array(moves, dtype=np.uint8)
 
-            def moves(self, states, round_indices, shared):
+            def moves(self, states, round_indices):
                 return self.table[round_indices]
 
         one = Scripted([0, 0, 1, 0, 0, 1, 0, 1])
         two = Scripted([0, 1, 1, 0, 1, 0, 1, 0])
         for chunk in (MATCH_CHUNK_ROUNDS, 1):
             monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
-            assert match_profile(one, two, 2, seed=0) == MismatchProfile(0.5, 0.0, 1.0, 1.0)
+            assert match_profile(one, two, 2) == MismatchProfile(0.5, 0.0, 1.0, 1.0)
 
 
 @pytest.fixture(params=[MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
@@ -366,43 +364,43 @@ class TestMatchProfile:
         r = _ragged_rounds(chunk_rounds)
         sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, mode=mode, seed=2))
         players = classical_strategy(1, sequences), classical_strategy(2, sequences)
-        recorded = reference_profile(reference_match(*players, block_schedule(r), seed=3))
-        assert match_profile(*players, r, seed=3) == recorded
+        recorded = reference_profile(reference_match(*players, block_schedule(r)))
+        assert match_profile(*players, r) == recorded
 
     def test_strategies_see_the_whole_match_in_order(self, chunk_rounds):
         r = _ragged_rounds(chunk_rounds)
         sched = block_schedule(r)
         whole_one, whole_two = _Recorder(), _Recorder(Move.B)
-        reference_match(whole_one, whole_two, sched, seed=6)
+        reference_match(whole_one, whole_two, sched)
         one, two = _Recorder(), _Recorder(Move.B)
-        match_profile(one, two, r, seed=6)
+        match_profile(one, two, r)
         assert len(one.seen) == len(two.seen) == 4 * -(-r // chunk_rounds)  # ceil, per block
         for player, (chunked, whole) in enumerate(((one, whole_one), (two, whole_two))):
-            for states, rounds, _ in chunked.seen:
+            for states, rounds in chunked.seen:
                 assert 1 <= len(rounds) <= chunk_rounds
                 assert rounds[0] // r == rounds[-1] // r  # no chunk crosses a block
                 assert np.all(states == states[0])
             assert np.array_equal(_seen(chunked, 0), sched[:, player])
-            for k in range(3):  # states, round indices, shared stream
+            for k in range(2):  # states, round indices
                 assert np.array_equal(_seen(chunked, k), whole.seen[0][k])
 
     @pytest.mark.parametrize("r", [0, -1, 2**61 + 1], ids=["zero", "negative", "beyond-int64"])
     def test_rejects_bad_round_count(self, r):
         with pytest.raises(ValueError, match="rounds_per_state_pair"):
-            match_profile(_Untouchable(), _Untouchable(), r, seed=0)
+            match_profile(_Untouchable(), _Untouchable(), r)
         with pytest.raises(ValueError, match="rounds_per_state_pair"):
-            play_match(_Untouchable(), _Untouchable(), r, seed=0)
+            play_match(_Untouchable(), _Untouchable(), r)
 
     def test_accepts_the_largest_round_count(self):
         class Stop(Exception):
             pass
 
         class FirstChunk:
-            def moves(self, states, round_indices, shared):
+            def moves(self, states, round_indices):
                 raise Stop(round_indices[0], len(round_indices))
 
         with pytest.raises(Stop) as info:
-            match_profile(FirstChunk(), _Untouchable(), 2**61, seed=0)
+            match_profile(FirstChunk(), _Untouchable(), 2**61)
         assert info.value.args == (0, MATCH_CHUNK_ROUNDS)
 
     def test_rejects_bad_strategy_output(self, chunk_rounds):
@@ -412,26 +410,26 @@ class TestMatchProfile:
             class BadLate:
                 """Valid moves, except a 7 in one late round."""
 
-                def moves(self, states, round_indices, shared):
+                def moves(self, states, round_indices):
                     return np.where(round_indices == bad_round, 7, 0).astype(np.uint8)
 
             with pytest.raises(ValueError, match="moves must be 0"):
-                played(BadLate(), ConstantStrategy(Move.A), r, seed=0)
+                played(BadLate(), ConstantStrategy(Move.A), r)
             with pytest.raises(ValueError, match="moves must be 0"):
-                match_profile(BadLate(), ConstantStrategy(Move.A), r, seed=0)
+                match_profile(BadLate(), ConstantStrategy(Move.A), r)
 
     def test_rejects_wrong_length_output(self, monkeypatch):
         class Short:
-            def moves(self, states, round_indices, shared):
+            def moves(self, states, round_indices):
                 return np.zeros(len(states) - 1, dtype=np.uint8)
 
         for chunk in (MATCH_CHUNK_ROUNDS, 7):
             monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
             r = _ragged_rounds(chunk)
             with pytest.raises(ValueError, match="expected"):
-                played(ConstantStrategy(Move.A), Short(), r, seed=0)
+                played(ConstantStrategy(Move.A), Short(), r)
             with pytest.raises(ValueError, match="expected"):
-                match_profile(ConstantStrategy(Move.A), Short(), r, seed=0)
+                match_profile(ConstantStrategy(Move.A), Short(), r)
 
 
 def _shipped_pair(family: str):
@@ -439,64 +437,7 @@ def _shipped_pair(family: str):
     if family == "classical":
         sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, seed=2))
         return classical_strategy(1, sequences), classical_strategy(2, sequences)
-    return quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.3), SingletSampler(2))
-
-
-class _StreamReader:
-    """An attribute-less proxy, so the arbiter draws the shared stream for it."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def moves(self, states, round_indices, shared):
-        assert shared is not None and len(shared) == len(states)
-        return self.inner.moves(states, round_indices, shared)
-
-
-class TestSharedStreamDeclaration:
-    @pytest.mark.parametrize("family", ["classical", "quantum"])
-    def test_shipped_strategies_ignore_the_stream_and_get_none(self, monkeypatch, family):
-        one, two = _shipped_pair(family)
-        assert type(one).reads_shared is False and type(two).reads_shared is False
-        handed = []
-        moves = type(one).moves
-
-        def recording_moves(self, states, round_indices, shared):
-            handed.append(shared)
-            return moves(self, states, round_indices, shared)
-
-        monkeypatch.setattr(type(one), "moves", recording_moves)
-        r = MATCH_CHUNK_ROUNDS + 3
-        match_profile(one, two, r, seed=1)
-        played(*_shipped_pair(family), r, seed=1)
-        # both players: two chunks in each of the four blocks, in each of the two matches
-        assert len(handed) == 2 * 2 * (4 * 2)
-        assert all(shared is None for shared in handed)
-
-    def test_a_reader_beside_an_ignorer_sees_what_two_readers_see(self, chunk_rounds):
-        r = _ragged_rounds(chunk_rounds)
-        both = _Recorder(), _Recorder()
-        match_profile(*both, r, seed=5)
-        expected = _seen(both[0], 2)
-        assert np.array_equal(expected, _seen(both[1], 2))
-        for order in (1, -1):  # the reader as player one, then as player two
-            reader = _Recorder()
-            match_profile(*(reader, _Ignorer())[::order], r, seed=5)
-            assert np.array_equal(_seen(reader, 2), expected)
-
-    def test_two_ignorers_get_none(self, chunk_rounds):
-        one, two = _Ignorer(), _Ignorer(Move.B)
-        match_profile(one, two, _ragged_rounds(chunk_rounds), seed=5)
-        assert all(seen[2] is None for seen in one.seen + two.seen)
-
-    @pytest.mark.parametrize("family", ["classical", "quantum"])
-    def test_skipping_the_stream_changes_no_move(self, chunk_rounds, family):
-        r = _ragged_rounds(chunk_rounds)
-        proxied = [_StreamReader(s) for s in _shipped_pair(family)]
-        assert match_profile(*_shipped_pair(family), r, seed=4) == match_profile(*proxied, r, seed=4)
-        proxied = [_StreamReader(s) for s in _shipped_pair(family)]
-        skipped, drawn = played(*_shipped_pair(family), r, seed=4), played(*proxied, r, seed=4)
-        assert all(np.array_equal(a, b) for a, b in zip(skipped, drawn))
+    return quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.3), 2)
 
 
 class TestReports:

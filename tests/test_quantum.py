@@ -13,7 +13,6 @@ from coordgame import game
 from coordgame.game import MATCH_CHUNK_ROUNDS, match_profile, payoff
 from coordgame.quantum import (
     GeneralAnglePlan,
-    SingletSampler,
     general_quantum_profile,
     mismatch_probability,
     quantum_player_strategy,
@@ -178,34 +177,60 @@ class TestQuantumProfile:
         assert p.q11 == pytest.approx(mismatch_probability(1.1, 4.0), abs=1e-15)
 
 
+def _batch(one, two, states_one, states_two, first_round=0):
+    """Both players' moves for one batch of consecutive rounds, player one first."""
+    rounds = np.arange(first_round, first_round + len(states_one))
+    return one.moves(states_one, rounds), two.moves(states_two, rounds)
+
+
+def _pattern(m: int, period: int) -> np.ndarray:
+    """A 0/1 state column of length m that is 1 on every ``period``-th round."""
+    return (np.arange(m) % period == 0).astype(np.uint8)
+
+
 class TestSampler:
+    """The singlet randomness that ``quantum_player_strategy(plan, seed)`` owns."""
+
     def test_deterministic_per_seed(self):
-        u1, v1 = SingletSampler(42).draw(100)
-        u2, v2 = SingletSampler(42).draw(100)
-        assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+        states = _pattern(100, 3), _pattern(100, 2)
+        a = _batch(*quantum_player_strategy(equally_spaced(0.3), 42), *states)
+        b = _batch(*quantum_player_strategy(equally_spaced(0.3), 42), *states)
+        c = _batch(*quantum_player_strategy(equally_spaced(0.3), 43), *states)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], c[0]) and not np.array_equal(a[1], c[1])
 
     def test_stream_is_stateful(self):
-        s = SingletSampler(0)
-        first = s.draw(50)
-        second = s.draw(50)
+        one, two = quantum_player_strategy(equally_spaced(0.3), 0)
+        states = _pattern(50, 3), _pattern(50, 2)
+        first = _batch(one, two, *states)
+        second = _batch(one, two, *states, first_round=50)
         assert not np.array_equal(first[0], second[0])
+        assert not np.array_equal(first[1], second[1])
 
     def test_draw_shapes(self):
-        u, v = SingletSampler(1).draw(7)
-        assert u.shape == (7,) and v.shape == (7,)
+        states = _pattern(7, 2)
+        move_one, move_two = _batch(*quantum_player_strategy(equally_spaced(0.3), 1), states, states)
+        assert move_one.shape == move_two.shape == (7,)
+        assert move_one.dtype == move_two.dtype == np.uint8
 
     @pytest.mark.parametrize("a, b", [(1, 1), (7, 993), (65_536, 17)])
     def test_split_draws_equal_one_draw(self, a, b):
-        split = SingletSampler(12)
-        u_a, v_a = split.draw(a)
-        u_b, v_b = split.draw(b)
-        u, v = SingletSampler(12).draw(a + b)
-        assert np.array_equal(np.concatenate([u_a, u_b]), u)
-        assert np.array_equal(np.concatenate([v_a, v_b]), v)
+        states_one, states_two = _pattern(a + b, 3), _pattern(a + b, 2)
+        one, two = quantum_player_strategy(equally_spaced(0.3), 12)
+        head = _batch(one, two, states_one[:a], states_two[:a])
+        tail = _batch(one, two, states_one[a:], states_two[a:], first_round=a)
+        whole = _batch(*quantum_player_strategy(equally_spaced(0.3), 12), states_one, states_two)
+        assert np.array_equal(np.concatenate([head[0], tail[0]]), whole[0])
+        assert np.array_equal(np.concatenate([head[1], tail[1]]), whole[1])
 
     def test_streams_are_distinct(self):
-        u, v = SingletSampler(0).draw(100)
-        assert not np.array_equal(u, v)
+        # every q is 1/2 on this plan, so the moves differ exactly when
+        # v >= 1/2; were u and v one stream, player two would always play A
+        plan = GeneralAnglePlan(0.0, 0.0, np.pi / 2, np.pi / 2)
+        assert general_quantum_profile(plan).as_array() == pytest.approx([0.5] * 4)
+        zeros = np.zeros(100, dtype=np.uint8)
+        _, move_two = _batch(*quantum_player_strategy(plan, 0), zeros, zeros)
+        assert 0 < np.count_nonzero(move_two) < 100
 
 
 def _joint_outcomes(dir_one: float, dir_two: float, m: int, seed: int) -> dict:
@@ -215,8 +240,8 @@ def _joint_outcomes(dir_one: float, dir_two: float, m: int, seed: int) -> dict:
     sign is move A.
     """
     plan = GeneralAnglePlan(dir_one, dir_one, dir_two, dir_two)
-    one, two = quantum_player_strategy(plan, SingletSampler(seed))
-    rec = reference_match(one, two, np.zeros((m, 2), dtype=np.uint8), seed)
+    one, two = quantum_player_strategy(plan, seed)
+    rec = reference_match(one, two, np.zeros((m, 2), dtype=np.uint8))
     counts = np.bincount(2 * rec.move_one + rec.move_two, minlength=4)
     return dict(zip([(+1, +1), (+1, -1), (-1, +1), (-1, -1)], counts.tolist()))
 
@@ -247,10 +272,10 @@ class TestJointOutcomes:
     def test_counts_equal_the_coupled_strategies_moves(self, a, b, seed):
         m = 5000
         counts = _joint_outcomes(a, b, m, seed)
-        one, two = quantum_player_strategy(GeneralAnglePlan(a, a, b, b), SingletSampler(seed))
+        one, two = quantum_player_strategy(GeneralAnglePlan(a, a, b, b), seed)
         states, rounds = np.zeros(m, dtype=np.uint8), np.arange(m)
-        move_one = one.moves(states, rounds, None).astype(bool)
-        move_two = two.moves(states, rounds, None).astype(bool)
+        move_one = one.moves(states, rounds).astype(bool)
+        move_two = two.moves(states, rounds).astype(bool)
         assert counts == {
             (+1, +1): int(np.count_nonzero(~move_one & ~move_two)),
             (+1, -1): int(np.count_nonzero(~move_one & move_two)),
@@ -269,23 +294,23 @@ class TestJointOutcomes:
 class TestCoupledStrategies:
     def test_match_reproduces_analytic_profile(self):
         delta, rounds = 0.5, 20_000
-        one, two = quantum_player_strategy(equally_spaced(delta), SingletSampler(7))
-        emp = match_profile(one, two, rounds, seed=7)
+        one, two = quantum_player_strategy(equally_spaced(delta), 7)
+        emp = match_profile(one, two, rounds)
         ana = quantum_profile(delta)
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             sigma = np.sqrt(ana.entry(i, j) * (1 - ana.entry(i, j)) / rounds)
             assert abs(emp.entry(i, j) - ana.entry(i, j)) < 4 * sigma
 
     def test_deterministic_for_fixed_seeds(self):
-        a = played(*quantum_player_strategy(equally_spaced(0.3), SingletSampler(9)), 500, seed=9)
-        b = played(*quantum_player_strategy(equally_spaced(0.3), SingletSampler(9)), 500, seed=9)
+        a = played(*quantum_player_strategy(equally_spaced(0.3), 9), 500)
+        b = played(*quantum_player_strategy(equally_spaced(0.3), 9), 500)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_player_one_moves_independent_of_plan(self):
         # Player one's outcome is a bare coin: changing every measurement
         # direction leaves its move sequence bit-for-bit unchanged.
-        one_a, two_a = played(*quantum_player_strategy(equally_spaced(0.1), SingletSampler(4)), 1000, seed=4)
-        one_b, two_b = played(*quantum_player_strategy(equally_spaced(1.0), SingletSampler(4)), 1000, seed=4)
+        one_a, two_a = played(*quantum_player_strategy(equally_spaced(0.1), 4), 1000)
+        one_b, two_b = played(*quantum_player_strategy(equally_spaced(1.0), 4), 1000)
         assert np.array_equal(one_a, one_b)
         assert not np.array_equal(two_a, two_b)
 
@@ -294,8 +319,8 @@ class TestCoupledStrategies:
         sched_a = np.zeros((n, 2), dtype=np.uint8)
         sched_b = np.zeros((n, 2), dtype=np.uint8)
         sched_b[:, 1] = 1  # only player two's scheduled states change
-        rec_a = reference_match(*quantum_player_strategy(equally_spaced(0.4), SingletSampler(2)), sched_a, seed=2)
-        rec_b = reference_match(*quantum_player_strategy(equally_spaced(0.4), SingletSampler(2)), sched_b, seed=2)
+        rec_a = reference_match(*quantum_player_strategy(equally_spaced(0.4), 2), sched_a)
+        rec_b = reference_match(*quantum_player_strategy(equally_spaced(0.4), 2), sched_b)
         assert np.array_equal(rec_a.move_one, rec_b.move_one)
 
     def test_player_two_marginal_is_fair_under_either_partner_state(self):
@@ -304,31 +329,31 @@ class TestCoupledStrategies:
             sched = np.zeros((n, 2), dtype=np.uint8)
             sched[:, 0] = own_state_of_one
             rec = reference_match(
-                *quantum_player_strategy(equally_spaced(0.7), SingletSampler(8)), sched, seed=8
+                *quantum_player_strategy(equally_spaced(0.7), 8), sched
             )
             freq = rec.move_two.mean()
             assert abs(freq - 0.5) < 4 * np.sqrt(0.25 / n)
 
     def test_player_two_cannot_measure_first(self):
-        one, two = quantum_player_strategy(equally_spaced(0.2), SingletSampler(0))
+        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
         with pytest.raises(RuntimeError):
-            two.moves(np.zeros(4, dtype=np.uint8), np.arange(4), np.zeros(4))
+            two.moves(np.zeros(4, dtype=np.uint8), np.arange(4))
 
     def test_players_must_share_round_batches(self):
-        one, two = quantum_player_strategy(equally_spaced(0.2), SingletSampler(0))
-        one.moves(np.zeros(4, dtype=np.uint8), np.arange(4), np.zeros(4))
+        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
+        one.moves(np.zeros(4, dtype=np.uint8), np.arange(4))
         with pytest.raises(RuntimeError):
-            two.moves(np.zeros(4, dtype=np.uint8), np.arange(1, 5), np.zeros(4))
+            two.moves(np.zeros(4, dtype=np.uint8), np.arange(1, 5))
 
     @pytest.mark.parametrize("bad_player", [1, 2])
     def test_rejects_a_state_above_one(self, bad_player):
         # the flat p_same table would read a state pair (0, 2) as (1, 0)
-        one, two = quantum_player_strategy(equally_spaced(0.2), SingletSampler(0))
+        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
         states = {1: np.zeros(4, dtype=np.uint8), 2: np.zeros(4, dtype=np.uint8)}
         states[bad_player][1] = 2
-        one.moves(states[1], np.arange(4), None)
+        one.moves(states[1], np.arange(4))
         with pytest.raises(ValueError, match="states must be 0 or 1"):
-            two.moves(states[2], np.arange(4), None)
+            two.moves(states[2], np.arange(4))
 
     @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
     def test_match_profile_equals_profile_of_recorded_match(self, monkeypatch, chunk):
@@ -336,9 +361,9 @@ class TestCoupledStrategies:
         r = 3 * chunk + 17  # block and chunk boundaries cut each other raggedly
         plan = equally_spaced(0.6)
         recorded = reference_profile(
-            reference_match(*quantum_player_strategy(plan, SingletSampler(6)), block_schedule(r), seed=6)
+            reference_match(*quantum_player_strategy(plan, 6), block_schedule(r))
         )
-        counted = match_profile(*quantum_player_strategy(plan, SingletSampler(6)), r, seed=6)
+        counted = match_profile(*quantum_player_strategy(plan, 6), r)
         assert counted == recorded
 
     def test_moves_follow_the_sign_formulation(self):
@@ -348,11 +373,13 @@ class TestCoupledStrategies:
         states_one = np.array([0, 0, 1, 1, 0, 1, 1, 0] * 50, dtype=np.uint8)
         states_two = np.array([0, 1, 0, 1, 1, 1, 0, 0] * 50, dtype=np.uint8)
         rounds = np.arange(len(states_one))
-        one, two = quantum_player_strategy(plan, SingletSampler(3))
-        move_one = one.moves(states_one, rounds, None)
-        move_two = two.moves(states_two, rounds, None)
+        one, two = quantum_player_strategy(plan, 3)
+        move_one = one.moves(states_one, rounds)
+        move_two = two.moves(states_two, rounds)
 
-        u, v = SingletSampler(3).draw(len(rounds))
+        # the strategy pair's two coin streams, derived from its seed
+        rng_u, rng_v = map(np.random.default_rng, np.random.SeedSequence(3).spawn(2))
+        u, v = rng_u.random(len(rounds)), rng_v.random(len(rounds))
         a = np.where(states_one == 0, plan.a0, plan.a1)
         b = np.where(states_two == 0, plan.b0, plan.b1)
         s = np.where(u < 0.5, 1, -1)
@@ -363,10 +390,10 @@ class TestCoupledStrategies:
     def test_match_profile_memory_is_bounded(self):
         # one and ten million rounds in under 1 MiB: nothing grows with the match
         for rounds_per_pair in (250_000, 2_500_000):
-            one, two = quantum_player_strategy(equally_spaced(0.1), SingletSampler(0))
+            one, two = quantum_player_strategy(equally_spaced(0.1), 0)
             tracemalloc.start()
             try:
-                match_profile(one, two, rounds_per_pair, seed=0)
+                match_profile(one, two, rounds_per_pair)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -381,11 +408,11 @@ class TestCoupledStrategies:
         code = (
             "import resource\n"
             "from coordgame.game import match_profile\n"
-            "from coordgame.quantum import GeneralAnglePlan, SingletSampler, quantum_player_strategy\n"
+            "from coordgame.quantum import GeneralAnglePlan, quantum_player_strategy\n"
             "plan = GeneralAnglePlan.equally_spaced(0.1)\n"
-            "one, two = quantum_player_strategy(plan, SingletSampler(1))\n"
+            "one, two = quantum_player_strategy(plan, 1)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "match_profile(one, two, 10**6, seed=1)\n"
+            "match_profile(one, two, 10**6)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -394,6 +421,6 @@ class TestCoupledStrategies:
 
     def test_accepts_general_plan(self):
         plan = GeneralAnglePlan(0.0, 0.2, np.pi + 0.3, np.pi + 0.1)
-        one, two = quantum_player_strategy(plan, SingletSampler(1))
-        move_one, move_two = played(one, two, 10, seed=1)
+        one, two = quantum_player_strategy(plan, 1)
+        move_one, move_two = played(one, two, 10)
         assert len(move_one) == len(move_two) == 40
