@@ -17,21 +17,23 @@ MOVE = ("A", "B")
 def main():
     print("= The 16 deterministic strategy pairs =")
     print(f"{'idx':>3}  m1(0) m1(1)  m2(0) m2(1)   d00 d01 d10 d11   d00 <= d01+d10+d11")
-    for k, (pair, prof) in enumerate(cg.enumerate_deterministic_pairs()):
-        d = [int(v) for v in prof.as_array()]
-        ok = cg.classical_bound(prof).holds
+    moves, vertices = cg.enumerate_deterministic_pairs()
+    names = np.array(MOVE)[moves]  # row k is k in binary: m1(0) m1(1) m2(0) m2(1)
+    d = vertices.as_array().T.astype(int)  # row k: (d00, d01, d10, d11)
+    holds = cg.classical_bound(vertices).holds
+    for k in range(len(moves)):
         print(
-            f"{k:3d}   {MOVE[pair.m1[0]]:>4} {MOVE[pair.m1[1]]:>5} "
-            f"{MOVE[pair.m2[0]]:>6} {MOVE[pair.m2[1]]:>5}   "
-            f"{d[0]:3d} {d[1]:3d} {d[2]:3d} {d[3]:3d}   {ok}"
+            f"{k:3d}   {names[k, 0]:>4} {names[k, 1]:>5} "
+            f"{names[k, 2]:>6} {names[k, 3]:>5}   "
+            f"{d[k, 0]:3d} {d[k, 1]:3d} {d[k, 2]:3d} {d[k, 3]:3d}   {holds[k]}"
         )
     print("all 16 vertices satisfy the inequality; mixtures inherit it by linearity\n")
 
     print("= Exact classical optimum with witness =")
-    supremum, witness = cg.lhv_supremum_payoff()
-    profile = cg.lhv_profile(witness)
+    supremum, weights = cg.lhv_supremum_payoff()
+    profile = cg.lhv_profile(weights)
     print(f"supremum payoff: {supremum}")
-    active = {k: float(w) for k, w in enumerate(witness.weights) if w > 0}
+    active = {k: float(w) for k, w in enumerate(weights) if w > 0}
     print(f"witness weights (vertex index: weight): {active}")
     print(f"witness profile: {np.round(profile.as_array(), 6)}")
     print(f"witness payoff:  {cg.payoff(profile):.12f}\n")

@@ -13,8 +13,6 @@ of the deterministic strategies and a payoff sweep, plus a CLI.
 from .bounds import (
     BOUND_TOLERANCE,
     BoundVerdict,
-    DeterministicStrategyPair,
-    LhvMixture,
     classical_bound,
     enumerate_deterministic_pairs,
     lhv_profile,
@@ -38,7 +36,6 @@ from .game import (
     STATE_PAIRS,
     DegenerateProfile,
     MismatchProfile,
-    Move,
     PayoffReport,
     PlayerStrategy,
     analytic_report,
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # game core
-    "Move",
     "STATE_PAIRS",
     "MismatchProfile",
     "PayoffReport",
@@ -91,8 +87,6 @@ __all__ = [
     # bounds and the sweep
     "BOUND_TOLERANCE",
     "BoundVerdict",
-    "DeterministicStrategyPair",
-    "LhvMixture",
     "classical_bound",
     "quantum_bound",
     "enumerate_deterministic_pairs",

@@ -12,8 +12,9 @@ q_ij = sin^2(phi_ij / 2) and phi_00 = phi_01 + phi_10 - phi_11; since
 |sin| is subadditive, sqrt(q00) <= sqrt(q01) + sqrt(q10) + sqrt(q11) <=
 3 * sqrt(max(q01, q10, q11)).  The equally-spaced plan reaches
 (1 + 2 cos delta)^2, which tends to 9.  This module checks both
-inequalities, enumerates the vertices and sweeps the singlet payoff over
-a spacing grid as one column profile.
+inequalities, which broadcast over column profiles, enumerates the
+vertices as a (16, 4) move array and a 16-row column profile, and sweeps
+the singlet payoff over a spacing grid as one column profile.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MismatchProfile, Move
+from .game import STATE_PAIRS, MismatchProfile
 from .quantum import GeneralAnglePlan, quantum_profile
 # unused here, but the benchmark trace wraps these two names in this module
 from .game import payoff as _payoff  # noqa: F401
@@ -32,8 +33,6 @@ from .quantum import general_quantum_profile  # noqa: F401
 __all__ = [
     "BOUND_TOLERANCE",
     "BoundVerdict",
-    "DeterministicStrategyPair",
-    "LhvMixture",
     "classical_bound",
     "quantum_bound",
     "enumerate_deterministic_pairs",
@@ -82,103 +81,66 @@ def quantum_bound(profile: MismatchProfile) -> BoundVerdict:
     return BoundVerdict.from_slack(rhs - profile.q00)
 
 
-@dataclass(frozen=True)
-class DeterministicStrategyPair:
-    """A deterministic state-to-move map per player; 16 distinct pairs exist.
+def enumerate_deterministic_pairs() -> tuple[np.ndarray, MismatchProfile]:
+    """All 16 deterministic strategy pairs and their indicator profiles.
 
-    ``m1[s]`` and ``m2[s]`` are the moves played in state ``s``.
+    ``moves`` is a read-only (16, 4) uint8 array whose columns are player
+    one's move in state 0 and in state 1, then player two's, 0 for A.  Row
+    k is k in binary, so player one's map varies slowest.  ``vertices`` is
+    the 16-row column profile whose row k has entry (i, j) equal to 1 iff
+    ``moves[k, i] != moves[k, 2 + j]``.  Mixture weights index this order.
     """
-
-    m1: tuple[Move, Move]
-    m2: tuple[Move, Move]
-
-    def mismatch_profile(self) -> MismatchProfile:
-        """0/1 indicator profile: entry (i, j) is 1 iff m1[i] != m2[j]."""
-        return MismatchProfile(
-            q00=float(self.m1[0] != self.m2[0]),
-            q01=float(self.m1[0] != self.m2[1]),
-            q10=float(self.m1[1] != self.m2[0]),
-            q11=float(self.m1[1] != self.m2[1]),
-        )
+    moves = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.uint8)
+    moves.setflags(write=False)
+    vertices = MismatchProfile(*(moves[:, i] != moves[:, 2 + j] for i, j in STATE_PAIRS))
+    return moves, vertices
 
 
-def enumerate_deterministic_pairs() -> list[tuple[DeterministicStrategyPair, MismatchProfile]]:
-    """All 16 deterministic strategy pairs with their indicator profiles.
+def lhv_profile(weights) -> MismatchProfile:
+    """Profile of shared classical randomness: the weighted average of the vertex profiles.
 
-    Order is fixed: player one's map varies slowest, states in (0, 1)
-    order, move A before B.  Mixture weights index this order.
+    ``weights`` holds one weight per deterministic pair, in the
+    :func:`enumerate_deterministic_pairs` order, and must lie on the
+    probability simplex to within 1e-12.
     """
-    maps = list(itertools.product((Move.A, Move.B), repeat=2))
-    out = []
-    for m1 in maps:
-        for m2 in maps:
-            pair = DeterministicStrategyPair(m1=m1, m2=m2)
-            out.append((pair, pair.mismatch_profile()))
-    return out
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (16,):
+        raise ValueError("mixture needs exactly 16 weights")
+    if w.min() < -1e-12:
+        raise ValueError("mixture weights must be nonnegative")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError(f"mixture weights sum to {w.sum()!r}, expected 1")
+    _, vertices = enumerate_deterministic_pairs()
+    return MismatchProfile(*np.clip(w @ vertices.as_array().T, 0.0, 1.0))
 
 
-def _vertex_matrix() -> np.ndarray:
-    """(16, 4) matrix of vertex profiles in (q00, q01, q10, q11) column order."""
-    return np.array([p.as_array() for _, p in enumerate_deterministic_pairs()])
-
-
-@dataclass(frozen=True)
-class LhvMixture:
-    """Shared classical randomness as weights over the 16 deterministic pairs.
-
-    Weights follow the :func:`enumerate_deterministic_pairs` order and
-    must lie on the probability simplex to within 1e-12.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)  # a copy: the caller's array stays writable
-        if w.shape != (16,):
-            raise ValueError("mixture needs exactly 16 weights")
-        if w.min() < -1e-12:
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {w.sum()!r}, expected 1")
-        object.__setattr__(self, "weights", w)
-        w.setflags(write=False)
-
-
-def lhv_profile(mixture: LhvMixture) -> MismatchProfile:
-    """Profile of a mixture: the weighted average of the vertex indicator profiles."""
-    return MismatchProfile(*np.clip(mixture.weights @ _vertex_matrix(), 0.0, 1.0))
-
-
-def lhv_supremum_payoff() -> tuple[float, LhvMixture]:
-    """Largest payoff reachable with shared classical randomness, with a witness.
+def lhv_supremum_payoff() -> tuple[float, np.ndarray]:
+    """Largest payoff reachable with shared classical randomness, with witness weights.
 
     The value is exact, by finite search rather than numerical
     optimization: every one of the 16 vertices satisfies
     d00 <= d01 + d10 + d11 (verified exhaustively here), mixtures inherit
     the inequality by linearity, and q00 <= q01 + q10 + q11 <= 3 *
-    max(q01, q10, q11) caps the payoff at 3.  The returned witness
-    mixture realizes the profile (0.3, 0.1, 0.1, 0.1) and attains 3.
+    max(q01, q10, q11) caps the payoff at 3.  The returned read-only
+    weights over the 16 vertices realize the profile (0.3, 0.1, 0.1, 0.1)
+    and attain 3.
 
     Raises:
         RuntimeError: if a vertex breaks the inequality, so the proof fails.
             The check is explicit so that it also runs under ``python -O``.
     """
-    pairs = enumerate_deterministic_pairs()
-    for pair, prof in pairs:
-        if prof.q00 > prof.q01 + prof.q10 + prof.q11:
-            raise RuntimeError(f"vertex bound broken: {pair}")
+    moves, vertices = enumerate_deterministic_pairs()
+    holds = classical_bound(vertices).holds
+    if not holds.all():
+        k = np.flatnonzero(~holds)[0]
+        raise RuntimeError(f"vertex bound broken: vertex {k}, moves {moves[k].tolist()}")
 
-    a, b = Move.A, Move.B
-    witness_vertices = {
-        ((a, a), (a, a)): 0.7,  # indicator (0,0,0,0)
-        ((a, b), (b, b)): 0.1,  # indicator (1,1,0,0)
-        ((a, b), (b, a)): 0.1,  # indicator (1,0,0,1)
-        ((a, a), (b, a)): 0.1,  # indicator (1,0,1,0)
-    }
-    weights = np.array(
-        [witness_vertices.get((pair.m1, pair.m2), 0.0) for pair, _ in pairs]
-    )
-    return 3.0, LhvMixture(weights=weights)
+    weights = np.zeros(16)
+    # rows 0b0000, 0b0111, 0b0110 and 0b0010: indicators (0,0,0,0),
+    # (1,1,0,0), (1,0,0,1) and (1,0,1,0)
+    weights[[0, 7, 6, 2]] = 0.7, 0.1, 0.1, 0.1
+    weights.setflags(write=False)
+    return 3.0, weights
 
 
 def sweep_quantum_payoff(

@@ -68,14 +68,24 @@ _MOVE_NAMES = ("A", "B")
 
 
 class Table:
-    """A result table as named, equal-length columns, one entry per row.
+    """A result table as named, equal-length 1-D numpy columns, one entry per row.
 
-    A column is a list or a 1-D numpy array.  ``len`` is the row count.
-    Renderers format a table in slices of ``MATCH_CHUNK_ROUNDS`` rows, each
-    slice column by column, never row by row.
+    A column holds bools, integers, floats or strings.  ``len`` is the row
+    count.  Renderers format a table in slices of ``MATCH_CHUNK_ROUNDS``
+    rows, each slice column by column, never row by row.
+
+    Raises:
+        RuntimeError: on a column that is not such an array, or on columns
+            of unequal length.
     """
 
     def __init__(self, columns: dict):
+        for name, column in columns.items():
+            array = isinstance(column, np.ndarray) and column.ndim == 1
+            if not (array and column.dtype.kind in "biufU"):
+                raise RuntimeError(
+                    f"table column {name!r} is not a 1-D numpy array of bools, numbers or strings"
+                )
         lengths = {len(column) for column in columns.values()}
         if len(lengths) != 1:
             raise RuntimeError(f"table needs columns of one length, got lengths {sorted(lengths)}")
@@ -187,32 +197,23 @@ def _cmd_sweep(args) -> tuple[dict, dict, str | None]:
 
 
 def _cmd_lhv(args) -> tuple[dict, dict, str | None]:
-    pairs = enumerate_deterministic_pairs()
-    supremum, witness = lhv_supremum_payoff()
-    witness_profile = lhv_profile(witness)
+    moves, vertices = enumerate_deterministic_pairs()
+    supremum, weights = lhv_supremum_payoff()
+    witness_profile = lhv_profile(weights)
 
-    maps = [pair for pair, _ in pairs]
-    profiles = [profile for _, profile in pairs]
-    holds = [classical_bound(profile).holds for profile in profiles]
-    vertices = Table(
-        {
-            "vertex_index": list(range(len(pairs))),
-            "m1_state0": [_MOVE_NAMES[pair.m1[0]] for pair in maps],
-            "m1_state1": [_MOVE_NAMES[pair.m1[1]] for pair in maps],
-            "m2_state0": [_MOVE_NAMES[pair.m2[0]] for pair in maps],
-            "m2_state1": [_MOVE_NAMES[pair.m2[1]] for pair in maps],
-            "d00": [int(profile.q00) for profile in profiles],
-            "d01": [int(profile.q01) for profile in profiles],
-            "d10": [int(profile.q10) for profile in profiles],
-            "d11": [int(profile.q11) for profile in profiles],
-            "satisfies_bound": holds,
-            "witness_weight": witness.weights,
-        }
-    )
+    holds = classical_bound(vertices).holds
+    move_names = np.array(_MOVE_NAMES)[moves]
+    columns = {"vertex_index": np.arange(len(moves))}
+    for c, name in enumerate(("m1_state0", "m1_state1", "m2_state0", "m2_state1")):
+        columns[name] = move_names[:, c]
+    for i, j in STATE_PAIRS:
+        columns[f"d{i}{j}"] = vertices.entry(i, j).astype(np.int64)
+    columns["satisfies_bound"] = holds
+    columns["witness_weight"] = weights
 
     results = {
-        "vertices": vertices,
-        "all_vertices_satisfy_bound": all(holds),
+        "vertices": Table(columns),
+        "all_vertices_satisfy_bound": bool(holds.all()),
         "supremum_payoff": supremum,
         "witness_q": 0.1,
         "witness_profile": _profile_dict(witness_profile),
@@ -254,11 +255,10 @@ def _cmd_match(args) -> tuple[dict, dict, str | None]:
     chunks = play_match(one, two, r)  # checks r before the columns exist
     move_one = np.empty(4 * r, dtype=np.uint8)
     move_two = np.empty(4 * r, dtype=np.uint8)
-    differ = [0, 0, 0, 0]
     for start, chunk_one, chunk_two in chunks:
         move_one[start : start + len(chunk_one)] = chunk_one
         move_two[start : start + len(chunk_two)] = chunk_two
-        differ[start // r] += np.count_nonzero(chunk_one != chunk_two)
+    differ = np.count_nonzero((move_one != move_two).reshape(4, r), axis=1)
     empirical = MismatchProfile(*(float(d) / r for d in differ))
     states = np.repeat(np.array(STATE_PAIRS, dtype=np.uint8), r, axis=0)
     move_names = np.array(_MOVE_NAMES)
@@ -301,8 +301,6 @@ def _round_floats(value):
     """Round floats to 9 significant digits so JSON output is stable and diffable."""
     if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):
@@ -337,11 +335,12 @@ def _check_finite(params: dict, results: dict) -> None:
     """Both renderers' one check: a NaN or infinite float, which JSON cannot
     spell and CSV would print as ``nan`` or ``inf``, raises ``RuntimeError``."""
     for name, value in _flatten({"parameters": params, "results": results}).items():
-        for column in value.columns.values() if isinstance(value, Table) else [[value]]:
-            if not isinstance(column, np.ndarray):
-                column = np.array([v for v in column if isinstance(v, (float, np.floating))])
-            if column.dtype.kind == "f" and not np.isfinite(column).all():
-                raise RuntimeError(f"{name} holds a non-finite float")
+        if isinstance(value, Table):
+            finite = all(np.isfinite(c).all() for c in value.columns.values() if c.dtype.kind == "f")
+        else:
+            finite = not isinstance(value, (float, np.floating)) or math.isfinite(value)
+        if not finite:
+            raise RuntimeError(f"{name} holds a non-finite float")
 
 
 def _slices(table: Table):
@@ -350,49 +349,33 @@ def _slices(table: Table):
         yield [column[start : start + MATCH_CHUNK_ROUNDS] for column in table.columns.values()]
 
 
-def _column_cells(column, quote) -> list:
-    """The CSV cells of one table column: each entry's ``_cell`` as ``quote`` writes it."""
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
-    if kind != "O":
-        column = column.tolist()
-    if kind in "iu":
-        return list(map(str, column))  # digits and a sign: never quoted
-    cells = column if kind == "U" else list(map(_cell, column))  # a str is its own cell
-    quoted = {cell: quote(cell) for cell in set(cells)}  # each distinct cell once
-    return list(map(quoted.__getitem__, cells))
+def _column_cells(column: np.ndarray, encode, json_floats: bool) -> list:
+    """The texts of one table column, as a renderer prints its entries.
 
-
-def _json_floats(values: list) -> list:
-    """``repr(float("%.9g" % v))`` for each float, the way ``json.dumps`` prints it rounded.
-
-    All values go through one ``%`` format.  A ``%.9g`` text in plain
-    decimal notation with a point is already that ``repr``: its exponent
-    lies in [-4, 9), where ``repr`` also writes plain decimals, and no
-    other decimal of at most 9 digits reads back as the same normal
-    float, so ``repr`` picks the same digits.  Only integer-valued and
-    exponent-notation texts (which include subnormals) are read back and
-    printed with ``repr``.
+    Integers print by ``str``: digits and a sign, never quoted.  Floats go
+    through one ``%.9g`` format.  With ``json_floats`` each float then
+    prints as ``repr(float("%.9g" % v))``, the way ``json.dumps`` prints
+    it rounded: a ``%.9g`` text in plain decimal notation with a point is
+    already that ``repr``, since its exponent lies in [-4, 9), where
+    ``repr`` also writes plain decimals, and no other decimal of at most
+    9 digits reads back as the same normal float, so ``repr`` picks the
+    same digits.  Only integer-valued and exponent-notation texts (which
+    include subnormals) are read back and printed with ``repr``.  Every
+    other entry, a bool or a string, is ``encode``d once per distinct
+    value.
     """
-    texts = ("%.9g\n" * len(values) % tuple(values)).split("\n")
-    texts.pop()
-    return [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
-
-
-def _json_cells(column) -> list:
-    """The JSON texts of one table column, each what ``json.dumps`` prints for its entry."""
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind == "f":
-            return _json_floats(column.tolist())
-        values = column.tolist()
-        if kind in "iu":
-            return list(map(str, values))
-        if kind in "bU":
-            # encode each distinct value once, then look it up
-            encoded = {v: json.dumps(v) for v in set(values)}
-            return list(map(encoded.__getitem__, values))
-        column = values
-    return [json.dumps(_round_floats(v), allow_nan=False) for v in column]
+    values = column.tolist()
+    kind = column.dtype.kind
+    if kind in "iu":
+        return list(map(str, values))
+    if kind == "f":
+        texts = ("%.9g\n" * len(values) % tuple(values)).split("\n")
+        texts.pop()
+        if not json_floats:
+            return texts
+        return [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
+    encoded = {v: encode(v) for v in set(values)}
+    return list(map(encoded.__getitem__, values))
 
 
 # a table is a value of "results", two levels into the record
@@ -411,7 +394,8 @@ def _json_table(table: Table):
     row = _TABLE_INDENT + "  {\n" + fields + "\n" + _TABLE_INDENT + "  }"
     separator = "[\n"
     for columns in _slices(table):
-        yield separator + ",\n".join(map(row.__mod__, zip(*map(_json_cells, columns))))
+        cells = zip(*(_column_cells(column, json.dumps, True) for column in columns))
+        yield separator + ",\n".join(map(row.__mod__, cells))
         separator = ",\n"
     yield "\n" + _TABLE_INDENT + "]"
 
@@ -422,9 +406,9 @@ def render_json(subcommand: str, seed: int, params: dict, results: dict):
     Every float is printed as the ``repr`` of its value rounded to 9
     significant digits, exactly as ``json.dumps`` prints that rounded
     float.  A non-finite float raises ``RuntimeError`` before the return:
-    JSON has no spelling for it.  Tables are formatted column by column,
-    one row slice at a time, in place of a marker string in the indented
-    envelope.
+    JSON has no spelling for it.  Tables, whose columns are numpy arrays,
+    are formatted column by column by :func:`_column_cells`, one row slice
+    at a time, in place of a marker string in the indented envelope.
     """
     _check_finite(params, results)
     markers = {key: f"\0table:{key}" for key, value in results.items() if isinstance(value, Table)}
@@ -449,8 +433,9 @@ def render_csv(subcommand: str, seed: int, params: dict, results: dict, table_ke
     Returns an iterator of text pieces, the header and then one per row
     slice, after every check.  The envelope, parameters and non-table
     results repeat on every row, so they are quoted once into a row
-    template; table cells are quoted once per distinct value per slice.
-    All quoting is ``csv.writer``'s, whose rules differ between versions.
+    template.  Table columns are numpy arrays, formatted by
+    :func:`_column_cells` as in ``render_json``; their bools and strings
+    are quoted once per distinct value per slice.  All quoting is ``csv.writer``'s, whose rules differ between versions.
     """
     _check_finite(params, results)
     lead = {"subcommand": subcommand, "version": __version__, "seed": seed}
@@ -470,11 +455,11 @@ def render_csv(subcommand: str, seed: int, params: dict, results: dict, table_ke
     if table_key is None:
         return iter([write_row(header) + template % ()])  # % () undoes the escape
 
-    def quote(cell: str) -> str:
-        return write_row((cell, ""))[:-2]  # a lone empty field would be written as ""
+    def encode(value) -> str:
+        return write_row((_cell(value), ""))[:-2]  # a lone empty field would be written as ""
 
     slices = (
-        "".join(map(template.__mod__, zip(*(_column_cells(c, quote) for c in columns))))
+        "".join(map(template.__mod__, zip(*(_column_cells(column, encode, False) for column in columns))))
         for columns in _slices(results[table_key])
     )
     return chain([write_row(header)], slices)

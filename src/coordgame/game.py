@@ -12,13 +12,11 @@ mismatch probabilities from such a match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterator, Protocol
 
 import numpy as np
 
 __all__ = [
-    "Move",
     "STATE_PAIRS",
     "MismatchProfile",
     "PayoffReport",
@@ -31,13 +29,6 @@ __all__ = [
     "analytic_report",
     "empirical_report",
 ]
-
-
-class Move(IntEnum):
-    """One player's move; A and B are the only options."""
-
-    A = 0
-    B = 1
 
 
 #: The four joint states (player one's, player two's) in canonical order.

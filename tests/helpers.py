@@ -4,14 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coordgame.game import STATE_PAIRS, MismatchProfile, Move, play_match
+from coordgame.game import STATE_PAIRS, MismatchProfile, play_match
 
 
 @dataclass(frozen=True)
 class ConstantStrategy:
-    """Plays the same move in every round regardless of state."""
+    """Plays the same move (0 for A, 1 for B) in every round regardless of state."""
 
-    move: Move
+    move: int
 
     def moves(self, states, round_indices):
         return np.full(len(states), int(self.move), dtype=np.uint8)

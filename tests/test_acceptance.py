@@ -103,10 +103,9 @@ def test_criterion_05_quantum_monte_carlo_convergence():
 
 @criterion(6, "vertex enumeration caps mixtures at payoff 3 and a witness attains it", 5.0)
 def test_criterion_06_lhv_optimum():
-    pairs = cg.enumerate_deterministic_pairs()
-    assert len(pairs) == 16
-    for _, profile in pairs:
-        assert profile.q00 <= profile.q01 + profile.q10 + profile.q11
+    moves, vertices = cg.enumerate_deterministic_pairs()
+    assert moves.shape == (16, 4)
+    assert np.all(vertices.q00 <= vertices.q01 + vertices.q10 + vertices.q11)
 
     supremum, witness = cg.lhv_supremum_payoff()
     assert supremum == 3.0
@@ -115,8 +114,8 @@ def test_criterion_06_lhv_optimum():
     # 200k sparse random mixtures, scored at once through the column payoff
     rng = np.random.default_rng(0)
     weights = rng.dirichlet(np.full(16, 0.05), size=200_000)
-    q = weights @ np.array([p.as_array() for _, p in pairs])
-    best = cg.payoff(cg.MismatchProfile(*q.T)).max()
+    q = vertices.as_array() @ weights.T
+    best = cg.payoff(cg.MismatchProfile(*q)).max()
     assert 2.9 < best <= 3.0 + 1e-12
 
 

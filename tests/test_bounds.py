@@ -15,8 +15,6 @@ from coordgame import bounds
 from coordgame.bounds import (
     BOUND_TOLERANCE,
     BoundVerdict,
-    DeterministicStrategyPair,
-    LhvMixture,
     classical_bound,
     enumerate_deterministic_pairs,
     lhv_profile,
@@ -24,7 +22,7 @@ from coordgame.bounds import (
     quantum_bound,
     sweep_quantum_payoff,
 )
-from coordgame.game import MismatchProfile, Move, payoff
+from coordgame.game import STATE_PAIRS, MismatchProfile, payoff
 from coordgame.quantum import GeneralAnglePlan, general_quantum_profile, quantum_profile
 
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
@@ -83,71 +81,106 @@ class TestVerdicts:
 
 class TestEnumeration:
     def test_sixteen_distinct_pairs(self):
-        pairs = enumerate_deterministic_pairs()
-        assert len(pairs) == 16
-        assert len({(p.m1, p.m2) for p, _ in pairs}) == 16
+        moves, vertices = enumerate_deterministic_pairs()
+        assert moves.shape == (16, 4) and moves.dtype == np.uint8
+        assert len({tuple(row) for row in moves.tolist()}) == 16
+        for k, row in enumerate(moves.tolist()):
+            assert row == [int(bit) for bit in format(k, "04b")]
+        assert vertices.as_array().shape == (4, 16)
 
     def test_constant_pairs(self):
-        lookup = {(p.m1, p.m2): prof for p, prof in enumerate_deterministic_pairs()}
-        aa = (Move.A, Move.A)
-        bb = (Move.B, Move.B)
-        assert lookup[(aa, aa)] == MismatchProfile(0, 0, 0, 0)
-        assert lookup[(aa, bb)] == MismatchProfile(1, 1, 1, 1)
+        moves, vertices = enumerate_deterministic_pairs()
+        q = vertices.as_array()
+        assert moves[0].tolist() == [0, 0, 0, 0] and q[:, 0].tolist() == [0.0] * 4  # AA against AA
+        assert moves[3].tolist() == [0, 0, 1, 1] and q[:, 3].tolist() == [1.0] * 4  # AA against BB
 
     def test_profiles_are_indicator_tables(self):
-        for pair, prof in enumerate_deterministic_pairs():
-            for i in (0, 1):
-                for j in (0, 1):
-                    assert prof.entry(i, j) == float(pair.m1[i] != pair.m2[j])
+        moves, vertices = enumerate_deterministic_pairs()
+        for k, (a0, a1, b0, b1) in enumerate(moves.tolist()):
+            m1, m2 = (a0, a1), (b0, b1)
+            for i, j in STATE_PAIRS:
+                assert vertices.entry(i, j)[k] == float(m1[i] != m2[j])
+
+    def test_arrays_are_read_only(self):
+        moves, vertices = enumerate_deterministic_pairs()
+        for array in (moves, vertices.q00, vertices.q01, vertices.q10, vertices.q11):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     def test_every_vertex_satisfies_classical_bound(self):
-        for _, prof in enumerate_deterministic_pairs():
-            assert classical_bound(prof).holds
+        _, vertices = enumerate_deterministic_pairs()
+        verdict = classical_bound(vertices)
+        assert verdict.holds.shape == (16,) and verdict.holds.all()
+        assert verdict.slack.min() == 0.0
 
-    def test_mismatch_profile_method_matches_enumeration(self):
-        pair = DeterministicStrategyPair(m1=(Move.A, Move.B), m2=(Move.B, Move.B))
-        assert pair.mismatch_profile() == MismatchProfile(1, 1, 0, 0)
+    def test_row_seven_is_ab_against_bb(self):
+        moves, vertices = enumerate_deterministic_pairs()
+        assert moves[7].tolist() == [0, 1, 1, 1]  # m1 = (A, B), m2 = (B, B)
+        assert vertices.as_array()[:, 7].tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def _corrupted_pairs():
-    """The vertex table with vertex 0's indicator replaced by (1, 0, 0, 0)."""
-    pairs = enumerate_deterministic_pairs()
-    pairs[0] = (pairs[0][0], MismatchProfile(1.0, 0.0, 0.0, 0.0))
-    return pairs
+    """The vertex arrays with row 0's indicator replaced by (1, 0, 0, 0)."""
+    moves, vertices = enumerate_deterministic_pairs()
+    q = vertices.as_array()
+    q[0, 0] = 1.0
+    return moves, MismatchProfile(*q)
+
+
+def _indicator_sum(weights, moves):
+    """sum_k w_k * [m1[i] != m2[j]] for each (i, j), in plain Python over the move rows."""
+    sums = []
+    for i, j in STATE_PAIRS:
+        total = 0.0
+        for w, (a0, a1, b0, b1) in zip(weights, moves.tolist()):
+            total += w * ((a0, a1)[i] != (b0, b1)[j])
+        sums.append(total)
+    return sums
+
+
+simplex_weights = (
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=16, max_size=16)
+    .filter(lambda w: sum(w) > 1e-6)
+    .map(lambda raw: np.array(raw) / np.sum(raw))
+    .map(lambda w: w / w.sum())  # renormalize twice to land within 1e-12 of the simplex
+)
 
 
 class TestMixtures:
     def test_point_mass_on_constant_pair(self):
         w = np.zeros(16)
-        w[0] = 1.0  # enumeration starts at (m1=AA, m2=AA)
-        assert lhv_profile(LhvMixture(weights=w)) == MismatchProfile(0, 0, 0, 0)
+        w[0] = 1.0  # row 0 is (m1=AA, m2=AA)
+        assert lhv_profile(w) == MismatchProfile(0, 0, 0, 0)
 
     def test_uniform_mixture_averages_to_half(self):
-        prof = lhv_profile(LhvMixture(weights=np.full(16, 1 / 16)))
+        prof = lhv_profile(np.full(16, 1 / 16))
         assert prof == MismatchProfile(0.5, 0.5, 0.5, 0.5)
 
     def test_simplex_validation(self):
-        with pytest.raises(ValueError):
-            LhvMixture(weights=np.full(16, 0.1))
-        with pytest.raises(ValueError):
-            LhvMixture(weights=np.array([1.5, -0.5] + [0.0] * 14))
-        with pytest.raises(ValueError):
-            LhvMixture(weights=np.full(8, 0.125))
+        with pytest.raises(ValueError, match="sum to"):
+            lhv_profile(np.full(16, 0.1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            lhv_profile(np.array([1.5, -0.5] + [0.0] * 14))
+        with pytest.raises(ValueError, match="exactly 16"):
+            lhv_profile(np.full(8, 0.125))
+        with pytest.raises(ValueError, match="exactly 16"):
+            lhv_profile(np.full((2, 16), 1 / 16))
 
     def test_callers_array_stays_writable(self):
         w = np.full(16, 1 / 16)
-        mixture = LhvMixture(weights=w)
+        lhv_profile(w)
         assert w.flags.writeable
-        w[0] = 0.5  # later writes by the caller do not reach the mixture
-        assert mixture.weights[0] == 1 / 16
-        with pytest.raises(ValueError):
-            mixture.weights[0] = 0.5
+        assert w.tolist() == [1 / 16] * 16
 
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 1e-6))
-    def test_every_mixture_satisfies_classical_bound(self, raw):
-        w = np.array(raw) / np.sum(raw)
-        w = w / w.sum()  # renormalize twice to land within 1e-12 of the simplex
-        assert classical_bound(lhv_profile(LhvMixture(weights=w))).holds
+    @given(simplex_weights)
+    def test_every_mixture_satisfies_classical_bound(self, w):
+        assert classical_bound(lhv_profile(w)).holds
+
+    @given(simplex_weights)
+    def test_equals_the_weighted_sum_of_indicators(self, w):
+        moves, _ = enumerate_deterministic_pairs()
+        expected = _indicator_sum(w.tolist(), moves)
+        assert lhv_profile(w).as_array() == pytest.approx(expected, abs=1e-15)
 
 
 class TestSupremum:
@@ -166,12 +199,15 @@ class TestSupremum:
 
     def test_witness_is_a_valid_mixture(self):
         _, witness = lhv_supremum_payoff()
-        assert witness.weights.sum() == pytest.approx(1.0, abs=1e-15)
-        assert witness.weights.min() >= 0.0
+        assert witness.shape == (16,)
+        assert witness.sum() == pytest.approx(1.0, abs=1e-15)
+        assert witness.min() >= 0.0
+        with pytest.raises(ValueError):
+            witness[0] = 0.5
 
     def test_corrupted_vertex_table_raises(self, monkeypatch):
         monkeypatch.setattr(bounds, "enumerate_deterministic_pairs", _corrupted_pairs)
-        with pytest.raises(RuntimeError, match="vertex bound broken"):
+        with pytest.raises(RuntimeError, match="vertex bound broken: vertex 0"):
             lhv_supremum_payoff()
 
     def test_corrupted_vertex_table_raises_under_optimize(self):
@@ -184,9 +220,10 @@ class TestSupremum:
 
             if not sys.flags.optimize:
                 sys.exit("not running under -O")
-            pairs = bounds.enumerate_deterministic_pairs()
-            pairs[0] = (pairs[0][0], MismatchProfile(1.0, 0.0, 0.0, 0.0))
-            bounds.enumerate_deterministic_pairs = lambda: pairs
+            moves, vertices = bounds.enumerate_deterministic_pairs()
+            q = vertices.as_array()
+            q[0, 0] = 1.0
+            bounds.enumerate_deterministic_pairs = lambda: (moves, MismatchProfile(*q))
             try:
                 bounds.lhv_supremum_payoff()
             except RuntimeError:
@@ -204,8 +241,9 @@ class TestSupremum:
         # 200k sparse mixtures scored at once through the column payoff
         rng = np.random.default_rng(0)
         weights = rng.dirichlet(np.full(16, 0.05), size=200_000)
-        q = weights @ bounds._vertex_matrix()
-        best = payoff(MismatchProfile(*q.T)).max()
+        _, vertices = enumerate_deterministic_pairs()
+        q = vertices.as_array() @ weights.T
+        best = payoff(MismatchProfile(*q)).max()
         assert best <= 3.0 + 1e-12
         assert best > 2.9  # the sample reaches close to the optimum
 

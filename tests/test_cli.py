@@ -245,12 +245,18 @@ class TestLhvCommand:
         assert len(out.splitlines()) == 17
 
     def test_broken_vertex_proof_exits_three(self, capsys, monkeypatch):
-        pairs = bounds.enumerate_deterministic_pairs()
-        pairs[0] = (pairs[0][0], MismatchProfile(1.0, 0.0, 0.0, 0.0))
-        monkeypatch.setattr(bounds, "enumerate_deterministic_pairs", lambda: pairs)
+        moves, vertices = bounds.enumerate_deterministic_pairs()
+        q = vertices.as_array()
+        q[0, 0] = 1.0  # row 0 plays A everywhere, so d00 = 1 breaks the bound
+        monkeypatch.setattr(
+            bounds, "enumerate_deterministic_pairs", lambda: (moves, MismatchProfile(*q))
+        )
         code, out, err = run_cli(capsys, "lhv")
         assert code == 3 and out == ""
-        assert "vertex bound broken" in err
+        assert err == (
+            "coordgame lhv: internal invariant failure: "
+            "vertex bound broken: vertex 0, moves [0, 0, 0, 0]\n"
+        )
 
 
 class TestMatchCommand:
@@ -468,7 +474,7 @@ class TestReproducibility:
     def test_failed_check_leaves_an_existing_out_file_as_it_was(
         self, capsys, monkeypatch, tmp_path, argv, code
     ):
-        results = {"rows": Table({"x": [0.5, math.nan]})}
+        results = {"rows": Table({"x": np.array([0.5, math.nan])})}
         monkeypatch.setitem(cli._HANDLERS, "sweep", lambda args: ({}, results, "rows"))
         path = tmp_path / "record.out"
         path.write_bytes(b"earlier record\r\n")
@@ -504,10 +510,8 @@ class TestColumnTables:
 
     def test_render_equals_csv_writer_row_by_row(self):
         columns = {
-            "label": ['plain', 'a,b', 'say "hi"', '"q",x', ""],
-            "maybe": [None, 1.5, None, "x", None],
+            "label": np.array(['plain', 'a,b', 'say "hi"', '"q",x', ""]),
             "flag": np.array([True, False, True, True, False]),
-            "flag_list": [False, True, np.bool_(True), False, True],
             "weight": np.array([0.1, 1e-12, 2.0 / 3.0, -0.0, 123456789.123]),
             "index": np.arange(5, dtype=np.int64),
             "small": np.array([0, 1, 1, 0, 255], dtype=np.uint8),
@@ -532,9 +536,9 @@ class TestColumnTables:
     @pytest.mark.parametrize(
         "params, columns, summary, duplicate",
         [
-            ({}, {"seed": [1, 2]}, {}, "seed"),
-            ({}, {"payoff": [1, 2]}, {"payoff": 3.0}, "payoff"),
-            ({"rounds_per_pair": 8}, {"x": [1, 2]}, {"rounds": {"per_pair": 8}}, "rounds_per_pair"),
+            ({}, {"seed": np.array([1, 2])}, {}, "seed"),
+            ({}, {"payoff": np.array([1, 2])}, {"payoff": 3.0}, "payoff"),
+            ({"rounds_per_pair": 8}, {"x": np.array([1, 2])}, {"rounds": {"per_pair": 8}}, "rounds_per_pair"),
         ],
     )
     def test_duplicate_column_names_raise(self, params, columns, summary, duplicate):
@@ -544,7 +548,7 @@ class TestColumnTables:
 
     def test_duplicate_column_names_exit_three(self, capsys, monkeypatch):
         def clashing(args):
-            return {"delta": 0.5}, {"rows": Table({"delta": [0.1, 0.2]})}, "rows"
+            return {"delta": 0.5}, {"rows": Table({"delta": np.array([0.1, 0.2])})}, "rows"
 
         monkeypatch.setitem(cli._HANDLERS, "sweep", clashing)
         code, out, err = run_cli(capsys, "sweep", "--format", "csv")
@@ -553,9 +557,31 @@ class TestColumnTables:
 
     def test_columns_of_unequal_length_raise(self):
         with pytest.raises(RuntimeError, match="one length"):
-            Table({"a": [1, 2], "b": np.arange(3)})
+            Table({"a": np.array([1, 2]), "b": np.arange(3)})
         with pytest.raises(RuntimeError, match="one length"):
             Table({})
+
+    @pytest.mark.parametrize(
+        "column",
+        [[0.5, 1.5], (1, 2), np.zeros((2, 2)), np.array([None, 1.5]), np.zeros(2, dtype=complex), np.float64(0.5)],
+        ids=["list", "tuple", "2-d", "object", "complex", "scalar"],
+    )
+    def test_a_column_that_is_not_a_1d_array_raises(self, column):
+        with pytest.raises(RuntimeError, match="table column 'x' is not a 1-D numpy array"):
+            Table({"x": column, "y": np.arange(2)})
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_list_column_exits_three(self, capsys, monkeypatch, fmt):
+        def listed(args):
+            return {}, {"rows": Table({"delta": [0.1, 0.2]})}, "rows"
+
+        monkeypatch.setitem(cli._HANDLERS, "sweep", listed)
+        code, out, err = run_cli(capsys, "sweep", "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            "coordgame sweep: internal invariant failure: "
+            "table column 'delta' is not a 1-D numpy array of bools, numbers or strings"
+        ]
 
 
 def _oracle_round_floats(value):
@@ -626,13 +652,9 @@ COLUMN_KINDS = {
     "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n).map(
         lambda v: np.array(v, dtype=bool)
     ),
-    "bool_list": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
-    "int_list": lambda n: st.lists(st.integers(), min_size=n, max_size=n),
-    "float_list": lambda n: st.lists(finite_floats, min_size=n, max_size=n),
     "csv_str": lambda n: st.lists(csv_text, min_size=n, max_size=n).map(
         lambda v: np.array(v, dtype=str)
     ),
-    "object_list": lambda n: st.lists(csv_values, min_size=n, max_size=n),
 }
 
 
@@ -699,8 +721,8 @@ class TestJsonRenderer:
         "results",
         [
             {"rows": Table({"delta": np.array([0.1, np.nan])})},
-            {"rows": Table({"weight": [0.5, float("inf")]})},
-            {"rows": Table({"delta": [0.1]}), "payoff": float("nan")},
+            {"rows": Table({"weight": np.array([0.5, float("inf")])})},
+            {"rows": Table({"delta": np.array([0.1])}), "payoff": float("nan")},
             {"profile": {"q00": -np.inf}},
         ],
     )
@@ -791,11 +813,10 @@ class TestNonFiniteFloats:
     @pytest.mark.parametrize(
         "results, where",
         [
-            ({"rows": Table({"delta": [0.1, 0.2]}), "payoff": float("nan")}, "results_payoff"),
+            ({"rows": Table({"delta": np.array([0.1, 0.2])}), "payoff": float("nan")}, "results_payoff"),
             ({"rows": Table({"delta": np.array([0.1, -np.inf])})}, "results_rows"),
-            ({"rows": Table({"weight": [0.5, float("inf")], "index": [0, 1]})}, "results_rows"),
         ],
-        ids=["summary-cell", "array-column", "list-column"],
+        ids=["summary-cell", "array-column"],
     )
     def test_exits_three_in_either_format(self, capsys, monkeypatch, fmt, results, where):
         monkeypatch.setitem(cli._HANDLERS, "sweep", lambda args: ({}, results, "rows"))

@@ -44,6 +44,12 @@ def test_every_export_resolves(name):
     assert not missing
 
 
+def test_readme_lists_every_public_name():
+    section = README.read_text(encoding="utf-8").split("## Public names\n")[1].split("\n## ")[0]
+    listed = {name for bullet in section.split("\n- ")[1:] for name in re.findall(r"`(\w+)`", bullet)}
+    assert sorted(listed - set(SUBMODULES)) == sorted(coordgame.__all__)
+
+
 def test_package_re_exports_something():
     assert RE_EXPORTS
 

@@ -15,7 +15,6 @@ from coordgame.game import (
     STATE_PAIRS,
     DegenerateProfile,
     MismatchProfile,
-    Move,
     analytic_report,
     empirical_report,
     match_profile,
@@ -37,10 +36,6 @@ def profiles(min_denom=0.0):
 
 
 class TestDomainTypes:
-    def test_enums_are_binary(self):
-        assert [int(m) for m in Move] == [0, 1]
-        assert Move.A == 0 and Move.B == 1
-
     def test_state_pair_order(self):
         assert STATE_PAIRS == ((0, 0), (0, 1), (1, 0), (1, 1))
         assert all(type(state) is int for pair in STATE_PAIRS for state in pair)
@@ -176,7 +171,7 @@ class TestPayoff:
 class _Recorder:
     """Constant-move strategy that records exactly what the arbiter shows it."""
 
-    def __init__(self, move=Move.A):
+    def __init__(self, move=0):
         self.move = move
         self.seen = []
 
@@ -229,13 +224,13 @@ class TestRunMatch:
     """Running a match through ``play_match``."""
 
     def test_constant_strategies_never_mismatch(self):
-        move_one, move_two = played(ConstantStrategy(Move.A), ConstantStrategy(Move.A), 5)
+        move_one, move_two = played(ConstantStrategy(0), ConstantStrategy(0), 5)
         assert len(move_one) == 20
         assert np.array_equal(move_one, move_two)
 
     def test_each_player_sees_only_its_own_state_column(self):
         r = MATCH_CHUNK_ROUNDS + 3  # two chunks per block
-        one, two = _Recorder(), _Recorder(Move.B)
+        one, two = _Recorder(), _Recorder(1)
         played(one, two, r)
         sched = block_schedule(r)
         assert np.array_equal(_seen(one, 0), sched[:, 0])
@@ -258,17 +253,17 @@ class TestRunMatch:
             raise AssertionError("the arbiter must not draw randomness")
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        one, two = ConstantStrategy(Move.A), ConstantStrategy(Move.B)
+        one, two = ConstantStrategy(0), ConstantStrategy(1)
         assert match_profile(one, two, MATCH_CHUNK_ROUNDS + 3) == MismatchProfile(1.0, 1.0, 1.0, 1.0)
         move_one, move_two = played(one, two, 5)
-        assert move_one.tolist() == [Move.A] * 20 and move_two.tolist() == [Move.B] * 20
+        assert move_one.tolist() == [0] * 20 and move_two.tolist() == [1] * 20
 
     def test_rejects_bad_strategy_output(self):
         class Bad:
             def moves(self, states, round_indices):
                 return np.full(len(states), 7, dtype=np.uint8)
 
-        chunks = play_match(Bad(), ConstantStrategy(Move.A), 2)
+        chunks = play_match(Bad(), ConstantStrategy(0), 2)
         with pytest.raises(ValueError):
             next(chunks)
 
@@ -293,12 +288,12 @@ class TestMatchRecords:
     """The chunk records that ``play_match`` yields and the arrays it hands out."""
 
     def test_columns_follow_schedule_order(self):
-        chunks = list(play_match(ConstantStrategy(Move.A), ConstantStrategy(Move.B), 2))
+        chunks = list(play_match(ConstantStrategy(0), ConstantStrategy(1), 2))
         assert [start for start, _, _ in chunks] == [0, 2, 4, 6]
         for _, move_one, move_two in chunks:
             assert move_one.dtype == move_two.dtype == np.uint8
-            assert move_one.tolist() == [Move.A] * 2
-            assert move_two.tolist() == [Move.B] * 2
+            assert move_one.tolist() == [0] * 2
+            assert move_two.tolist() == [1] * 2
 
     def test_columns_are_write_protected(self):
         # the round indices that both players are handed; neither player
@@ -319,7 +314,7 @@ class TestMatchRecords:
                 return np.where(round_indices == 5, 2, 0).astype(np.uint8)
 
         with pytest.raises(ValueError, match="moves must be 0"):
-            played(ConstantStrategy(Move.A), Two(), 2)
+            played(ConstantStrategy(0), Two(), 2)
 
     def test_mismatched_columns_rejected(self):
         class Long:
@@ -327,7 +322,7 @@ class TestMatchRecords:
                 return np.zeros(len(states) + 1, dtype=np.uint8)
 
         with pytest.raises(ValueError, match=r"returned \(3,\), expected \(2,\)"):
-            played(Long(), ConstantStrategy(Move.A), 2)
+            played(Long(), ConstantStrategy(0), 2)
 
 
 class TestEmpiricalProfile:
@@ -370,9 +365,9 @@ class TestMatchProfile:
     def test_strategies_see_the_whole_match_in_order(self, chunk_rounds):
         r = _ragged_rounds(chunk_rounds)
         sched = block_schedule(r)
-        whole_one, whole_two = _Recorder(), _Recorder(Move.B)
+        whole_one, whole_two = _Recorder(), _Recorder(1)
         reference_match(whole_one, whole_two, sched)
-        one, two = _Recorder(), _Recorder(Move.B)
+        one, two = _Recorder(), _Recorder(1)
         match_profile(one, two, r)
         assert len(one.seen) == len(two.seen) == 4 * -(-r // chunk_rounds)  # ceil, per block
         for player, (chunked, whole) in enumerate(((one, whole_one), (two, whole_two))):
@@ -414,9 +409,9 @@ class TestMatchProfile:
                     return np.where(round_indices == bad_round, 7, 0).astype(np.uint8)
 
             with pytest.raises(ValueError, match="moves must be 0"):
-                played(BadLate(), ConstantStrategy(Move.A), r)
+                played(BadLate(), ConstantStrategy(0), r)
             with pytest.raises(ValueError, match="moves must be 0"):
-                match_profile(BadLate(), ConstantStrategy(Move.A), r)
+                match_profile(BadLate(), ConstantStrategy(0), r)
 
     def test_rejects_wrong_length_output(self, monkeypatch):
         class Short:
@@ -427,9 +422,9 @@ class TestMatchProfile:
             monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
             r = _ragged_rounds(chunk)
             with pytest.raises(ValueError, match="expected"):
-                played(ConstantStrategy(Move.A), Short(), r)
+                played(ConstantStrategy(0), Short(), r)
             with pytest.raises(ValueError, match="expected"):
-                match_profile(ConstantStrategy(Move.A), Short(), r)
+                match_profile(ConstantStrategy(0), Short(), r)
 
 
 def _shipped_pair(family: str):
