@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .game import MismatchProfile
+from .game import MismatchProfile, _as_binary
 
 __all__ = [
     "MODES",
@@ -44,12 +44,10 @@ class LengthMismatch(ValueError):
 
 
 def _as_bits(seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.uint8)
+    arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
-    if arr.max(initial=0) > 1:
-        raise ValueError("bit sequence entries must be 0 or 1")
-    return arr
+    return _as_binary(arr, "bit sequence entries must be 0 or 1")
 
 
 def hamming_distance(a, b) -> int:

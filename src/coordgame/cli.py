@@ -49,8 +49,7 @@ from .game import (
     STATE_PAIRS,
     DegenerateProfile,
     MismatchProfile,
-    analytic_report,
-    empirical_report,
+    confidence_halfwidth,
     match_profile,
     payoff,
     play_match,
@@ -59,10 +58,10 @@ from .quantum import GeneralAnglePlan, quantum_player_strategy, quantum_profile
 
 __all__ = ["main", "build_parser"]
 
-# Nothing here calls these two names any more, but the benchmark tracer
+# Nothing here calls these four names any more, but the benchmark tracer
 # wraps them in this module at install; they go when tracing moves into
 # the package.
-run_match = empirical_profile = None
+run_match = empirical_profile = analytic_report = empirical_report = None
 
 _MOVE_NAMES = ("A", "B")
 
@@ -107,16 +106,17 @@ def _verdict_dict(verdict) -> dict:
 def _payoff_block(profile: MismatchProfile, samples: int | None = None) -> dict:
     """Profile plus payoff, with a degeneracy flag instead of a 0/0 crash."""
     try:
-        report = analytic_report(profile) if samples is None else empirical_report(profile, samples)
+        value = payoff(profile)
+        halfwidth = None if samples is None else confidence_halfwidth(profile, samples)
     except DegenerateProfile:
-        report = None
+        value = halfwidth = None
     block = {
         "profile": _profile_dict(profile),
-        "payoff": None if report is None else report.payoff,
-        "degenerate": report is None,
+        "payoff": value,
+        "degenerate": value is None,
     }
     if samples is not None:
-        block["confidence_halfwidth"] = None if report is None else report.confidence_halfwidth
+        block["confidence_halfwidth"] = halfwidth
         block["samples_per_state_pair"] = samples
     return block
 

@@ -6,7 +6,7 @@ when both players are in state 0 and the worst mismatch probability over
 the remaining three state pairs.  This module defines the domain types,
 the payoff functional, the match arbiter, which plays every state pair
 equally often in chunks of rounds, and the frequency estimate of the four
-mismatch probabilities from such a match.
+mismatch probabilities from such a match, with its payoff's 95% interval.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ import numpy as np
 __all__ = [
     "STATE_PAIRS",
     "MismatchProfile",
-    "PayoffReport",
     "PlayerStrategy",
     "DegenerateProfile",
-    "MATCH_CHUNK_ROUNDS",
     "payoff",
+    "confidence_halfwidth",
     "match_profile",
     "play_match",
-    "analytic_report",
-    "empirical_report",
 ]
 
 
@@ -115,6 +112,29 @@ def payoff(profile: MismatchProfile):
     if not np.all(np.isfinite(ratio)):
         raise ValueError("payoff overflows: q00 / max(q01, q10, q11) is not finite")
     return ratio
+
+
+def confidence_halfwidth(profile: MismatchProfile, samples_per_state_pair: int) -> float:
+    """95% half-width of the payoff of a frequency-estimated profile.
+
+    The delta method on the ratio q00 / qmax, with independent binomial
+    variances q(1-q)/n, n = ``samples_per_state_pair``, for the numerator
+    and for the entry attaining the maximum.
+
+    Raises:
+        ValueError: if ``samples_per_state_pair`` is below 1, or as
+            :func:`payoff` does.
+        DegenerateProfile: as :func:`payoff` does.
+    """
+    n = int(samples_per_state_pair)
+    if n < 1:
+        raise ValueError("samples_per_state_pair must be >= 1")
+    payoff(profile)  # only for its checks
+    qmax = max(profile.q01, profile.q10, profile.q11)
+    var_num = profile.q00 * (1.0 - profile.q00) / n
+    var_den = qmax * (1.0 - qmax) / n
+    var_ratio = var_num / qmax**2 + profile.q00**2 * var_den / qmax**4
+    return 1.96 * float(np.sqrt(var_ratio))
 
 
 class PlayerStrategy(Protocol):
@@ -217,57 +237,22 @@ def _play(strategy_one, strategy_two, chunks):
 
 
 def _as_move_array(moves, n: int) -> np.ndarray:
-    arr = np.asarray(moves, dtype=np.uint8)
+    arr = np.asarray(moves)
     if arr.shape != (n,):
         raise ValueError(f"strategy returned {arr.shape}, expected ({n},)")
-    if arr.max(initial=0) > 1:
-        raise ValueError("moves must be 0 (A) or 1 (B)")
+    return _as_binary(arr, "moves must be 0 (A) or 1 (B)")
+
+
+def _as_binary(arr: np.ndarray, message: str) -> np.ndarray:
+    """``arr`` as uint8 0s and 1s; ``ValueError(message)`` on any other value."""
+    if arr.dtype == np.uint8 or arr.dtype == np.bool_:
+        arr = arr.astype(np.uint8, copy=False)
+        valid = arr.max(initial=0) <= 1
+    else:
+        # compared before any cast, which would wrap 256 to 0, truncate 0.7 to 0 and warn on NaN
+        ones = arr == 1
+        valid = (ones | (arr == 0)).all()
+        arr = ones.view(np.uint8)
+    if not valid:
+        raise ValueError(message)
     return arr
-
-
-@dataclass(frozen=True)
-class PayoffReport:
-    """A payoff value together with how it was obtained.
-
-    ``mode`` is "analytic" for closed-form profiles and "empirical" for
-    frequency estimates.  ``samples_per_state_pair`` and
-    ``confidence_halfwidth`` are zero in analytic mode; in empirical mode
-    the half-width is a 95% normal-approximation interval for the payoff
-    ratio, propagated from the binomial variances of the numerator and of
-    the largest denominator entry.
-    """
-
-    payoff: float
-    mode: str
-    profile: MismatchProfile
-    samples_per_state_pair: int = 0
-    confidence_halfwidth: float = 0.0
-
-
-def analytic_report(profile: MismatchProfile) -> PayoffReport:
-    """Payoff report for an exactly known profile."""
-    return PayoffReport(payoff=payoff(profile), mode="analytic", profile=profile)
-
-
-def empirical_report(profile: MismatchProfile, samples_per_state_pair: int) -> PayoffReport:
-    """Payoff report for a frequency-estimated profile.
-
-    The 95% half-width uses the delta method on the ratio q00 / qmax with
-    independent binomial variances q(1-q)/n for the numerator and for the
-    entry attaining the maximum.
-    """
-    n = int(samples_per_state_pair)
-    if n < 1:
-        raise ValueError("samples_per_state_pair must be >= 1 for empirical reports")
-    value = payoff(profile)
-    qmax = max(profile.q01, profile.q10, profile.q11)
-    var_num = profile.q00 * (1.0 - profile.q00) / n
-    var_den = qmax * (1.0 - qmax) / n
-    var_ratio = var_num / qmax**2 + profile.q00**2 * var_den / qmax**4
-    return PayoffReport(
-        payoff=value,
-        mode="empirical",
-        profile=profile,
-        samples_per_state_pair=n,
-        confidence_halfwidth=1.96 * float(np.sqrt(var_ratio)),
-    )

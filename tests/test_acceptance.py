@@ -179,9 +179,8 @@ def test_criterion_10_bsc_variant():
         cg.classical_strategy(2, sequences),
         n,
     )
-    report = cg.empirical_report(profile, n)
-    sigma = report.confidence_halfwidth / 1.96
-    assert abs(report.payoff - target) < _SIGMA * sigma
+    sigma = cg.confidence_halfwidth(profile, n) / 1.96
+    assert abs(cg.payoff(profile) - target) < _SIGMA * sigma
 
     trend = []
     for q_step in (0.1, 0.05, 0.01):

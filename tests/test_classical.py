@@ -40,6 +40,19 @@ class TestHammingDistance:
         with pytest.raises(ValueError):
             hamming_distance([0, 2], [0, 1])
 
+    @pytest.mark.parametrize("bad", [256, -255, -1, 1.5, 0.7, np.nan])
+    def test_values_are_checked_before_the_cast(self, bad):
+        # a cast to uint8 first would read [256, 1] as [0, 1] and [0, 1.5] as [0, 1]
+        with pytest.raises(ValueError, match="^bit sequence entries must be 0 or 1$"):
+            hamming_distance(np.array([bad, 1]), [0, 1])
+        with pytest.raises(ValueError, match="^bit sequence entries must be 0 or 1$"):
+            hamming_distance([0, 1], np.array([0, bad]))
+
+    def test_any_dtype_of_zeros_and_ones_reads_as_bits(self):
+        a = [0, 1, 1, 0]
+        for other in (np.array([1, 1, 0, 0], dtype=bool), np.array([1.0, 1.0, 0.0, 0.0]), [1, 1, 0, 0]):
+            assert hamming_distance(a, other) == 2
+
     @given(bits, bits)
     def test_symmetry(self, a, b):
         n = min(len(a), len(b))

@@ -1,6 +1,5 @@
 """The README's code, the demos and the package exports name only what exists."""
 
-import ast
 import importlib
 import re
 import subprocess
@@ -19,13 +18,8 @@ PYTHON_BLOCKS = re.findall(
 )
 SUBMODULES = ("bounds", "classical", "cli", "game", "quantum")
 MODULES = ["coordgame", *(f"coordgame.{name}" for name in SUBMODULES)]
-# (submodule, name) for every ``from .submodule import name`` in the package
-RE_EXPORTS = [
-    (node.module, alias.name)
-    for node in ast.parse(Path(coordgame.__file__).read_text(encoding="utf-8")).body
-    if isinstance(node, ast.ImportFrom) and node.level == 1
-    for alias in node.names
-]
+# the submodules whose ``__all__`` the package re-exports, in its order
+RE_EXPORTED = ("game", "classical", "quantum", "bounds")
 
 
 def test_readme_has_python_blocks():
@@ -51,15 +45,20 @@ def test_readme_lists_every_public_name():
 
 
 def test_package_re_exports_something():
-    assert RE_EXPORTS
+    assert set(coordgame.__all__) > {"__version__"}
 
 
-@pytest.mark.parametrize("submodule", sorted({module for module, _ in RE_EXPORTS}))
+def test_package_all_is_the_version_then_each_submodule_all():
+    lists = [importlib.import_module(f"coordgame.{name}").__all__ for name in RE_EXPORTED]
+    assert coordgame.__all__ == ["__version__", *(name for names in lists for name in names)]
+    assert len(set(coordgame.__all__)) == len(coordgame.__all__)
+
+
+@pytest.mark.parametrize("submodule", sorted(RE_EXPORTED))
 def test_re_exports_are_in_the_submodule_all(submodule):
-    # so ``from coordgame.<submodule> import *`` gives every name the package takes from it
-    exported = importlib.import_module(f"coordgame.{submodule}").__all__
-    missing = [name for module, name in RE_EXPORTS if module == submodule and name not in exported]
-    assert not missing
+    # ``from coordgame.<submodule> import *`` and ``coordgame`` give the same objects
+    module = importlib.import_module(f"coordgame.{submodule}")
+    assert [name for name in module.__all__ if getattr(coordgame, name) is not getattr(module, name)] == []
 
 
 def test_demos_exist():

@@ -15,8 +15,7 @@ from coordgame.game import (
     STATE_PAIRS,
     DegenerateProfile,
     MismatchProfile,
-    analytic_report,
-    empirical_report,
+    confidence_halfwidth,
     match_profile,
     payoff,
     play_match,
@@ -316,6 +315,34 @@ class TestMatchRecords:
         with pytest.raises(ValueError, match="moves must be 0"):
             played(ConstantStrategy(0), Two(), 2)
 
+    @pytest.mark.parametrize("bad", [256, -255, -1, 0.7, 1.9, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("container", [np.asarray, list], ids=["array", "list"])
+    def test_values_are_checked_before_the_cast(self, bad, container):
+        # a cast to uint8 first would play 256 and 0.7 as A, 1.9 and -255
+        # as B, overflow on a list holding -1 and warn on NaN
+        class Off:
+            def moves(self, states, round_indices):
+                return container(np.where(round_indices == 5, bad, 0).tolist())
+
+        with pytest.raises(ValueError, match=r"^moves must be 0 \(A\) or 1 \(B\)$"):
+            match_profile(Off(), ConstantStrategy(0), 2)
+        with pytest.raises(ValueError, match=r"^moves must be 0 \(A\) or 1 \(B\)$"):
+            match_profile(ConstantStrategy(0), Off(), 2)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [np.ndarray.tolist, lambda m: m.astype(bool), lambda m: m.astype(np.int64), lambda m: m.astype(float)],
+        ids=["list", "bool", "int64", "float"],
+    )
+    def test_any_dtype_of_zeros_and_ones_plays_as_uint8(self, convert):
+        class Converted:
+            def moves(self, states, round_indices):
+                return convert((round_indices % 3 == 0).astype(np.uint8))
+
+        chunks = list(play_match(Converted(), ConstantStrategy(0), 3))
+        assert all(one.dtype == np.uint8 for _, one, _ in chunks)
+        assert np.concatenate([one for _, one, _ in chunks]).tolist() == [1, 0, 0] * 4
+
     def test_mismatched_columns_rejected(self):
         class Long:
             def moves(self, states, round_indices):
@@ -436,27 +463,24 @@ def _shipped_pair(family: str):
 
 
 class TestReports:
-    def test_analytic_report_fields(self):
-        rep = analytic_report(MismatchProfile(0.3, 0.1, 0.1, 0.1))
-        assert rep.mode == "analytic"
-        assert rep.payoff == pytest.approx(3.0, abs=1e-12)
-        assert rep.samples_per_state_pair == 0
-        assert rep.confidence_halfwidth == 0.0
-
-    def test_empirical_report_halfwidth_formula(self):
+    def test_halfwidth_formula(self):
         p = MismatchProfile(0.3, 0.1, 0.1, 0.1)
         n = 10_000
-        rep = empirical_report(p, n)
         var = (0.3 * 0.7 / n) / 0.1**2 + 0.3**2 * (0.1 * 0.9 / n) / 0.1**4
-        assert rep.mode == "empirical"
-        assert rep.confidence_halfwidth == pytest.approx(1.96 * np.sqrt(var), rel=1e-12)
+        assert confidence_halfwidth(p, n) == pytest.approx(1.96 * np.sqrt(var), rel=1e-12)
 
     def test_halfwidth_shrinks_with_samples(self):
         p = MismatchProfile(0.3, 0.1, 0.1, 0.1)
-        assert empirical_report(p, 40_000).confidence_halfwidth == pytest.approx(
-            empirical_report(p, 10_000).confidence_halfwidth / 2, rel=1e-12
+        assert confidence_halfwidth(p, 40_000) == pytest.approx(
+            confidence_halfwidth(p, 10_000) / 2, rel=1e-12
         )
 
-    def test_empirical_report_needs_samples(self):
-        with pytest.raises(ValueError):
-            empirical_report(MismatchProfile(0.3, 0.1, 0.1, 0.1), 0)
+    def test_halfwidth_needs_samples(self):
+        with pytest.raises(ValueError, match="samples_per_state_pair must be >= 1"):
+            confidence_halfwidth(MismatchProfile(0.3, 0.1, 0.1, 0.1), 0)
+
+    def test_halfwidth_raises_as_payoff_does(self):
+        with pytest.raises(DegenerateProfile):
+            confidence_halfwidth(MismatchProfile(0.0, 0.0, 0.0, 0.0), 100)
+        with pytest.raises(ValueError, match="overflows"):
+            confidence_halfwidth(MismatchProfile(1.0, 1e-310, 0.0, 0.0), 100)
