@@ -164,21 +164,40 @@ def generate_sequences(config: ClassicalConfig) -> BitSequenceSet:
 class SequenceStrategy:
     """Plays the bit of a pre-shared sequence at position round mod N.
 
-    ``seq_state0`` answers state 0 and ``seq_state1`` state 1; bit 0 maps
-    to move A, bit 1 to move B.  Round indices wrap modulo the sequence
-    length, so matches of any length run on finite sequences.
+    ``seq_state0`` answers state 0 and ``seq_state1`` any other; bit 0 is
+    move A, bit 1 move B.  Both must be 1-D, 0/1 and of one nonzero length
+    N, and are kept as read-only uint8.  Consecutive rounds that do not
+    wrap read one slice of each sequence, other indices a floor-division
+    modulo and a gather; the state selects by ``zero ^ ((zero ^ one) &
+    (states != 0))``.
     """
 
     seq_state0: np.ndarray
     seq_state1: np.ndarray
 
+    def __post_init__(self) -> None:
+        zero, one = _as_bits(self.seq_state0), _as_bits(self.seq_state1)
+        if len(zero) != len(one):
+            raise LengthMismatch(f"sequence lengths differ: {len(zero)} vs {len(one)}")
+        if not len(zero):
+            raise ValueError("bit sequences must not be empty")
+        for name, arr in (("seq_state0", zero), ("seq_state1", one)):
+            arr = arr.view() if arr.flags.writeable else arr  # the caller's array stays writable
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     def moves(self, states, round_indices):
-        # round mod N by floor division, which numpy runs faster than int64 %
-        n = len(self.seq_state0)
-        pos = round_indices // n
-        pos *= n
-        np.subtract(round_indices, pos, out=pos)
-        return np.where(states == 0, self.seq_state0[pos], self.seq_state1[pos])
+        n, k = len(self.seq_state0), len(round_indices)
+        first = int(round_indices[0]) % n if k else 0
+        ends = k and int(round_indices[-1]) - int(round_indices[0]) == k - 1  # Python ints: no overflow
+        if ends and first + k <= n and (round_indices[1:] > round_indices[:-1]).all():
+            zero, one = self.seq_state0[first : first + k], self.seq_state1[first : first + k]
+        else:
+            pos = round_indices // n  # round mod N by floor division, faster than int64 %
+            pos *= n
+            np.subtract(round_indices, pos, out=pos)
+            zero, one = self.seq_state0[pos], self.seq_state1[pos]
+        return zero ^ ((zero ^ one) & (states != 0))
 
 
 def classical_strategy(player: int, sequences: BitSequenceSet) -> SequenceStrategy:

@@ -140,11 +140,12 @@ def confidence_halfwidth(profile: MismatchProfile, samples_per_state_pair: int) 
 class PlayerStrategy(Protocol):
     """Answers move queries from the arbiter.
 
-    ``moves`` receives only this player's own states and the round
-    indices, and must return one move (0 for A, 1 for B) per round.  A
-    strategy brings its own randomness: the arbiter hands out none.  No
-    argument holds the other player's state, yet on the block schedule
-    ``round_indices // r`` gives the state pair away.
+    ``moves`` receives only this player's own states and a chunk's round
+    indices, consecutive read-only int64, and returns one move (0 for A, 1
+    for B) per round.  It may rely on consecutive indices for speed but
+    must answer any.  It brings its own randomness: the arbiter hands out
+    none.  No argument holds the other player's state, yet on the block
+    schedule ``round_indices // r`` gives the state pair away.
     """
 
     def moves(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray: ...
@@ -166,13 +167,13 @@ def play_match(
 
     Each block is played in order, in chunks of at most
     :data:`MATCH_CHUNK_ROUNDS` rounds.  Per chunk, strategy one and then
-    strategy two receive only their own states and the round indices; the
-    arbiter draws no randomness.  Each chunk yields (first round index,
-    moves one, moves two), the moves as uint8 columns, 0 for A.  Output is
-    deterministic for fixed strategies and r, and the chunking changes no
-    move of a strategy whose moves depend only on its arguments and on
-    streams that draw the same values split or whole, as both shipped
-    families do.
+    strategy two receive only their own states and the chunk's round
+    indices, consecutive read-only int64; the arbiter draws no randomness.
+    Each chunk yields (first round index, moves one, moves two), the moves
+    as uint8 columns, 0 for A.  Output is deterministic for fixed strategies
+    and r, and the chunking changes no move of a strategy whose moves depend
+    only on its arguments and on streams that draw the same values split or
+    whole, as both shipped families do.
 
     Raises:
         ValueError: when called, before any strategy is queried, if

@@ -20,9 +20,26 @@ from coordgame.classical import (
     generate_sequences,
     hamming_distance,
 )
-from coordgame.game import match_profile, payoff
+from coordgame.game import MATCH_CHUNK_ROUNDS, match_profile, payoff
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def round_windows(draw):
+    """(n, first round, length): consecutive rounds near a multiple of n or an int64 end."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=10**6)))
+    length = draw(st.integers(min_value=1, max_value=3 * MATCH_CHUNK_ROUNDS))
+    near = st.integers(min_value=-3 * MATCH_CHUNK_ROUNDS, max_value=3 * MATCH_CHUNK_ROUNDS)
+    start = draw(
+        st.one_of(
+            st.builds(lambda m, d: m * n + d, st.integers(min_value=0, max_value=2**40), near),
+            st.builds(lambda d: INT64.max - length + 1 - abs(d), near),
+            st.builds(lambda d: INT64.min + abs(d), near),
+        )
+    )
+    return n, start, length
 
 
 class TestHammingDistance:
@@ -203,6 +220,90 @@ class TestSequenceStrategy:
         expected = np.where(states == 0, s0[rounds % n], s1[rounds % n])
         assert out.dtype == np.uint8
         assert out.tobytes() == expected.tobytes()
+
+    @given(
+        window=round_windows(),
+        state_values=st.lists(st.sampled_from([0, 1, 2, 255]), min_size=1, max_size=4, unique=True),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_consecutive_windows_equal_the_modulo_reference(self, window, state_values, seed):
+        n, start, length = window
+        rng = np.random.default_rng(seed)
+        s0, s1 = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
+        states = rng.choice(np.array(state_values, dtype=np.uint8), size=length)
+        rounds = np.arange(start, start + length, dtype=np.int64)
+        rounds.setflags(write=False)  # as the arbiter hands them over
+        strategy = SequenceStrategy(s0, s1)
+        out = strategy.moves(states, rounds)
+        expected = np.where(states == 0, s0[rounds % n], s1[rounds % n])
+        assert out.dtype == np.uint8
+        assert out.tobytes() == expected.tobytes()
+        assert not np.shares_memory(out, strategy.seq_state0)
+        assert not np.shares_memory(out, strategy.seq_state1)
+
+    @pytest.mark.parametrize(
+        "rounds",
+        [
+            [0, 2, 1, 3],  # endpoints three apart, as a window's, but out of order
+            [0, 1, 1, 3],  # a repeated index
+            [INT64.max - 1, INT64.max, INT64.min, INT64.min + 1],  # int64 endpoint difference wraps to 3
+        ],
+        ids=["swapped", "repeated", "wraps-int64-max"],
+    )
+    def test_near_consecutive_rounds_take_the_general_path(self, rounds):
+        n = 10
+        s0 = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8)
+        s1 = 1 - s0
+        rounds = np.array(rounds, dtype=np.int64)
+        rounds.setflags(write=False)
+        states = np.array([0, 0, 2, 255], dtype=np.uint8)
+        expected = np.where(states == 0, s0[rounds % n], s1[rounds % n])
+        first = int(rounds[0]) % n
+        window = np.where(states == 0, s0[first : first + 4], s1[first : first + 4])
+        assert window.tobytes() != expected.tobytes()  # reading a window would be caught
+        out = SequenceStrategy(s0, s1).moves(states, rounds)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_a_consecutive_chunk_builds_no_position_column(self):
+        # an int64 position per round would take MATCH_CHUNK_ROUNDS * 8 bytes on its own
+        rng = np.random.default_rng(0)
+        strategy = SequenceStrategy(*rng.integers(0, 2, size=(2, 10**6), dtype=np.uint8))
+        states = np.ones(MATCH_CHUNK_ROUNDS, dtype=np.uint8)
+        rounds = np.arange(3 * 10**6 + 5_000, 3 * 10**6 + 5_000 + MATCH_CHUNK_ROUNDS, dtype=np.int64)
+        rounds.setflags(write=False)
+        tracemalloc.start()
+        try:
+            strategy.moves(states, rounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < MATCH_CHUNK_ROUNDS * 8
+
+    def test_unequal_lengths_raise_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            SequenceStrategy([0, 1, 1], [1, 1])
+
+    def test_empty_sequences_raise(self):
+        with pytest.raises(ValueError, match="empty") as caught:
+            SequenceStrategy([], [])
+        assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("bad", [[0, 2], [[0, 1]], [0.5, 1], [0, -1]], ids=["two", "2-d", "half", "minus-one"])
+    def test_rejects_sequences_that_are_not_one_dimensional_bits(self, bad):
+        with pytest.raises(ValueError):
+            SequenceStrategy(bad, [0, 1])
+        with pytest.raises(ValueError):
+            SequenceStrategy([0, 1], bad)
+
+    def test_sequences_are_kept_as_read_only_uint8(self):
+        caller = np.array([0, 1, 1], dtype=np.uint8)
+        s = SequenceStrategy(caller, [True, False, True])
+        for seq in (s.seq_state0, s.seq_state1):
+            assert seq.dtype == np.uint8
+            assert not seq.flags.writeable
+        assert s.seq_state1.tolist() == [1, 0, 1]
+        assert caller.flags.writeable
+        assert np.shares_memory(s.seq_state0, caller)  # a view, as BitSequenceSet holds
 
     def test_match_profile_memory_is_bounded(self):
         # one and ten million rounds in under 1 MiB, sequences aside
