@@ -3,8 +3,10 @@
 Each subcommand runs one experiment and emits a single machine-readable
 record (JSON object or CSV with a header row).  Every record carries the
 subcommand name, tool version, seed, and echoed parameters, and the same
-command line always produces byte-identical output.  Floats are printed
-with 9 significant digits.
+command line always produces byte-identical output.  The echoed
+parameters are the subcommand's own arguments in ``--help`` order, less
+``--seed`` (in the envelope), ``--format`` and ``--out``.  Floats are
+printed with 9 significant digits.
 
 Exit codes: 0 success; 2 invalid parameters, memory exhausted, or output
 not writable (one line on stderr); 3 internal invariant failure, which
@@ -133,48 +135,44 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _cmd_classical(args) -> tuple[dict, dict, str | None]:
+def _echo(args) -> dict:
+    """The echoed parameters: the subcommand's own arguments, in ``--help`` order."""
+    return {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "format", "out")}
+
+
+def _players(args, family: str):
+    """Both players of ``family``, built after the checks of every match parameter
+    the command has, whichever family plays: rounds, then ``--q``, then ``--delta``."""
     _require(args.rounds_per_pair >= 1, "rounds-per-pair must be >= 1")
-    config = ClassicalConfig(n=args.N, q=args.q, mode=args.mode, seed=args.seed)
-    analytic = analytic_classical_profile(args.q, args.mode)
+    if hasattr(args, "q"):
+        config = ClassicalConfig(n=args.N, q=args.q, mode=args.mode, seed=args.seed)
+    if hasattr(args, "delta"):
+        _require(0.0 < args.delta < math.pi / 3.0, "delta must lie in (0, pi/3)")
+    if family == "classical":
+        sequences = generate_sequences(config)
+        return classical_strategy(1, sequences), classical_strategy(2, sequences)
+    return quantum_player_strategy(GeneralAnglePlan.equally_spaced(args.delta), args.seed)
 
-    sequences = generate_sequences(config)
-    empirical = match_profile(
-        classical_strategy(1, sequences),
-        classical_strategy(2, sequences),
-        args.rounds_per_pair,
-    )
 
-    params = {
-        "N": args.N,
-        "q": args.q,
-        "mode": args.mode,
-        "rounds_per_pair": args.rounds_per_pair,
-    }
+def _end_to_end(args, analytic_profile) -> tuple[dict, dict, str | None]:
+    """One counts-only match of the command's family against its analytic profile."""
+    one, two = _players(args, args.subcommand)
+    analytic = analytic_profile()
+    empirical = match_profile(one, two, args.rounds_per_pair)
     results = {
         "analytic": _payoff_block(analytic),
         "empirical": _payoff_block(empirical, samples=args.rounds_per_pair),
         "bounds": _bounds_block(analytic),
     }
-    return params, results, None
+    return _echo(args), results, None
+
+
+def _cmd_classical(args) -> tuple[dict, dict, str | None]:
+    return _end_to_end(args, lambda: analytic_classical_profile(args.q, args.mode))
 
 
 def _cmd_quantum(args) -> tuple[dict, dict, str | None]:
-    _require(0.0 < args.delta < math.pi / 3.0, "delta must lie in (0, pi/3)")
-    _require(args.rounds_per_pair >= 1, "rounds-per-pair must be >= 1")
-    analytic = quantum_profile(args.delta)
-
-    plan = GeneralAnglePlan.equally_spaced(args.delta)
-    one, two = quantum_player_strategy(plan, args.seed)
-    empirical = match_profile(one, two, args.rounds_per_pair)
-
-    params = {"delta": args.delta, "rounds_per_pair": args.rounds_per_pair}
-    results = {
-        "analytic": _payoff_block(analytic),
-        "empirical": _payoff_block(empirical, samples=args.rounds_per_pair),
-        "bounds": _bounds_block(analytic),
-    }
-    return params, results, None
+    return _end_to_end(args, lambda: quantum_profile(args.delta))
 
 
 def _cmd_sweep(args) -> tuple[dict, dict, str | None]:
@@ -188,12 +186,7 @@ def _cmd_sweep(args) -> tuple[dict, dict, str | None]:
             "classical_bound_slack": classical_bound(profile).slack,
         }
     )
-    params = {
-        "delta_min": args.delta_min,
-        "delta_max": args.delta_max,
-        "steps": args.steps,
-    }
-    return params, {"rows": rows}, "rows"
+    return _echo(args), {"rows": rows}, "rows"
 
 
 def _cmd_lhv(args) -> tuple[dict, dict, str | None]:
@@ -219,38 +212,22 @@ def _cmd_lhv(args) -> tuple[dict, dict, str | None]:
         "witness_profile": _profile_dict(witness_profile),
         "witness_payoff": payoff(witness_profile),
     }
-    return {}, results, "vertices"
+    return _echo(args), results, "vertices"
 
 
 def _cmd_bounds(args) -> tuple[dict, dict, str | None]:
-    values = (args.q00, args.q01, args.q10, args.q11)
-    profile = MismatchProfile(*values)  # rejects an entry outside [0, 1]
-
-    params = dict(zip(("q00", "q01", "q10", "q11"), values))
+    # rejects an entry outside [0, 1]
+    profile = MismatchProfile(args.q00, args.q01, args.q10, args.q11)
     results = {
         **_payoff_block(profile),
         "classical_bound": _verdict_dict(classical_bound(profile)),
         "quantum_bound": _verdict_dict(quantum_bound(profile)),
     }
-    return params, results, None
+    return _echo(args), results, None
 
 
 def _cmd_match(args) -> tuple[dict, dict, str | None]:
-    _require(args.rounds_per_pair >= 1, "rounds-per-pair must be >= 1")
-    # every parameter is echoed, whichever strategy family plays, so each
-    # gets the checks of the family that uses it
-    _require(
-        math.isfinite(args.q) and math.isfinite(args.delta),
-        f"q and delta must be finite, got q={args.q!r}, delta={args.delta!r}",
-    )
-    config = ClassicalConfig(n=args.N, q=args.q, mode=args.mode, seed=args.seed)
-    _require(0.0 < args.delta < math.pi / 3.0, "delta must lie in (0, pi/3)")
-    if args.strategy == "classical":
-        sequences = generate_sequences(config)
-        one, two = classical_strategy(1, sequences), classical_strategy(2, sequences)
-    else:
-        one, two = quantum_player_strategy(GeneralAnglePlan.equally_spaced(args.delta), args.seed)
-
+    one, two = _players(args, args.strategy)
     r = args.rounds_per_pair
     chunks = play_match(one, two, r)  # checks r before the columns exist
     move_one = np.empty(4 * r, dtype=np.uint8)
@@ -272,19 +249,11 @@ def _cmd_match(args) -> tuple[dict, dict, str | None]:
         }
     )
 
-    params = {
-        "strategy": args.strategy,
-        "N": args.N,
-        "q": args.q,
-        "mode": args.mode,
-        "delta": args.delta,
-        "rounds_per_pair": args.rounds_per_pair,
-    }
     results = {
         "rounds": rounds,
         "empirical": _payoff_block(empirical, samples=args.rounds_per_pair),
     }
-    return params, results, "rounds"
+    return _echo(args), results, "rounds"
 
 
 _HANDLERS = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MismatchProfile
+from .game import MismatchProfile, _as_binary
 
 __all__ = [
     "GeneralAnglePlan",
@@ -151,8 +151,8 @@ class _SingletSource:
         self._pending = None
         if not np.array_equal(rounds_one, round_indices):
             raise RuntimeError("both players must consume the same singlet rounds")
-        if max(np.max(states_one, initial=0), np.max(states, initial=0)) > 1:
-            raise ValueError("singlet measurement states must be 0 or 1")
+        message = "singlet measurement states must be 0 or 1"
+        states_one, states = _as_binary(states_one, message), _as_binary(np.asarray(states), message)
         differ = v >= self._p_same[states_one * 2 + states]
         return (move_one ^ differ).view(np.uint8)
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -39,6 +40,20 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+# every option of the two commands, in declaration order, at values that
+# keep a run small
+PERMUTABLE_OPTIONS = {
+    "classical": [
+        ("--seed", "5"), ("--format", "json"), ("--N", "64"), ("--q", "0.1"), ("--mode", "bsc-chain"),
+        ("--rounds-per-pair", "8"),
+    ],
+    "match": [
+        ("--seed", "5"), ("--format", "csv"), ("--strategy", "quantum"), ("--N", "16"), ("--q", "0.2"),
+        ("--mode", "bsc-chain"), ("--delta", "0.3"), ("--rounds-per-pair", "3"),
+    ],
+}
+
+
 class TestRecordEnvelope:
     def test_top_level_schema(self, capsys):
         doc = run_json(capsys, "bounds", "0.3", "0.1", "0.1", "0.1")
@@ -60,6 +75,42 @@ class TestRecordEnvelope:
         assert header[:3] == ["subcommand", "version", "seed"]
         row = lines[1].split(",")
         assert row[0] == "bounds" and row[1] == __version__
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classical", "--N", "64", "--rounds-per-pair", "4"],
+            ["quantum", "--rounds-per-pair", "4"],
+            ["sweep", "--steps", "3"],
+            ["lhv"],
+            ["bounds", "0.3", "0.1", "0.1", "0.1"],
+            ["match"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_parameters_are_the_subcommands_own_arguments_in_help_order(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([argv[0], "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        options = re.findall(r"\[--([\w-]+)", usage)
+        positionals = re.sub(r"\[[^\]]*\]", "", usage).split()[3:]  # after "usage: coordgame <subcommand>"
+        own = [name.replace("-", "_") for name in [*options, *positionals]]
+        own = [name for name in own if name not in ("seed", "format", "out")]
+        assert list(run_json(capsys, *argv)["parameters"]) == own
+
+    @pytest.mark.parametrize("subcommand", ["classical", "match"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_option_order_never_changes_a_byte(self, subcommand, data):
+        declared = PERMUTABLE_OPTIONS[subcommand]
+        permuted = data.draw(st.permutations(declared))
+        outputs = []
+        for options in (declared, permuted):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([subcommand, *(part for option in options for part in option)]) == 0
+            outputs.append(out.getvalue().encode())
+        assert outputs[0] == outputs[1]
 
 
 class TestBoundsCommand:
@@ -684,19 +735,24 @@ class TestJsonRenderer:
         assert "".join(render_json("cmd", 3, params, results)) == expected
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["match", "--delta", "nan"],
-            ["match", "--strategy", "quantum", "--q", "nan"],
-            ["match", "--delta", "inf", "--format", "csv"],
-            ["match", "--q=-inf"],
+            (["match", "--delta", "nan"], "delta must lie in (0, pi/3)"),
+            (["match", "--strategy", "quantum", "--q", "nan"], "flip fraction q=nan outside [0, 1]"),
+            (["match", "--delta", "inf", "--format", "csv"], "delta must lie in (0, pi/3)"),
+            (["match", "--q=-inf"], "flip fraction q=-inf outside [0, 1]"),
+            (["classical", "--q", "nan"], "flip fraction q=nan outside [0, 1]"),
+            (["classical", "--q=-inf"], "flip fraction q=-inf outside [0, 1]"),
+            (["quantum", "--delta", "nan"], "delta must lie in (0, pi/3)"),
+            (["quantum", "--delta", "inf", "--format", "csv"], "delta must lie in (0, pi/3)"),
         ],
+        ids=[f"argv{i}" for i in range(8)],
     )
-    def test_non_finite_match_parameter_exits_two(self, capsys, argv):
+    def test_non_finite_match_parameter_exits_two(self, capsys, argv, message):
+        # each command that takes --q or --delta names a bad value the same way
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("coordgame match: invalid parameters: q and delta must be finite")
-        assert len(err.splitlines()) == 1
+        assert err == f"coordgame {argv[0]}: invalid parameters: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -355,6 +355,20 @@ class TestCoupledStrategies:
         with pytest.raises(ValueError, match="states must be 0 or 1"):
             two.moves(states[2], np.arange(4))
 
+    @pytest.mark.parametrize("bad_player", [1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([0, -1, 0, 0], dtype=np.int64), np.array([0, 0.5, 0, 0])],
+        ids=["minus-one-int64", "half-float"],
+    )
+    def test_rejects_a_signed_or_fractional_state(self, bad_player, bad):
+        # -1 would index p_same from its end, and 0.5 cannot index it at all
+        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
+        states = {1: np.zeros(4, dtype=np.uint8), 2: np.zeros(4, dtype=np.uint8), bad_player: bad}
+        one.moves(states[1], np.arange(4))
+        with pytest.raises(ValueError, match="states must be 0 or 1"):
+            two.moves(states[2], np.arange(4))
+
     @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
     def test_match_profile_equals_profile_of_recorded_match(self, monkeypatch, chunk):
         monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
