@@ -140,12 +140,13 @@ def confidence_halfwidth(profile: MismatchProfile, samples_per_state_pair: int) 
 class PlayerStrategy(Protocol):
     """Answers move queries from the arbiter.
 
-    ``moves`` receives only this player's own states and a chunk's round
-    indices, consecutive read-only int64, and returns one move (0 for A, 1
-    for B) per round.  It may rely on consecutive indices for speed but
-    must answer any.  It brings its own randomness: the arbiter hands out
-    none.  No argument holds the other player's state, yet on the block
-    schedule ``round_indices // r`` gives the state pair away.
+    ``moves`` receives only this player's own states, a read-only uint8
+    column, and a chunk's round indices, consecutive read-only int64, and
+    returns one move (0 for A, 1 for B) per round.  It may rely on
+    consecutive indices for speed but must answer any.  It brings its own
+    randomness: the arbiter hands out none.  No argument holds the other
+    player's state, yet on the block schedule ``round_indices // r`` gives
+    the state pair away.
     """
 
     def moves(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray: ...
@@ -167,8 +168,9 @@ def play_match(
 
     Each block is played in order, in chunks of at most
     :data:`MATCH_CHUNK_ROUNDS` rounds.  Per chunk, strategy one and then
-    strategy two receive only their own states and the chunk's round
-    indices, consecutive read-only int64; the arbiter draws no randomness.
+    strategy two receive only their own states, a read-only uint8 column,
+    and the chunk's round indices, consecutive read-only int64; the
+    arbiter draws no randomness.
     Each chunk yields (first round index, moves one, moves two), the moves
     as uint8 columns, 0 for A.  Output is deterministic for fixed strategies
     and r, and the chunking changes no move of a strategy whose moves depend
@@ -213,12 +215,19 @@ def match_profile(
 
 
 def _block_chunks(r: int):
-    """The block schedule's chunks for :func:`_play`; none crosses a block."""
+    """The block schedule's chunks for :func:`_play`; none crosses a block.
+
+    One read-only column of each state is built per match, and every
+    chunk gets slices of them.
+    """
+    columns = np.zeros((2, min(r, MATCH_CHUNK_ROUNDS)), dtype=np.uint8)
+    columns[1] = 1  # row s holds state s
+    columns.setflags(write=False)
     for k, (i, j) in enumerate(STATE_PAIRS):
         stop = (k + 1) * r
         for start in range(k * r, stop, MATCH_CHUNK_ROUNDS):
             n = min(MATCH_CHUNK_ROUNDS, stop - start)
-            yield start, np.full(n, i, dtype=np.uint8), np.full(n, j, dtype=np.uint8)
+            yield start, columns[i, :n], columns[j, :n]
 
 
 def _play(strategy_one, strategy_two, chunks):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -125,9 +126,12 @@ class _SingletSource:
     the one sampling rule: from uniforms u and v, ``move_one = u >= 0.5``
     and the moves differ when ``v >= p_same``, where player two's outcome
     equals player one's with probability ``p_same[2*i + j] = 1 - q_ij`` from
-    the plan's profile, tabulated once per plan.  The u and v coins come
-    from two independent children of ``SeedSequence(seed)``, each drawn
-    as one stream, so the moves do not depend on how rounds are batched.
+    the plan's profile, tabulated once per plan.  A batch in which each
+    player's states are all equal, as every chunk of the block schedule
+    is, compares v against that one entry; any other batch looks up its
+    entry per round.  The u and v coins come from two independent
+    children of ``SeedSequence(seed)``, each drawn as one stream, so the
+    moves do not depend on how rounds are batched.
     """
 
     def __init__(self, plan: GeneralAnglePlan, seed: int):
@@ -137,9 +141,10 @@ class _SingletSource:
         self._pending = None
 
     def measure_one(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray:
+        states, round_indices = _batch(states, round_indices)
         u, v = self._rng_u.random(len(states)), self._rng_v.random(len(states))
         move_one = u >= 0.5
-        self._pending = (np.array(round_indices), np.array(states), move_one, v)
+        self._pending = (_frozen(round_indices), np.array(states), move_one, v)
         moves = move_one.view(np.uint8)
         moves.setflags(write=False)  # shares memory with the pending batch
         return moves
@@ -149,23 +154,54 @@ class _SingletSource:
             raise RuntimeError("player one must measure each singlet batch first")
         rounds_one, states_one, move_one, v = self._pending
         self._pending = None
-        if not np.array_equal(rounds_one, round_indices):
+        states, round_indices = _batch(states, round_indices)
+        if round_indices is not rounds_one and not np.array_equal(rounds_one, round_indices):
             raise RuntimeError("both players must consume the same singlet rounds")
-        message = "singlet measurement states must be 0 or 1"
-        states_one, states = _as_binary(states_one, message), _as_binary(np.asarray(states), message)
-        differ = v >= self._p_same[states_one * 2 + states]
-        return (move_one ^ differ).view(np.uint8)
+        # constant columns read as ints, so take returns one threshold for the whole batch
+        pairs = _state_or_column(states_one) * 2 + _state_or_column(states)
+        differ = v >= self._p_same.take(pairs)
+        differ ^= move_one
+        return differ.view(np.uint8)
+
+
+def _batch(states, round_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as arrays; ``ValueError`` unless they are one column each, of one length."""
+    states, round_indices = np.asarray(states), np.asarray(round_indices)
+    if states.ndim != 1 or states.shape != round_indices.shape:
+        raise ValueError(
+            f"states {states.shape} and round indices {round_indices.shape} must be columns of one length"
+        )
+    return states, round_indices
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when nothing can write to it, else a copy.
+
+    A read-only array that owns its memory, like the arbiter's round
+    indices, changes only if its owner turns writing back on; holding it
+    saves a copy and lets player two's check pass on identity.
+    """
+    return arr if not arr.flags.writeable and arr.base is None else arr.copy()
+
+
+def _state_or_column(states: np.ndarray) -> int | np.ndarray:
+    """The batch's one state as an int when all are equal, else the uint8 column.
+
+    ``ValueError`` on a state other than 0 or 1; an empty batch reads as 0.
+    A column of zeros needs no other check, so it costs one count.
+    """
+    ones = np.count_nonzero(states)
+    if ones == 0:
+        return 0
+    states = _as_binary(states, "singlet measurement states must be 0 or 1")
+    return states if ones < len(states) else 1
 
 
 @dataclass(frozen=True)
 class _EntangledPlayer:
-    source: _SingletSource
-    role: int  # 1 or 2
+    """One side of a singlet source: ``moves`` is that side's measurement."""
 
-    def moves(self, states, round_indices):
-        if self.role == 1:
-            return self.source.measure_one(states, round_indices)
-        return self.source.measure_two(states, round_indices)
+    moves: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def quantum_player_strategy(
@@ -180,4 +216,4 @@ def quantum_player_strategy(
     match exactly, however its rounds are split into batches.
     """
     source = _SingletSource(plan, seed)
-    return _EntangledPlayer(source, 1), _EntangledPlayer(source, 2)
+    return _EntangledPlayer(source.measure_one), _EntangledPlayer(source.measure_two)

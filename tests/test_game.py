@@ -307,6 +307,22 @@ class TestMatchRecords:
         played(Writer(), Writer(), 3)
         assert flags == [False] * 8
 
+    def test_state_columns_are_write_protected(self):
+        # each block's columns are built once and sliced per chunk, so a
+        # write would reach the chunks after it
+        seen = []
+
+        class Writer:
+            def moves(self, states, round_indices):
+                with pytest.raises(ValueError, match="read-only"):
+                    states[0] = 1 - states[0]
+                seen.append(states.copy())
+                return np.zeros(len(states), dtype=np.uint8)
+
+        played(Writer(), Writer(), 3)
+        assert np.array_equal(np.concatenate(seen[0::2]), block_schedule(3)[:, 0])
+        assert np.array_equal(np.concatenate(seen[1::2]), block_schedule(3)[:, 1])
+
     def test_non_binary_entries_rejected(self):
         class Two:
             def moves(self, states, round_indices):
@@ -460,6 +476,22 @@ def _shipped_pair(family: str):
         sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, seed=2))
         return classical_strategy(1, sequences), classical_strategy(2, sequences)
     return quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.3), 2)
+
+
+@pytest.mark.parametrize("family", ["classical", "quantum"])
+def test_empty_batch_is_answered_with_no_moves(family):
+    # an empty batch draws nothing: the next batch is a fresh pair's first
+    one, two = _shipped_pair(family)
+    empty = np.zeros(0, dtype=np.int64)
+    empty.setflags(write=False)
+    for player in (one, two):
+        moves = np.asarray(player.moves(empty.astype(np.uint8), empty))
+        assert moves.shape == (0,) and moves.dtype == np.uint8
+    states = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
+    rounds = np.arange(5)
+    fresh_one, fresh_two = _shipped_pair(family)
+    assert np.array_equal(one.moves(states, rounds), fresh_one.moves(states, rounds))
+    assert np.array_equal(two.moves(states, rounds), fresh_two.moves(states, rounds))
 
 
 class TestReports:

@@ -345,6 +345,27 @@ class TestCoupledStrategies:
         with pytest.raises(RuntimeError):
             two.moves(np.zeros(4, dtype=np.uint8), np.arange(1, 5))
 
+    def test_players_must_share_read_only_round_batches(self):
+        # player one holds read-only indices that own their memory instead
+        # of a copy; player two's different indices are still rejected
+        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
+        first, other = np.arange(4), np.arange(1, 5)
+        first.setflags(write=False)
+        other.setflags(write=False)
+        one.moves(np.zeros(4, dtype=np.uint8), first)
+        with pytest.raises(RuntimeError):
+            two.moves(np.zeros(4, dtype=np.uint8), other)
+
+    def test_a_read_only_view_is_copied_before_its_base_changes(self):
+        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
+        base = np.arange(4)
+        rounds = base[:]
+        rounds.setflags(write=False)
+        one.moves(np.zeros(4, dtype=np.uint8), rounds)
+        base[0] = 7  # the view now reads other rounds than player one consumed
+        with pytest.raises(RuntimeError):
+            two.moves(np.zeros(4, dtype=np.uint8), rounds)
+
     @pytest.mark.parametrize("bad_player", [1, 2])
     def test_rejects_a_state_above_one(self, bad_player):
         # the flat p_same table would read a state pair (0, 2) as (1, 0)
@@ -400,6 +421,53 @@ class TestCoupledStrategies:
         t = np.where(v < np.sin(0.5 * (b - a)) ** 2, s, -s)
         assert np.array_equal(move_one, s < 0)
         assert np.array_equal(move_two, t < 0)
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["00", "01", "10", "11"])
+    def test_constant_batch_follows_the_sign_formulation(self, pair):
+        # each block-schedule chunk: one threshold for the whole batch
+        states_one, states_two = (np.full(300, state, dtype=np.uint8) for state in pair)
+        self._assert_sign_formulation(states_one, states_two)
+
+    @pytest.mark.parametrize("constant_player", [1, 2])
+    def test_batch_constant_for_one_player_follows_the_sign_formulation(self, constant_player):
+        states = {1: _pattern(300, 3), 2: _pattern(300, 2)}
+        states[constant_player] = np.ones(300, dtype=np.int64)
+        self._assert_sign_formulation(states[1], states[2])
+
+    @staticmethod
+    def _assert_sign_formulation(states_one, states_two):
+        # The reference of test_moves_follow_the_sign_formulation, over two
+        # consecutive batches, so the second starts mid-stream.
+        plan = GeneralAnglePlan(0.3, 1.1, 2.9, 4.0)
+        one, two = quantum_player_strategy(plan, 5)
+        head = _batch(one, two, states_one[:100], states_two[:100])
+        tail = _batch(one, two, states_one[100:], states_two[100:], first_round=100)
+
+        rng_u, rng_v = map(np.random.default_rng, np.random.SeedSequence(5).spawn(2))
+        u, v = rng_u.random(len(states_one)), rng_v.random(len(states_one))
+        a = np.where(states_one == 0, plan.a0, plan.a1)
+        b = np.where(states_two == 0, plan.b0, plan.b1)
+        s = np.where(u < 0.5, 1, -1)
+        t = np.where(v < np.sin(0.5 * (b - a)) ** 2, s, -s)
+        assert np.array_equal(np.concatenate([head[0], tail[0]]), s < 0)
+        assert np.array_equal(np.concatenate([head[1], tail[1]]), t < 0)
+
+    @pytest.mark.parametrize("rounds", [3, 5])
+    def test_player_one_rejects_states_and_rounds_of_different_lengths(self, rounds):
+        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
+        states = np.zeros(4, dtype=np.uint8)
+        with pytest.raises(ValueError, match="must be columns of one length"):
+            one.moves(states, np.arange(rounds))
+        # the rejected batch drew no coins
+        fresh = _batch(*quantum_player_strategy(equally_spaced(0.2), 0), states, states)
+        assert all(np.array_equal(x, y) for x, y in zip(_batch(one, two, states, states), fresh))
+
+    @pytest.mark.parametrize("rounds", [3, 5])
+    def test_player_two_rejects_states_and_rounds_of_different_lengths(self, rounds):
+        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
+        one.moves(np.zeros(rounds, dtype=np.uint8), np.arange(rounds))
+        with pytest.raises(ValueError, match="must be columns of one length"):
+            two.moves(np.zeros(4, dtype=np.uint8), np.arange(rounds))
 
     def test_match_profile_memory_is_bounded(self):
         # one and ten million rounds in under 1 MiB: nothing grows with the match
