@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .game import MismatchProfile, _as_binary
+from .game import MismatchProfile, _as_binary, _batch
 
 __all__ = [
     "MODES",
@@ -166,10 +166,14 @@ class SequenceStrategy:
 
     ``seq_state0`` answers state 0 and ``seq_state1`` any other; bit 0 is
     move A, bit 1 move B.  Both must be 1-D, 0/1 and of one nonzero length
-    N, and are kept as read-only uint8.  Consecutive rounds that do not
-    wrap read one slice of each sequence, other indices a floor-division
-    modulo and a gather; the state selects by ``zero ^ ((zero ^ one) &
-    (states != 0))``.
+    N, and are kept as read-only uint8.  ``moves`` raises ``ValueError``
+    unless states and round indices are columns of one length.
+    Consecutive rounds that do not wrap read one window of the sequences:
+    a copy of the one window that a constant state column selects (one
+    ``count_nonzero`` tells), or, for mixed states, one slice of each.
+    Other indices take a floor-division modulo and a gather of each.
+    Mixed states select by ``zero ^ ((zero ^ one) & (states != 0))``.
+    The moves never share memory with the sequences.
     """
 
     seq_state0: np.ndarray
@@ -187,11 +191,16 @@ class SequenceStrategy:
             object.__setattr__(self, name, arr)
 
     def moves(self, states, round_indices):
+        states, round_indices = _batch(states, round_indices)
         n, k = len(self.seq_state0), len(round_indices)
         first = int(round_indices[0]) % n if k else 0
         ends = k and int(round_indices[-1]) - int(round_indices[0]) == k - 1  # Python ints: no overflow
         if ends and first + k <= n and (round_indices[1:] > round_indices[:-1]).all():
-            zero, one = self.seq_state0[first : first + k], self.seq_state1[first : first + k]
+            window = slice(first, first + k)
+            nonzero = np.count_nonzero(states)
+            if nonzero == 0 or nonzero == k:  # every block-schedule chunk
+                return (self.seq_state1 if nonzero else self.seq_state0)[window].copy()
+            zero, one = self.seq_state0[window], self.seq_state1[window]
         else:
             pos = round_indices // n  # round mod N by floor division, faster than int64 %
             pos *= n

@@ -33,9 +33,10 @@ STATE_PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 #: Rounds per chunk of :func:`play_match`; no move depends on it.
-#: A float64 chunk column is 64 KiB, below glibc's default 128 KiB mmap
-#: threshold, so chunk temporaries are reused from the heap, not re-faulted.
-MATCH_CHUNK_ROUNDS = 8_192
+#: A float64 chunk column is 120 KiB, below glibc's default 128 KiB mmap
+#: threshold, so chunk temporaries are reused from the heap, not re-faulted;
+#: within that, the larger the chunk, the less fixed per-chunk cost a match pays.
+MATCH_CHUNK_ROUNDS = 15 * 1024
 
 
 class DegenerateProfile(ValueError):
@@ -251,6 +252,16 @@ def _as_move_array(moves, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"strategy returned {arr.shape}, expected ({n},)")
     return _as_binary(arr, "moves must be 0 (A) or 1 (B)")
+
+
+def _batch(states, round_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as arrays; ``ValueError`` unless they are one column each, of one length."""
+    states, round_indices = np.asarray(states), np.asarray(round_indices)
+    if states.ndim != 1 or states.shape != round_indices.shape:
+        raise ValueError(
+            f"states {states.shape} and round indices {round_indices.shape} must be columns of one length"
+        )
+    return states, round_indices
 
 
 def _as_binary(arr: np.ndarray, message: str) -> np.ndarray:

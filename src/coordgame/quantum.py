@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .game import MismatchProfile, _as_binary
+from .game import MismatchProfile, _as_binary, _batch
 
 __all__ = [
     "GeneralAnglePlan",
@@ -162,16 +162,6 @@ class _SingletSource:
         differ = v >= self._p_same.take(pairs)
         differ ^= move_one
         return differ.view(np.uint8)
-
-
-def _batch(states, round_indices) -> tuple[np.ndarray, np.ndarray]:
-    """Both arguments as arrays; ``ValueError`` unless they are one column each, of one length."""
-    states, round_indices = np.asarray(states), np.asarray(round_indices)
-    if states.ndim != 1 or states.shape != round_indices.shape:
-        raise ValueError(
-            f"states {states.shape} and round indices {round_indices.shape} must be columns of one length"
-        )
-    return states, round_indices
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

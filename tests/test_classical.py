@@ -1,6 +1,8 @@
 """Shared-sequence generation, Hamming distances, and the classical strategy."""
 
 import itertools
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -279,6 +281,66 @@ class TestSequenceStrategy:
             tracemalloc.stop()
         assert peak < MATCH_CHUNK_ROUNDS * 8
 
+    @pytest.mark.parametrize("state", [0, 1, 255])
+    @pytest.mark.parametrize(
+        "first, length",
+        [(3, 5), (0, 10), (6, 4), (7, 5), (10**12 + 8, 6)],
+        ids=["inside", "whole", "ends-at-n", "wraps", "wraps-far-on"],
+    )
+    def test_constant_states_equal_the_modulo_reference(self, state, first, length):
+        n = 10
+        s0 = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8)
+        s1 = 1 - s0
+        rounds = np.arange(first, first + length, dtype=np.int64)
+        rounds.setflags(write=False)  # as the arbiter hands them over
+        states = np.full(length, state, dtype=np.uint8)
+        strategy = SequenceStrategy(s0, s1)
+        out = strategy.moves(states, rounds)
+        expected = (s1 if state else s0)[rounds % n]
+        assert out.dtype == np.uint8
+        assert out.tobytes() == expected.tobytes()
+        assert not np.shares_memory(out, strategy.seq_state0)
+        assert not np.shares_memory(out, strategy.seq_state1)
+
+    @pytest.mark.parametrize("state", [0, 1, 255])
+    def test_constant_states_copy_one_window_only(self, state):
+        # one k-byte column at a time (the order check's, then the copy);
+        # selecting between two windows takes several k-byte temporaries
+        k = MATCH_CHUNK_ROUNDS
+        rng = np.random.default_rng(0)
+        strategy = SequenceStrategy(*rng.integers(0, 2, size=(2, 10**6), dtype=np.uint8))
+        states = np.full(k, state, dtype=np.uint8)
+        rounds = np.arange(5_000, 5_000 + k, dtype=np.int64)
+        rounds.setflags(write=False)
+        tracemalloc.start()
+        try:
+            strategy.moves(states, rounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k + 4096
+
+    @pytest.mark.parametrize(
+        "states, rounds",
+        [(np.zeros(5, dtype=np.uint8), np.arange(1)), (np.zeros((2, 2), dtype=np.uint8), np.arange(2))],
+        ids=["five-states-one-round", "2-d-states"],
+    )
+    def test_moves_reject_states_and_rounds_of_different_shapes(self, states, rounds):
+        # these used to broadcast: five moves for one round, a (2, 2) array for two
+        class Unreadable:
+            def __len__(self):
+                return 10
+
+            def __getitem__(self, index):
+                raise AssertionError("a sequence was read")
+
+        strategy = SequenceStrategy([0, 1] * 5, [1, 0] * 5)
+        object.__setattr__(strategy, "seq_state0", Unreadable())
+        object.__setattr__(strategy, "seq_state1", Unreadable())
+        with pytest.raises(ValueError, match="must be columns of one length") as caught:
+            strategy.moves(states, rounds)
+        assert type(caught.value) is ValueError
+
     def test_unequal_lengths_raise_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             SequenceStrategy([0, 1, 1], [1, 1])
@@ -317,6 +379,25 @@ class TestSequenceStrategy:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, rounds_per_pair
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+    def test_match_profile_reuses_its_chunk_buffers(self):
+        # the classical twin of the singlet test: chunk copies and temporaries
+        # below glibc's mmap threshold come back from the heap, not mapped afresh
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "from coordgame.classical import ClassicalConfig, classical_strategy, generate_sequences\n"
+            "from coordgame.game import match_profile\n"
+            "sequences = generate_sequences(ClassicalConfig(n=10**6, q=0.1, seed=1))\n"
+            "one, two = classical_strategy(1, sequences), classical_strategy(2, sequences)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "match_profile(one, two, 10**6)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2_000
 
     def test_player_assignments(self):
         seqs = generate_sequences(ClassicalConfig(n=32, q=0.125, seed=5))

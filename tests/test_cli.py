@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -911,6 +912,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for name in ("classical", "quantum", "sweep", "lhv", "bounds", "match"):
             assert name in proc.stdout
+
+    def test_script_entry_freezes_the_import_time_heap(self):
+        # run as ``python -m coordgame.cli`` runs it: the module as __main__
+        code = (
+            "import gc, os, runpy, sys\n"
+            "sys.argv = ['coordgame', 'lhv', '--out', os.devnull]\n"
+            "try:\n"
+            "    runpy.run_module('coordgame.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(gc.get_freeze_count())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
+
+    def test_main_in_process_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        code, out, err = run_cli(capsys, "lhv")
+        assert code == 0, err
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_script_entry(self):
+        scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+        assert scripts.splitlines()[0] == 'coordgame = "coordgame.cli:entry"'
 
     @staticmethod
     def _run_capped(*argv, limit=2**30, env=None):

@@ -441,6 +441,10 @@ class TestMatchProfile:
             match_profile(FirstChunk(), _Untouchable(), 2**61)
         assert info.value.args == (0, MATCH_CHUNK_ROUNDS)
 
+    def test_a_float64_chunk_column_stays_below_the_mmap_threshold(self):
+        # glibc's default: larger blocks are mapped and faulted in afresh per chunk
+        assert MATCH_CHUNK_ROUNDS * 8 < 128 * 1024
+
     def test_rejects_bad_strategy_output(self, chunk_rounds):
         r = _ragged_rounds(chunk_rounds)
         for bad_round in (9, 4 * r - 1):
