@@ -168,12 +168,12 @@ class SequenceStrategy:
     move A, bit 1 move B.  Both must be 1-D, 0/1 and of one nonzero length
     N, and are kept as read-only uint8.  ``moves`` raises ``ValueError``
     unless states and round indices are columns of one length.
-    Consecutive rounds that do not wrap read one window of the sequences:
-    a copy of the one window that a constant state column selects (one
-    ``count_nonzero`` tells), or, for mixed states, one slice of each.
-    Other indices take a floor-division modulo and a gather of each.
-    Mixed states select by ``zero ^ ((zero ^ one) & (states != 0))``.
-    The moves never share memory with the sequences.
+    Consecutive rounds that do not wrap, with a constant state column (one
+    ``count_nonzero`` tells), as on every block-schedule chunk, return a
+    copy of the one window that the state selects.  Other calls take a
+    floor-division modulo, a gather of each sequence and the select
+    ``zero ^ ((zero ^ one) & (states != 0))``.  The moves never share
+    memory with the sequences.
     """
 
     seq_state0: np.ndarray
@@ -195,17 +195,14 @@ class SequenceStrategy:
         n, k = len(self.seq_state0), len(round_indices)
         first = int(round_indices[0]) % n if k else 0
         ends = k and int(round_indices[-1]) - int(round_indices[0]) == k - 1  # Python ints: no overflow
-        if ends and first + k <= n and (round_indices[1:] > round_indices[:-1]).all():
-            window = slice(first, first + k)
+        if ends and first + k <= n:
             nonzero = np.count_nonzero(states)
-            if nonzero == 0 or nonzero == k:  # every block-schedule chunk
-                return (self.seq_state1 if nonzero else self.seq_state0)[window].copy()
-            zero, one = self.seq_state0[window], self.seq_state1[window]
-        else:
-            pos = round_indices // n  # round mod N by floor division, faster than int64 %
-            pos *= n
-            np.subtract(round_indices, pos, out=pos)
-            zero, one = self.seq_state0[pos], self.seq_state1[pos]
+            if (nonzero == 0 or nonzero == k) and (round_indices[1:] > round_indices[:-1]).all():
+                return (self.seq_state1 if nonzero else self.seq_state0)[first : first + k].copy()
+        pos = round_indices // n  # round mod N by floor division, faster than int64 %
+        pos *= n
+        np.subtract(round_indices, pos, out=pos)
+        zero, one = self.seq_state0[pos], self.seq_state1[pos]
         return zero ^ ((zero ^ one) & (states != 0))
 
 

@@ -305,7 +305,7 @@ class TestSequenceStrategy:
     @pytest.mark.parametrize("state", [0, 1, 255])
     def test_constant_states_copy_one_window_only(self, state):
         # one k-byte column at a time (the order check's, then the copy);
-        # selecting between two windows takes several k-byte temporaries
+        # a mixed column builds a k * 8-byte position column and two gathers
         k = MATCH_CHUNK_ROUNDS
         rng = np.random.default_rng(0)
         strategy = SequenceStrategy(*rng.integers(0, 2, size=(2, 10**6), dtype=np.uint8))
