@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .game import MismatchProfile, _as_binary, _batch
+from .game import MismatchProfile, _as_binary, _as_state
 
 __all__ = [
     "MODES",
@@ -164,16 +164,13 @@ def generate_sequences(config: ClassicalConfig) -> BitSequenceSet:
 class SequenceStrategy:
     """Plays the bit of a pre-shared sequence at position round mod N.
 
-    ``seq_state0`` answers state 0 and ``seq_state1`` any other; bit 0 is
+    ``seq_state0`` answers state 0 and ``seq_state1`` state 1; bit 0 is
     move A, bit 1 move B.  Both must be 1-D, 0/1 and of one nonzero length
-    N, and are kept as read-only uint8.  ``moves`` raises ``ValueError``
-    unless states and round indices are columns of one length.
-    Consecutive rounds that do not wrap, with a constant state column (one
-    ``count_nonzero`` tells), as on every block-schedule chunk, return a
-    copy of the one window that the state selects.  Other calls take a
-    floor-division modulo, a gather of each sequence and the select
-    ``zero ^ ((zero ^ one) & (states != 0))``.  The moves never share
-    memory with the sequences.
+    N, and are kept as read-only uint8.  ``moves(start, n, state)`` returns
+    a copy of the window of n bits from position ``start mod N`` of the
+    sequence that ``state`` selects, wrapping round to the start as often
+    as it needs; it raises ``ValueError`` on a state other than 0 or 1.
+    The moves never share memory with the sequences.
     """
 
     seq_state0: np.ndarray
@@ -190,20 +187,15 @@ class SequenceStrategy:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def moves(self, states, round_indices):
-        states, round_indices = _batch(states, round_indices)
-        n, k = len(self.seq_state0), len(round_indices)
-        first = int(round_indices[0]) % n if k else 0
-        ends = k and int(round_indices[-1]) - int(round_indices[0]) == k - 1  # Python ints: no overflow
-        if ends and first + k <= n:
-            nonzero = np.count_nonzero(states)
-            if (nonzero == 0 or nonzero == k) and (round_indices[1:] > round_indices[:-1]).all():
-                return (self.seq_state1 if nonzero else self.seq_state0)[first : first + k].copy()
-        pos = round_indices // n  # round mod N by floor division, faster than int64 %
-        pos *= n
-        np.subtract(round_indices, pos, out=pos)
-        zero, one = self.seq_state0[pos], self.seq_state1[pos]
-        return zero ^ ((zero ^ one) & (states != 0))
+    def moves(self, start: int, n: int, state: int) -> np.ndarray:
+        seq = self.seq_state1 if _as_state(state) else self.seq_state0
+        length = len(seq)
+        first = start % length
+        if first + n <= length:
+            return seq[first : first + n].copy()
+        rest = first + n - length  # the rounds from the first wrap on, read from position 0
+        # np.resize copies its input whole as often as it fits, so it gets no more than rest needs
+        return np.concatenate((seq[first:], np.resize(seq[:rest], rest)))
 
 
 def classical_strategy(player: int, sequences: BitSequenceSet) -> SequenceStrategy:

@@ -141,16 +141,15 @@ def confidence_halfwidth(profile: MismatchProfile, samples_per_state_pair: int) 
 class PlayerStrategy(Protocol):
     """Answers move queries from the arbiter.
 
-    ``moves`` receives only this player's own states, a read-only uint8
-    column, and a chunk's round indices, consecutive read-only int64, and
-    returns one move (0 for A, 1 for B) per round.  It may rely on
-    consecutive indices for speed but must answer any.  It brings its own
-    randomness: the arbiter hands out none.  No argument holds the other
-    player's state, yet on the block schedule ``round_indices // r`` gives
-    the state pair away.
+    ``moves(start, n, state)`` gets three plain ints: the first round, the
+    round count and this player's own state, 0 or 1, which holds for all
+    the rounds ``start`` to ``start + n - 1``.  It returns one move (0 for
+    A, 1 for B) per round.  It brings its own randomness: the arbiter hands
+    out none.  No argument holds the other player's state, yet on the
+    block schedule ``start // r`` is the state pair.
     """
 
-    def moves(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray: ...
+    def moves(self, start: int, n: int, state: int) -> np.ndarray: ...
 
 
 def play_match(
@@ -169,9 +168,9 @@ def play_match(
 
     Each block is played in order, in chunks of at most
     :data:`MATCH_CHUNK_ROUNDS` rounds.  Per chunk, strategy one and then
-    strategy two receive only their own states, a read-only uint8 column,
-    and the chunk's round indices, consecutive read-only int64; the
-    arbiter draws no randomness.
+    strategy two are asked ``moves(start, n, state)``: the chunk's first
+    round and round count, and only their own state; the arbiter draws no
+    randomness.
     Each chunk yields (first round index, moves one, moves two), the moves
     as uint8 columns, 0 for A.  Output is deterministic for fixed strategies
     and r, and the chunking changes no move of a strategy whose moves depend
@@ -180,9 +179,9 @@ def play_match(
 
     Raises:
         ValueError: when called, before any strategy is queried, if
-            ``rounds_per_state_pair`` is below 1 or above 2**61 (round
-            indices would overflow int64); during iteration, on malformed
-            moves.
+            ``rounds_per_state_pair`` is below 1 or above 2**61, where the
+            last round index no longer fits the int64 array that a strategy
+            may build of its rounds; during iteration, on malformed moves.
     """
     r = int(rounds_per_state_pair)
     if r < 1:
@@ -216,34 +215,22 @@ def match_profile(
 
 
 def _block_chunks(r: int):
-    """The block schedule's chunks for :func:`_play`; none crosses a block.
-
-    One read-only column of each state is built per match, and every
-    chunk gets slices of them.
-    """
-    columns = np.zeros((2, min(r, MATCH_CHUNK_ROUNDS)), dtype=np.uint8)
-    columns[1] = 1  # row s holds state s
-    columns.setflags(write=False)
+    """(first round, round count, state one, state two) per block-schedule chunk; none crosses a block."""
     for k, (i, j) in enumerate(STATE_PAIRS):
         stop = (k + 1) * r
         for start in range(k * r, stop, MATCH_CHUNK_ROUNDS):
-            n = min(MATCH_CHUNK_ROUNDS, stop - start)
-            yield start, columns[i, :n], columns[j, :n]
+            yield start, min(MATCH_CHUNK_ROUNDS, stop - start), i, j
 
 
 def _play(strategy_one, strategy_two, chunks):
-    """Yield (first round, moves one, moves two) for each chunk of consecutive rounds.
+    """Yield (first round, moves one, moves two) for each chunk of ``chunks``, in order.
 
-    ``chunks`` yields (first round index, player-one states, player-two
-    states) in round order.  Strategy one is queried before strategy two
-    in every chunk, and both get the same read-only round indices.
+    ``chunks`` yields (first round, round count, state one, state two);
+    strategy one is queried before strategy two in every chunk.
     """
-    for start, states_one, states_two in chunks:
-        n = len(states_one)
-        rounds = np.arange(start, start + n, dtype=np.int64)
-        rounds.setflags(write=False)
-        moves_one = _as_move_array(strategy_one.moves(states_one, rounds), n)
-        moves_two = _as_move_array(strategy_two.moves(states_two, rounds), n)
+    for start, n, state_one, state_two in chunks:
+        moves_one = _as_move_array(strategy_one.moves(start, n, state_one), n)
+        moves_two = _as_move_array(strategy_two.moves(start, n, state_two), n)
         yield start, moves_one, moves_two
 
 
@@ -254,14 +241,11 @@ def _as_move_array(moves, n: int) -> np.ndarray:
     return _as_binary(arr, "moves must be 0 (A) or 1 (B)")
 
 
-def _batch(states, round_indices) -> tuple[np.ndarray, np.ndarray]:
-    """Both arguments as arrays; ``ValueError`` unless they are one column each, of one length."""
-    states, round_indices = np.asarray(states), np.asarray(round_indices)
-    if states.ndim != 1 or states.shape != round_indices.shape:
-        raise ValueError(
-            f"states {states.shape} and round indices {round_indices.shape} must be columns of one length"
-        )
-    return states, round_indices
+def _as_state(state) -> int:
+    """``state`` as the int 0 or 1; ``ValueError`` on anything else, such as 2, -1, 0.5 or NaN."""
+    if state == 0 or state == 1:
+        return int(state)
+    raise ValueError("states must be 0 or 1")
 
 
 def _as_binary(arr: np.ndarray, message: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .game import MismatchProfile, _as_binary, _batch
+from .game import MismatchProfile, _as_state
 
 __all__ = [
     "GeneralAnglePlan",
@@ -116,22 +116,21 @@ def general_quantum_profile(plan: GeneralAnglePlan) -> MismatchProfile:
 class _SingletSource:
     """Produces correlated move pairs for the two coupled strategies.
 
-    Player one's measurement draws the per-round randomness and registers
-    its states; player two's measurement for the same rounds then
-    completes the joint sampling.  Each strategy still chooses its
-    direction from its own state alone, and player one's move is a bare
-    coin, independent of every direction.
+    Player one's measurement of a chunk of rounds draws the per-round
+    randomness and registers its state; player two's measurement of the
+    same rounds then completes the joint sampling.  Each strategy still
+    chooses its direction from its own state alone, and player one's move
+    is a bare coin, independent of every direction.
 
     Moves are bits (1 for a negative projection, i.e. move B).  This is
     the one sampling rule: from uniforms u and v, ``move_one = u >= 0.5``
-    and the moves differ when ``v >= p_same``, where player two's outcome
-    equals player one's with probability ``p_same[2*i + j] = 1 - q_ij`` from
-    the plan's profile, tabulated once per plan.  A batch in which each
-    player's states are all equal, as every chunk of the block schedule
-    is, compares v against that one entry; any other batch looks up its
-    entry per round.  The u and v coins come from two independent
-    children of ``SeedSequence(seed)``, each drawn as one stream, so the
-    moves do not depend on how rounds are batched.
+    and the moves differ when ``v >= p_same[2*i + j]``, where player two's
+    outcome equals player one's with probability ``1 - q_ij`` from the
+    plan's profile, tabulated once per plan, so a chunk compares v against
+    one threshold.  The u and v coins come from two independent children
+    of ``SeedSequence(seed)``, each drawn as one stream, so the moves do
+    not depend on how rounds are split into chunks.  Either measurement
+    raises ``ValueError`` on a state other than 0 or 1, before it draws.
     """
 
     def __init__(self, plan: GeneralAnglePlan, seed: int):
@@ -140,58 +139,33 @@ class _SingletSource:
         self._rng_u, self._rng_v = map(np.random.default_rng, children)
         self._pending = None
 
-    def measure_one(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray:
-        states, round_indices = _batch(states, round_indices)
-        u, v = self._rng_u.random(len(states)), self._rng_v.random(len(states))
+    def measure_one(self, start: int, n: int, state: int) -> np.ndarray:
+        state = _as_state(state)
+        u, v = self._rng_u.random(n), self._rng_v.random(n)
         move_one = u >= 0.5
-        self._pending = (_frozen(round_indices), np.array(states), move_one, v)
+        self._pending = (start, n, state, move_one, v)
         moves = move_one.view(np.uint8)
-        moves.setflags(write=False)  # shares memory with the pending batch
+        moves.setflags(write=False)  # shares memory with the pending chunk
         return moves
 
-    def measure_two(self, states: np.ndarray, round_indices: np.ndarray) -> np.ndarray:
+    def measure_two(self, start: int, n: int, state: int) -> np.ndarray:
         if self._pending is None:
-            raise RuntimeError("player one must measure each singlet batch first")
-        rounds_one, states_one, move_one, v = self._pending
+            raise RuntimeError("player one must measure each singlet chunk first")
+        start_one, n_one, state_one, move_one, v = self._pending
         self._pending = None
-        states, round_indices = _batch(states, round_indices)
-        if round_indices is not rounds_one and not np.array_equal(rounds_one, round_indices):
+        state = _as_state(state)
+        if (start, n) != (start_one, n_one):
             raise RuntimeError("both players must consume the same singlet rounds")
-        # constant columns read as ints, so take returns one threshold for the whole batch
-        pairs = _state_or_column(states_one) * 2 + _state_or_column(states)
-        differ = v >= self._p_same.take(pairs)
+        differ = v >= self._p_same[2 * state_one + state]
         differ ^= move_one
         return differ.view(np.uint8)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself when nothing can write to it, else a copy.
-
-    A read-only array that owns its memory, like the arbiter's round
-    indices, changes only if its owner turns writing back on; holding it
-    saves a copy and lets player two's check pass on identity.
-    """
-    return arr if not arr.flags.writeable and arr.base is None else arr.copy()
-
-
-def _state_or_column(states: np.ndarray) -> int | np.ndarray:
-    """The batch's one state as an int when all are equal, else the uint8 column.
-
-    ``ValueError`` on a state other than 0 or 1; an empty batch reads as 0.
-    A column of zeros needs no other check, so it costs one count.
-    """
-    ones = np.count_nonzero(states)
-    if ones == 0:
-        return 0
-    states = _as_binary(states, "singlet measurement states must be 0 or 1")
-    return states if ones < len(states) else 1
 
 
 @dataclass(frozen=True)
 class _EntangledPlayer:
     """One side of a singlet source: ``moves`` is that side's measurement."""
 
-    moves: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    moves: Callable[[int, int, int], np.ndarray]
 
 
 def quantum_player_strategy(
@@ -203,7 +177,7 @@ def quantum_player_strategy(
     must be queried in player order, which the match arbiter does.  Their
     correlation comes entirely from the source's singlet randomness,
     seeded by ``seed``: fixed (plan, seed, rounds per pair) reproduces a
-    match exactly, however its rounds are split into batches.
+    match exactly, however its rounds are split into chunks.
     """
     source = _SingletSource(plan, seed)
     return _EntangledPlayer(source.measure_one), _EntangledPlayer(source.measure_two)

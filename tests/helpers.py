@@ -4,7 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from coordgame.classical import ClassicalConfig, classical_strategy, generate_sequences
 from coordgame.game import STATE_PAIRS, MismatchProfile, play_match
+from coordgame.quantum import GeneralAnglePlan, quantum_player_strategy
 
 
 @dataclass(frozen=True)
@@ -13,8 +15,8 @@ class ConstantStrategy:
 
     move: int
 
-    def moves(self, states, round_indices):
-        return np.full(len(states), int(self.move), dtype=np.uint8)
+    def moves(self, start, n, state):
+        return np.full(n, int(self.move), dtype=np.uint8)
 
 
 def block_schedule(r: int) -> np.ndarray:
@@ -31,18 +33,17 @@ class Recorded:
     move_two: np.ndarray  # (n,) uint8
 
 
-def reference_match(strategy_one, strategy_two, schedule) -> Recorded:
-    """The reference arbiter: one call per player for a whole, arbitrary schedule.
+def reference_match(strategy_one, strategy_two, r: int) -> Recorded:
+    """The reference arbiter: one call per player for each whole block of the block schedule.
 
-    It hands each player its own state column and the read-only round
-    indices 0..n-1.
+    Block k asks each player ``moves(k * r, r, state)`` with its own state
+    of ``STATE_PAIRS[k]``, whatever the arbiter's chunk size.
     """
-    states = np.asarray(schedule, dtype=np.uint8)
-    rounds = np.arange(len(states), dtype=np.int64)
-    rounds.setflags(write=False)
-    move_one = np.asarray(strategy_one.moves(states[:, 0].copy(), rounds), dtype=np.uint8)
-    move_two = np.asarray(strategy_two.moves(states[:, 1].copy(), rounds), dtype=np.uint8)
-    return Recorded(states, move_one, move_two)
+    move_one, move_two = [], []
+    for k, (i, j) in enumerate(STATE_PAIRS):
+        move_one.append(np.asarray(strategy_one.moves(k * r, r, i), dtype=np.uint8))
+        move_two.append(np.asarray(strategy_two.moves(k * r, r, j), dtype=np.uint8))
+    return Recorded(block_schedule(r), np.concatenate(move_one), np.concatenate(move_two))
 
 
 def reference_profile(recorded: Recorded) -> MismatchProfile:
@@ -59,3 +60,11 @@ def played(strategy_one, strategy_two, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Both move columns of ``play_match``, joined over its chunks in round order."""
     chunks = list(play_match(strategy_one, strategy_two, r))
     return np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks])
+
+
+def shipped_pair(family: str):
+    """A fresh player pair of one shipped strategy family, "classical" or "quantum"."""
+    if family == "classical":
+        sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, seed=2))
+        return classical_strategy(1, sequences), classical_strategy(2, sequences)
+    return quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.3), 2)

@@ -142,9 +142,9 @@ class _Instrumented:
         self.inner = inner
         self.states_seen = []
 
-    def moves(self, states, round_indices):
-        self.states_seen.append(states.copy())
-        return self.inner.moves(states, round_indices)
+    def moves(self, start, n, state):
+        self.states_seen.append(np.full(n, state, dtype=np.uint8))
+        return self.inner.moves(start, n, state)
 
 
 @criterion(9, "each player's move frequency is fair regardless of the partner's state", 10.0)

@@ -30,13 +30,14 @@ INT64 = np.iinfo(np.int64)
 
 @st.composite
 def round_windows(draw):
-    """(n, first round, length): consecutive rounds near a multiple of n or an int64 end."""
+    """(n, first round, length): consecutive rounds near a multiple of n, 2**62 or an int64 end."""
     n = draw(st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=10**6)))
     length = draw(st.integers(min_value=1, max_value=3 * MATCH_CHUNK_ROUNDS))
     near = st.integers(min_value=-3 * MATCH_CHUNK_ROUNDS, max_value=3 * MATCH_CHUNK_ROUNDS)
     start = draw(
         st.one_of(
             st.builds(lambda m, d: m * n + d, st.integers(min_value=0, max_value=2**40), near),
+            st.builds(lambda d: 2**62 + d, near),
             st.builds(lambda d: INT64.max - length + 1 - abs(d), near),
             st.builds(lambda d: INT64.min + abs(d), near),
         )
@@ -198,90 +199,46 @@ class TestBitSequenceSet:
 class TestSequenceStrategy:
     def test_state_selects_sequence(self):
         s = SequenceStrategy(np.array([0, 0], dtype=np.uint8), np.array([1, 1], dtype=np.uint8))
-        states = np.array([0, 1, 0, 1], dtype=np.uint8)
-        out = s.moves(states, np.arange(4))
-        assert np.array_equal(out, [0, 1, 0, 1])
+        assert np.array_equal(s.moves(0, 4, 0), [0, 0, 0, 0])
+        assert np.array_equal(s.moves(0, 4, 1), [1, 1, 1, 1])
 
     def test_round_index_wraps_modulo_length(self):
         s = SequenceStrategy(np.array([0, 1, 1], dtype=np.uint8), np.array([0, 0, 0], dtype=np.uint8))
-        out = s.moves(np.zeros(7, dtype=np.uint8), np.arange(7))
+        out = s.moves(0, 7, 0)
         assert np.array_equal(out, [0, 1, 1, 0, 1, 1, 0])
 
     @given(
-        n=st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=10**6)),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_moves_equal_the_modulo_reference(self, n, seed):
-        rng = np.random.default_rng(seed)
-        s0, s1 = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
-        states = rng.integers(0, 2, size=500, dtype=np.uint8)
-        rounds = rng.integers(0, 2**62, size=500, dtype=np.int64, endpoint=True)
-        rounds[:4] = (0, n - 1, n, np.iinfo(np.int64).max)
-        rounds.setflags(write=False)  # as the arbiter hands them over
-        out = SequenceStrategy(s0, s1).moves(states, rounds)
-        expected = np.where(states == 0, s0[rounds % n], s1[rounds % n])
-        assert out.dtype == np.uint8
-        assert out.tobytes() == expected.tobytes()
-
-    @given(
         window=round_windows(),
-        state_values=st.lists(st.sampled_from([0, 1, 2, 255]), min_size=1, max_size=4, unique=True),
+        state=st.sampled_from([0, 1]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_consecutive_windows_equal_the_modulo_reference(self, window, state_values, seed):
+    def test_consecutive_windows_equal_the_modulo_reference(self, window, state, seed):
         n, start, length = window
         rng = np.random.default_rng(seed)
         s0, s1 = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
-        states = rng.choice(np.array(state_values, dtype=np.uint8), size=length)
-        rounds = np.arange(start, start + length, dtype=np.int64)
-        rounds.setflags(write=False)  # as the arbiter hands them over
         strategy = SequenceStrategy(s0, s1)
-        out = strategy.moves(states, rounds)
-        expected = np.where(states == 0, s0[rounds % n], s1[rounds % n])
+        out = strategy.moves(start, length, state)
+        expected = (s1 if state else s0)[np.arange(start, start + length, dtype=np.int64) % n]
         assert out.dtype == np.uint8
         assert out.tobytes() == expected.tobytes()
         assert not np.shares_memory(out, strategy.seq_state0)
         assert not np.shares_memory(out, strategy.seq_state1)
 
-    @pytest.mark.parametrize(
-        "rounds",
-        [
-            [0, 2, 1, 3],  # endpoints three apart, as a window's, but out of order
-            [0, 1, 1, 3],  # a repeated index
-            [INT64.max - 1, INT64.max, INT64.min, INT64.min + 1],  # int64 endpoint difference wraps to 3
-        ],
-        ids=["swapped", "repeated", "wraps-int64-max"],
-    )
-    def test_near_consecutive_rounds_take_the_general_path(self, rounds):
-        n = 10
-        s0 = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8)
-        s1 = 1 - s0
-        rounds = np.array(rounds, dtype=np.int64)
-        rounds.setflags(write=False)
-        states = np.array([0, 0, 2, 255], dtype=np.uint8)
-        expected = np.where(states == 0, s0[rounds % n], s1[rounds % n])
-        first = int(rounds[0]) % n
-        window = np.where(states == 0, s0[first : first + 4], s1[first : first + 4])
-        assert window.tobytes() != expected.tobytes()  # reading a window would be caught
-        out = SequenceStrategy(s0, s1).moves(states, rounds)
-        assert out.tobytes() == expected.tobytes()
-
     def test_a_consecutive_chunk_builds_no_position_column(self):
-        # an int64 position per round would take MATCH_CHUNK_ROUNDS * 8 bytes on its own
+        # an int64 position per round would take MATCH_CHUNK_ROUNDS * 8 bytes
+        # on its own, and a wrap that repeated the whole sequence 10**6
         rng = np.random.default_rng(0)
         strategy = SequenceStrategy(*rng.integers(0, 2, size=(2, 10**6), dtype=np.uint8))
-        states = np.ones(MATCH_CHUNK_ROUNDS, dtype=np.uint8)
-        rounds = np.arange(3 * 10**6 + 5_000, 3 * 10**6 + 5_000 + MATCH_CHUNK_ROUNDS, dtype=np.int64)
-        rounds.setflags(write=False)
-        tracemalloc.start()
-        try:
-            strategy.moves(states, rounds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < MATCH_CHUNK_ROUNDS * 8
+        for start in (3 * 10**6 + 5_000, 4 * 10**6 - 100):  # inside the sequence, wrapping its end
+            tracemalloc.start()
+            try:
+                strategy.moves(start, MATCH_CHUNK_ROUNDS, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < MATCH_CHUNK_ROUNDS * 8, start
 
-    @pytest.mark.parametrize("state", [0, 1, 255])
+    @pytest.mark.parametrize("state", [0, 1])
     @pytest.mark.parametrize(
         "first, length",
         [(3, 5), (0, 10), (6, 4), (7, 5), (10**12 + 8, 6)],
@@ -291,55 +248,27 @@ class TestSequenceStrategy:
         n = 10
         s0 = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8)
         s1 = 1 - s0
-        rounds = np.arange(first, first + length, dtype=np.int64)
-        rounds.setflags(write=False)  # as the arbiter hands them over
-        states = np.full(length, state, dtype=np.uint8)
         strategy = SequenceStrategy(s0, s1)
-        out = strategy.moves(states, rounds)
-        expected = (s1 if state else s0)[rounds % n]
+        out = strategy.moves(first, length, state)
+        expected = (s1 if state else s0)[np.arange(first, first + length) % n]
         assert out.dtype == np.uint8
         assert out.tobytes() == expected.tobytes()
         assert not np.shares_memory(out, strategy.seq_state0)
         assert not np.shares_memory(out, strategy.seq_state1)
 
-    @pytest.mark.parametrize("state", [0, 1, 255])
+    @pytest.mark.parametrize("state", [0, 1])
     def test_constant_states_copy_one_window_only(self, state):
-        # one k-byte column at a time (the order check's, then the copy);
-        # a mixed column builds a k * 8-byte position column and two gathers
+        # one k-byte column: the copy of the window
         k = MATCH_CHUNK_ROUNDS
         rng = np.random.default_rng(0)
         strategy = SequenceStrategy(*rng.integers(0, 2, size=(2, 10**6), dtype=np.uint8))
-        states = np.full(k, state, dtype=np.uint8)
-        rounds = np.arange(5_000, 5_000 + k, dtype=np.int64)
-        rounds.setflags(write=False)
         tracemalloc.start()
         try:
-            strategy.moves(states, rounds)
+            strategy.moves(5_000, k, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < k + 4096
-
-    @pytest.mark.parametrize(
-        "states, rounds",
-        [(np.zeros(5, dtype=np.uint8), np.arange(1)), (np.zeros((2, 2), dtype=np.uint8), np.arange(2))],
-        ids=["five-states-one-round", "2-d-states"],
-    )
-    def test_moves_reject_states_and_rounds_of_different_shapes(self, states, rounds):
-        # these used to broadcast: five moves for one round, a (2, 2) array for two
-        class Unreadable:
-            def __len__(self):
-                return 10
-
-            def __getitem__(self, index):
-                raise AssertionError("a sequence was read")
-
-        strategy = SequenceStrategy([0, 1] * 5, [1, 0] * 5)
-        object.__setattr__(strategy, "seq_state0", Unreadable())
-        object.__setattr__(strategy, "seq_state1", Unreadable())
-        with pytest.raises(ValueError, match="must be columns of one length") as caught:
-            strategy.moves(states, rounds)
-        assert type(caught.value) is ValueError
 
     def test_unequal_lengths_raise_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -21,7 +21,7 @@ from coordgame.game import (
     play_match,
 )
 from coordgame.quantum import GeneralAnglePlan, quantum_player_strategy
-from helpers import ConstantStrategy, block_schedule, played, reference_match, reference_profile
+from helpers import ConstantStrategy, block_schedule, played, reference_match, reference_profile, shipped_pair
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -168,25 +168,31 @@ class TestPayoff:
 
 
 class _Recorder:
-    """Constant-move strategy that records exactly what the arbiter shows it."""
+    """Constant-move strategy that records exactly what the arbiter asks it."""
 
     def __init__(self, move=0):
         self.move = move
         self.seen = []
 
-    def moves(self, states, round_indices):
-        self.seen.append((states.copy(), round_indices.copy()))
-        return np.full(len(states), int(self.move), dtype=np.uint8)
+    def moves(self, start, n, state):
+        self.seen.append((start, n, state))
+        return np.full(n, int(self.move), dtype=np.uint8)
 
 
 class _Untouchable:
-    def moves(self, states, round_indices):
+    def moves(self, start, n, state):
         raise AssertionError("a rejected match must query no strategy")
 
 
-def _seen(recorder: _Recorder, k: int) -> np.ndarray:
-    """What a recorder was shown, joined over its calls: 0 states, 1 round indices."""
-    return np.concatenate([seen[k] for seen in recorder.seen])
+def _seen(recorder: _Recorder) -> tuple[np.ndarray, np.ndarray]:
+    """What a recorder was asked, one entry per round: its state column and the round indices."""
+    states = np.concatenate([np.full(n, state, dtype=np.uint8) for _, n, state in recorder.seen])
+    return states, np.concatenate([_rounds(start, n) for start, n, _ in recorder.seen])
+
+
+def _rounds(start, n):
+    """A chunk's round indices as an array, as a strategy that needs one builds it."""
+    return np.arange(start, start + n)
 
 
 class TestUniformSchedule:
@@ -196,14 +202,14 @@ class TestUniformSchedule:
         one, two = _Recorder(), _Recorder()
         assert [start for start, _, _ in play_match(one, two, 3)] == [0, 3, 6, 9]
         expected = np.repeat([[0, 0], [0, 1], [1, 0], [1, 1]], 3, axis=0)
-        assert np.array_equal(np.column_stack([_seen(one, 0), _seen(two, 0)]), expected)
-        assert np.array_equal(_seen(one, 1), np.arange(12))
+        assert np.array_equal(np.column_stack([_seen(one)[0], _seen(two)[0]]), expected)
+        assert np.array_equal(_seen(one)[1], np.arange(12))
 
     @given(st.integers(min_value=1, max_value=50))
     def test_each_pair_appears_exactly_r_times(self, r):
         one, two = _Recorder(), _Recorder()
         played(one, two, r)
-        states_one, states_two = _seen(one, 0), _seen(two, 0)
+        states_one, states_two = _seen(one)[0], _seen(two)[0]
         assert len(states_one) == 4 * r
         for i, j in STATE_PAIRS:
             assert np.count_nonzero((states_one == i) & (states_two == j)) == r
@@ -232,14 +238,14 @@ class TestRunMatch:
         one, two = _Recorder(), _Recorder(1)
         played(one, two, r)
         sched = block_schedule(r)
-        assert np.array_equal(_seen(one, 0), sched[:, 0])
-        assert np.array_equal(_seen(two, 0), sched[:, 1])
+        assert np.array_equal(_seen(one)[0], sched[:, 0])
+        assert np.array_equal(_seen(two)[0], sched[:, 1])
 
     def test_both_players_see_identical_round_indices(self):
         one, two = _Recorder(), _Recorder()
         played(one, two, 4)
-        assert np.array_equal(_seen(one, 1), np.arange(16))
-        assert np.array_equal(_seen(two, 1), np.arange(16))
+        assert [(start, n) for start, n, _ in one.seen] == [(start, n) for start, n, _ in two.seen]
+        assert np.array_equal(_seen(one)[1], np.arange(16))
 
     def test_deterministic_for_fixed_seed(self):
         plan = GeneralAnglePlan.equally_spaced(0.3)
@@ -259,8 +265,8 @@ class TestRunMatch:
 
     def test_rejects_bad_strategy_output(self):
         class Bad:
-            def moves(self, states, round_indices):
-                return np.full(len(states), 7, dtype=np.uint8)
+            def moves(self, start, n, state):
+                return np.full(n, 7, dtype=np.uint8)
 
         chunks = play_match(Bad(), ConstantStrategy(0), 2)
         with pytest.raises(ValueError):
@@ -275,10 +281,10 @@ class TestRunMatch:
 
     @pytest.mark.parametrize("family", ["classical", "quantum"])
     def test_equals_the_reference_arbiter_on_the_block_schedule(self, chunk_rounds, family):
-        # one call per player for the whole schedule gives the same moves
+        # one call per player per whole block gives the same moves
         r = _ragged_rounds(chunk_rounds)
-        recorded = reference_match(*_shipped_pair(family), block_schedule(r))
-        move_one, move_two = played(*_shipped_pair(family), r)
+        recorded = reference_match(*shipped_pair(family), r)
+        move_one, move_two = played(*shipped_pair(family), r)
         assert np.array_equal(move_one, recorded.move_one)
         assert np.array_equal(move_two, recorded.move_two)
 
@@ -294,39 +300,10 @@ class TestMatchRecords:
             assert move_one.tolist() == [0] * 2
             assert move_two.tolist() == [1] * 2
 
-    def test_columns_are_write_protected(self):
-        # the round indices that both players are handed; neither player
-        # can change what the other one sees
-        flags = []
-
-        class Writer:
-            def moves(self, states, round_indices):
-                flags.append(round_indices.flags.writeable)
-                return np.zeros(len(states), dtype=np.uint8)
-
-        played(Writer(), Writer(), 3)
-        assert flags == [False] * 8
-
-    def test_state_columns_are_write_protected(self):
-        # each block's columns are built once and sliced per chunk, so a
-        # write would reach the chunks after it
-        seen = []
-
-        class Writer:
-            def moves(self, states, round_indices):
-                with pytest.raises(ValueError, match="read-only"):
-                    states[0] = 1 - states[0]
-                seen.append(states.copy())
-                return np.zeros(len(states), dtype=np.uint8)
-
-        played(Writer(), Writer(), 3)
-        assert np.array_equal(np.concatenate(seen[0::2]), block_schedule(3)[:, 0])
-        assert np.array_equal(np.concatenate(seen[1::2]), block_schedule(3)[:, 1])
-
     def test_non_binary_entries_rejected(self):
         class Two:
-            def moves(self, states, round_indices):
-                return np.where(round_indices == 5, 2, 0).astype(np.uint8)
+            def moves(self, start, n, state):
+                return np.where(_rounds(start, n) == 5, 2, 0).astype(np.uint8)
 
         with pytest.raises(ValueError, match="moves must be 0"):
             played(ConstantStrategy(0), Two(), 2)
@@ -337,8 +314,8 @@ class TestMatchRecords:
         # a cast to uint8 first would play 256 and 0.7 as A, 1.9 and -255
         # as B, overflow on a list holding -1 and warn on NaN
         class Off:
-            def moves(self, states, round_indices):
-                return container(np.where(round_indices == 5, bad, 0).tolist())
+            def moves(self, start, n, state):
+                return container(np.where(_rounds(start, n) == 5, bad, 0).tolist())
 
         with pytest.raises(ValueError, match=r"^moves must be 0 \(A\) or 1 \(B\)$"):
             match_profile(Off(), ConstantStrategy(0), 2)
@@ -352,8 +329,8 @@ class TestMatchRecords:
     )
     def test_any_dtype_of_zeros_and_ones_plays_as_uint8(self, convert):
         class Converted:
-            def moves(self, states, round_indices):
-                return convert((round_indices % 3 == 0).astype(np.uint8))
+            def moves(self, start, n, state):
+                return convert((_rounds(start, n) % 3 == 0).astype(np.uint8))
 
         chunks = list(play_match(Converted(), ConstantStrategy(0), 3))
         assert all(one.dtype == np.uint8 for _, one, _ in chunks)
@@ -361,8 +338,8 @@ class TestMatchRecords:
 
     def test_mismatched_columns_rejected(self):
         class Long:
-            def moves(self, states, round_indices):
-                return np.zeros(len(states) + 1, dtype=np.uint8)
+            def moves(self, start, n, state):
+                return np.zeros(n + 1, dtype=np.uint8)
 
         with pytest.raises(ValueError, match=r"returned \(3,\), expected \(2,\)"):
             played(Long(), ConstantStrategy(0), 2)
@@ -375,8 +352,8 @@ class TestEmpiricalProfile:
             def __init__(self, moves):
                 self.table = np.array(moves, dtype=np.uint8)
 
-            def moves(self, states, round_indices):
-                return self.table[round_indices]
+            def moves(self, start, n, state):
+                return self.table[start : start + n]
 
         one = Scripted([0, 0, 1, 0, 0, 1, 0, 1])
         two = Scripted([0, 1, 1, 0, 1, 0, 1, 0])
@@ -402,25 +379,26 @@ class TestMatchProfile:
         r = _ragged_rounds(chunk_rounds)
         sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, mode=mode, seed=2))
         players = classical_strategy(1, sequences), classical_strategy(2, sequences)
-        recorded = reference_profile(reference_match(*players, block_schedule(r)))
+        recorded = reference_profile(reference_match(*players, r))
         assert match_profile(*players, r) == recorded
 
     def test_strategies_see_the_whole_match_in_order(self, chunk_rounds):
+        # the arbiter's coverage: chunks of plain ints that partition the
+        # rounds in order, never cross a block, reach both players alike
+        # and carry each player's own state of the block's pair
         r = _ragged_rounds(chunk_rounds)
-        sched = block_schedule(r)
-        whole_one, whole_two = _Recorder(), _Recorder(1)
-        reference_match(whole_one, whole_two, sched)
         one, two = _Recorder(), _Recorder(1)
         match_profile(one, two, r)
-        assert len(one.seen) == len(two.seen) == 4 * -(-r // chunk_rounds)  # ceil, per block
-        for player, (chunked, whole) in enumerate(((one, whole_one), (two, whole_two))):
-            for states, rounds in chunked.seen:
-                assert 1 <= len(rounds) <= chunk_rounds
-                assert rounds[0] // r == rounds[-1] // r  # no chunk crosses a block
-                assert np.all(states == states[0])
-            assert np.array_equal(_seen(chunked, 0), sched[:, player])
-            for k in range(2):  # states, round indices
-                assert np.array_equal(_seen(chunked, k), whole.seen[0][k])
+        assert len(one.seen) == 4 * -(-r // chunk_rounds)  # ceil, per block
+        assert [(start, n) for start, n, _ in one.seen] == [(start, n) for start, n, _ in two.seen]
+        ends = [start + n for start, n, _ in one.seen]
+        assert [start for start, _, _ in one.seen] == [0, *ends[:-1]] and ends[-1] == 4 * r
+        for player, recorder in enumerate((one, two)):
+            for start, n, state in recorder.seen:
+                assert all(type(x) is int for x in (start, n, state))
+                assert 1 <= n <= chunk_rounds
+                assert start // r == (start + n - 1) // r  # no chunk crosses a block
+                assert state == STATE_PAIRS[start // r][player]
 
     @pytest.mark.parametrize("r", [0, -1, 2**61 + 1], ids=["zero", "negative", "beyond-int64"])
     def test_rejects_bad_round_count(self, r):
@@ -434,8 +412,8 @@ class TestMatchProfile:
             pass
 
         class FirstChunk:
-            def moves(self, states, round_indices):
-                raise Stop(round_indices[0], len(round_indices))
+            def moves(self, start, n, state):
+                raise Stop(start, n)
 
         with pytest.raises(Stop) as info:
             match_profile(FirstChunk(), _Untouchable(), 2**61)
@@ -452,8 +430,8 @@ class TestMatchProfile:
             class BadLate:
                 """Valid moves, except a 7 in one late round."""
 
-                def moves(self, states, round_indices):
-                    return np.where(round_indices == bad_round, 7, 0).astype(np.uint8)
+                def moves(self, start, n, state):
+                    return np.where(_rounds(start, n) == bad_round, 7, 0).astype(np.uint8)
 
             with pytest.raises(ValueError, match="moves must be 0"):
                 played(BadLate(), ConstantStrategy(0), r)
@@ -462,8 +440,8 @@ class TestMatchProfile:
 
     def test_rejects_wrong_length_output(self, monkeypatch):
         class Short:
-            def moves(self, states, round_indices):
-                return np.zeros(len(states) - 1, dtype=np.uint8)
+            def moves(self, start, n, state):
+                return np.zeros(n - 1, dtype=np.uint8)
 
         for chunk in (MATCH_CHUNK_ROUNDS, 7):
             monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
@@ -474,28 +452,35 @@ class TestMatchProfile:
                 match_profile(ConstantStrategy(0), Short(), r)
 
 
-def _shipped_pair(family: str):
-    """A fresh player pair of one shipped strategy family."""
-    if family == "classical":
-        sequences = generate_sequences(ClassicalConfig(n=5_000, q=0.1, seed=2))
-        return classical_strategy(1, sequences), classical_strategy(2, sequences)
-    return quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.3), 2)
-
-
 @pytest.mark.parametrize("family", ["classical", "quantum"])
 def test_empty_batch_is_answered_with_no_moves(family):
     # an empty batch draws nothing: the next batch is a fresh pair's first
-    one, two = _shipped_pair(family)
-    empty = np.zeros(0, dtype=np.int64)
-    empty.setflags(write=False)
+    one, two = shipped_pair(family)
     for player in (one, two):
-        moves = np.asarray(player.moves(empty.astype(np.uint8), empty))
+        moves = np.asarray(player.moves(0, 0, 0))
         assert moves.shape == (0,) and moves.dtype == np.uint8
-    states = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-    rounds = np.arange(5)
-    fresh_one, fresh_two = _shipped_pair(family)
-    assert np.array_equal(one.moves(states, rounds), fresh_one.moves(states, rounds))
-    assert np.array_equal(two.moves(states, rounds), fresh_two.moves(states, rounds))
+    fresh_one, fresh_two = shipped_pair(family)
+    assert np.array_equal(one.moves(0, 5, 1), fresh_one.moves(0, 5, 1))
+    assert np.array_equal(two.moves(0, 5, 0), fresh_two.moves(0, 5, 0))
+
+
+@pytest.mark.parametrize("family", ["classical", "quantum"])
+@pytest.mark.parametrize("bad_player", [1, 2])
+@pytest.mark.parametrize("bad", [2, 255, -1, 0.5, np.nan], ids=["two", "255", "minus-one", "half", "nan"])
+def test_rejects_a_state_other_than_zero_or_one(family, bad_player, bad):
+    # the classical strategy played 255 as state 1; the flat p_same table
+    # would read a singlet state pair (0, 2) as (1, 0) and (0, -1) as (1, 1)
+    one, two = shipped_pair(family)
+    if bad_player == 1:
+        with pytest.raises(ValueError, match=r"^states must be 0 or 1$"):
+            one.moves(0, 4, bad)
+        # the rejected chunk drew no coins
+        fresh_one, _ = shipped_pair(family)
+        assert np.array_equal(one.moves(0, 4, 0), fresh_one.moves(0, 4, 0))
+    else:
+        one.moves(0, 4, 0)
+        with pytest.raises(ValueError, match=r"^states must be 0 or 1$"):
+            two.moves(0, 4, bad)
 
 
 class TestReports:

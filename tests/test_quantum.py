@@ -18,7 +18,7 @@ from coordgame.quantum import (
     quantum_player_strategy,
     quantum_profile,
 )
-from helpers import block_schedule, played, reference_match, reference_profile
+from helpers import played, reference_match, reference_profile
 
 equally_spaced = GeneralAnglePlan.equally_spaced
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
@@ -177,49 +177,39 @@ class TestQuantumProfile:
         assert p.q11 == pytest.approx(mismatch_probability(1.1, 4.0), abs=1e-15)
 
 
-def _batch(one, two, states_one, states_two, first_round=0):
-    """Both players' moves for one batch of consecutive rounds, player one first."""
-    rounds = np.arange(first_round, first_round + len(states_one))
-    return one.moves(states_one, rounds), two.moves(states_two, rounds)
-
-
-def _pattern(m: int, period: int) -> np.ndarray:
-    """A 0/1 state column of length m that is 1 on every ``period``-th round."""
-    return (np.arange(m) % period == 0).astype(np.uint8)
+def _chunk(one, two, n, state_one=0, state_two=0, start=0):
+    """Both players' moves for one chunk of n rounds from ``start``, player one first."""
+    return one.moves(start, n, state_one), two.moves(start, n, state_two)
 
 
 class TestSampler:
     """The singlet randomness that ``quantum_player_strategy(plan, seed)`` owns."""
 
     def test_deterministic_per_seed(self):
-        states = _pattern(100, 3), _pattern(100, 2)
-        a = _batch(*quantum_player_strategy(equally_spaced(0.3), 42), *states)
-        b = _batch(*quantum_player_strategy(equally_spaced(0.3), 42), *states)
-        c = _batch(*quantum_player_strategy(equally_spaced(0.3), 43), *states)
+        a = _chunk(*quantum_player_strategy(equally_spaced(0.3), 42), 100, 1, 0)
+        b = _chunk(*quantum_player_strategy(equally_spaced(0.3), 42), 100, 1, 0)
+        c = _chunk(*quantum_player_strategy(equally_spaced(0.3), 43), 100, 1, 0)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not np.array_equal(a[0], c[0]) and not np.array_equal(a[1], c[1])
 
     def test_stream_is_stateful(self):
         one, two = quantum_player_strategy(equally_spaced(0.3), 0)
-        states = _pattern(50, 3), _pattern(50, 2)
-        first = _batch(one, two, *states)
-        second = _batch(one, two, *states, first_round=50)
+        first = _chunk(one, two, 50, 1, 0)
+        second = _chunk(one, two, 50, 1, 0, start=50)
         assert not np.array_equal(first[0], second[0])
         assert not np.array_equal(first[1], second[1])
 
     def test_draw_shapes(self):
-        states = _pattern(7, 2)
-        move_one, move_two = _batch(*quantum_player_strategy(equally_spaced(0.3), 1), states, states)
+        move_one, move_two = _chunk(*quantum_player_strategy(equally_spaced(0.3), 1), 7, 1, 1)
         assert move_one.shape == move_two.shape == (7,)
         assert move_one.dtype == move_two.dtype == np.uint8
 
     @pytest.mark.parametrize("a, b", [(1, 1), (7, 993), (65_536, 17)])
     def test_split_draws_equal_one_draw(self, a, b):
-        states_one, states_two = _pattern(a + b, 3), _pattern(a + b, 2)
         one, two = quantum_player_strategy(equally_spaced(0.3), 12)
-        head = _batch(one, two, states_one[:a], states_two[:a])
-        tail = _batch(one, two, states_one[a:], states_two[a:], first_round=a)
-        whole = _batch(*quantum_player_strategy(equally_spaced(0.3), 12), states_one, states_two)
+        head = _chunk(one, two, a, 0, 1)
+        tail = _chunk(one, two, b, 0, 1, start=a)
+        whole = _chunk(*quantum_player_strategy(equally_spaced(0.3), 12), a + b, 0, 1)
         assert np.array_equal(np.concatenate([head[0], tail[0]]), whole[0])
         assert np.array_equal(np.concatenate([head[1], tail[1]]), whole[1])
 
@@ -228,8 +218,7 @@ class TestSampler:
         # v >= 1/2; were u and v one stream, player two would always play A
         plan = GeneralAnglePlan(0.0, 0.0, np.pi / 2, np.pi / 2)
         assert general_quantum_profile(plan).as_array() == pytest.approx([0.5] * 4)
-        zeros = np.zeros(100, dtype=np.uint8)
-        _, move_two = _batch(*quantum_player_strategy(plan, 0), zeros, zeros)
+        _, move_two = _chunk(*quantum_player_strategy(plan, 0), 100)
         assert 0 < np.count_nonzero(move_two) < 100
 
 
@@ -240,9 +229,8 @@ def _joint_outcomes(dir_one: float, dir_two: float, m: int, seed: int) -> dict:
     sign is move A.
     """
     plan = GeneralAnglePlan(dir_one, dir_one, dir_two, dir_two)
-    one, two = quantum_player_strategy(plan, seed)
-    rec = reference_match(one, two, np.zeros((m, 2), dtype=np.uint8))
-    counts = np.bincount(2 * rec.move_one + rec.move_two, minlength=4)
+    move_one, move_two = _chunk(*quantum_player_strategy(plan, seed), m)
+    counts = np.bincount(2 * move_one + move_two, minlength=4)
     return dict(zip([(+1, +1), (+1, -1), (-1, +1), (-1, -1)], counts.tolist()))
 
 
@@ -273,9 +261,8 @@ class TestJointOutcomes:
         m = 5000
         counts = _joint_outcomes(a, b, m, seed)
         one, two = quantum_player_strategy(GeneralAnglePlan(a, a, b, b), seed)
-        states, rounds = np.zeros(m, dtype=np.uint8), np.arange(m)
-        move_one = one.moves(states, rounds).astype(bool)
-        move_two = two.moves(states, rounds).astype(bool)
+        move_one = one.moves(0, m, 0).astype(bool)
+        move_two = two.moves(0, m, 0).astype(bool)
         assert counts == {
             (+1, +1): int(np.count_nonzero(~move_one & ~move_two)),
             (+1, -1): int(np.count_nonzero(~move_one & move_two)),
@@ -316,158 +303,79 @@ class TestCoupledStrategies:
 
     def test_player_one_moves_independent_of_partner_states(self):
         n = 1000
-        sched_a = np.zeros((n, 2), dtype=np.uint8)
-        sched_b = np.zeros((n, 2), dtype=np.uint8)
-        sched_b[:, 1] = 1  # only player two's scheduled states change
-        rec_a = reference_match(*quantum_player_strategy(equally_spaced(0.4), 2), sched_a)
-        rec_b = reference_match(*quantum_player_strategy(equally_spaced(0.4), 2), sched_b)
-        assert np.array_equal(rec_a.move_one, rec_b.move_one)
+        one_a, _ = _chunk(*quantum_player_strategy(equally_spaced(0.4), 2), n, 0, 0)
+        one_b, _ = _chunk(*quantum_player_strategy(equally_spaced(0.4), 2), n, 0, 1)  # only player two's state changes
+        assert np.array_equal(one_a, one_b)
 
     def test_player_two_marginal_is_fair_under_either_partner_state(self):
         n = 50_000
         for own_state_of_one in (0, 1):
-            sched = np.zeros((n, 2), dtype=np.uint8)
-            sched[:, 0] = own_state_of_one
-            rec = reference_match(
-                *quantum_player_strategy(equally_spaced(0.7), 8), sched
-            )
-            freq = rec.move_two.mean()
+            _, move_two = _chunk(*quantum_player_strategy(equally_spaced(0.7), 8), n, own_state_of_one, 0)
+            freq = move_two.mean()
             assert abs(freq - 0.5) < 4 * np.sqrt(0.25 / n)
 
     def test_player_two_cannot_measure_first(self):
         one, two = quantum_player_strategy(equally_spaced(0.2), 0)
         with pytest.raises(RuntimeError):
-            two.moves(np.zeros(4, dtype=np.uint8), np.arange(4))
+            two.moves(0, 4, 0)
 
     def test_players_must_share_round_batches(self):
-        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
-        one.moves(np.zeros(4, dtype=np.uint8), np.arange(4))
-        with pytest.raises(RuntimeError):
-            two.moves(np.zeros(4, dtype=np.uint8), np.arange(1, 5))
-
-    def test_players_must_share_read_only_round_batches(self):
-        # player one holds read-only indices that own their memory instead
-        # of a copy; player two's different indices are still rejected
-        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
-        first, other = np.arange(4), np.arange(1, 5)
-        first.setflags(write=False)
-        other.setflags(write=False)
-        one.moves(np.zeros(4, dtype=np.uint8), first)
-        with pytest.raises(RuntimeError):
-            two.moves(np.zeros(4, dtype=np.uint8), other)
-
-    def test_a_read_only_view_is_copied_before_its_base_changes(self):
-        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
-        base = np.arange(4)
-        rounds = base[:]
-        rounds.setflags(write=False)
-        one.moves(np.zeros(4, dtype=np.uint8), rounds)
-        base[0] = 7  # the view now reads other rounds than player one consumed
-        with pytest.raises(RuntimeError):
-            two.moves(np.zeros(4, dtype=np.uint8), rounds)
-
-    @pytest.mark.parametrize("bad_player", [1, 2])
-    def test_rejects_a_state_above_one(self, bad_player):
-        # the flat p_same table would read a state pair (0, 2) as (1, 0)
-        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
-        states = {1: np.zeros(4, dtype=np.uint8), 2: np.zeros(4, dtype=np.uint8)}
-        states[bad_player][1] = 2
-        one.moves(states[1], np.arange(4))
-        with pytest.raises(ValueError, match="states must be 0 or 1"):
-            two.moves(states[2], np.arange(4))
-
-    @pytest.mark.parametrize("bad_player", [1, 2])
-    @pytest.mark.parametrize(
-        "bad",
-        [np.array([0, -1, 0, 0], dtype=np.int64), np.array([0, 0.5, 0, 0])],
-        ids=["minus-one-int64", "half-float"],
-    )
-    def test_rejects_a_signed_or_fractional_state(self, bad_player, bad):
-        # -1 would index p_same from its end, and 0.5 cannot index it at all
-        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
-        states = {1: np.zeros(4, dtype=np.uint8), 2: np.zeros(4, dtype=np.uint8), bad_player: bad}
-        one.moves(states[1], np.arange(4))
-        with pytest.raises(ValueError, match="states must be 0 or 1"):
-            two.moves(states[2], np.arange(4))
+        for start, n in ((1, 4), (0, 3), (0, 5)):  # shifted, shorter, longer
+            one, two = quantum_player_strategy(equally_spaced(0.2), 0)
+            one.moves(0, 4, 0)
+            with pytest.raises(RuntimeError, match="same singlet rounds"):
+                two.moves(start, n, 0)
 
     @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
     def test_match_profile_equals_profile_of_recorded_match(self, monkeypatch, chunk):
         monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
         r = 3 * chunk + 17  # block and chunk boundaries cut each other raggedly
         plan = equally_spaced(0.6)
-        recorded = reference_profile(
-            reference_match(*quantum_player_strategy(plan, 6), block_schedule(r))
-        )
+        recorded = reference_profile(reference_match(*quantum_player_strategy(plan, 6), r))
         counted = match_profile(*quantum_player_strategy(plan, 6), r)
         assert counted == recorded
 
     def test_moves_follow_the_sign_formulation(self):
         # Reference: outcome signs s = +1 iff u < 0.5 and t = s iff
         # v < sin^2((b - a) / 2), per round; move B iff the sign is negative.
+        # The states change from chunk to chunk, one chunk per run of a state pair.
         plan = GeneralAnglePlan(0.3, 1.1, 2.9, 4.0)
         states_one = np.array([0, 0, 1, 1, 0, 1, 1, 0] * 50, dtype=np.uint8)
         states_two = np.array([0, 1, 0, 1, 1, 1, 0, 0] * 50, dtype=np.uint8)
-        rounds = np.arange(len(states_one))
+        pairs = 2 * states_one + states_two
+        cuts = [0, *(np.flatnonzero(pairs[1:] != pairs[:-1]) + 1), len(pairs)]
         one, two = quantum_player_strategy(plan, 3)
-        move_one = one.moves(states_one, rounds)
-        move_two = two.moves(states_two, rounds)
+        chunks = [
+            _chunk(one, two, stop - start, int(states_one[start]), int(states_two[start]), start)
+            for start, stop in zip(cuts[:-1], cuts[1:])
+        ]
+        move_one = np.concatenate([c[0] for c in chunks])
+        move_two = np.concatenate([c[1] for c in chunks])
+        self._assert_sign_formulation(plan, 3, states_one, states_two, move_one, move_two)
 
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["00", "01", "10", "11"])
+    def test_constant_batch_follows_the_sign_formulation(self, pair):
+        # each block-schedule chunk: one threshold for the whole chunk, over
+        # two consecutive chunks, so the second starts mid-stream
+        plan = GeneralAnglePlan(0.3, 1.1, 2.9, 4.0)
+        one, two = quantum_player_strategy(plan, 5)
+        head = _chunk(one, two, 100, *pair)
+        tail = _chunk(one, two, 200, *pair, start=100)
+        states_one, states_two = (np.full(300, state, dtype=np.uint8) for state in pair)
+        move_one, move_two = np.concatenate([head[0], tail[0]]), np.concatenate([head[1], tail[1]])
+        self._assert_sign_formulation(plan, 5, states_one, states_two, move_one, move_two)
+
+    @staticmethod
+    def _assert_sign_formulation(plan, seed, states_one, states_two, move_one, move_two):
         # the strategy pair's two coin streams, derived from its seed
-        rng_u, rng_v = map(np.random.default_rng, np.random.SeedSequence(3).spawn(2))
-        u, v = rng_u.random(len(rounds)), rng_v.random(len(rounds))
+        rng_u, rng_v = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        u, v = rng_u.random(len(states_one)), rng_v.random(len(states_one))
         a = np.where(states_one == 0, plan.a0, plan.a1)
         b = np.where(states_two == 0, plan.b0, plan.b1)
         s = np.where(u < 0.5, 1, -1)
         t = np.where(v < np.sin(0.5 * (b - a)) ** 2, s, -s)
         assert np.array_equal(move_one, s < 0)
         assert np.array_equal(move_two, t < 0)
-
-    @pytest.mark.parametrize("pair", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["00", "01", "10", "11"])
-    def test_constant_batch_follows_the_sign_formulation(self, pair):
-        # each block-schedule chunk: one threshold for the whole batch
-        states_one, states_two = (np.full(300, state, dtype=np.uint8) for state in pair)
-        self._assert_sign_formulation(states_one, states_two)
-
-    @pytest.mark.parametrize("constant_player", [1, 2])
-    def test_batch_constant_for_one_player_follows_the_sign_formulation(self, constant_player):
-        states = {1: _pattern(300, 3), 2: _pattern(300, 2)}
-        states[constant_player] = np.ones(300, dtype=np.int64)
-        self._assert_sign_formulation(states[1], states[2])
-
-    @staticmethod
-    def _assert_sign_formulation(states_one, states_two):
-        # The reference of test_moves_follow_the_sign_formulation, over two
-        # consecutive batches, so the second starts mid-stream.
-        plan = GeneralAnglePlan(0.3, 1.1, 2.9, 4.0)
-        one, two = quantum_player_strategy(plan, 5)
-        head = _batch(one, two, states_one[:100], states_two[:100])
-        tail = _batch(one, two, states_one[100:], states_two[100:], first_round=100)
-
-        rng_u, rng_v = map(np.random.default_rng, np.random.SeedSequence(5).spawn(2))
-        u, v = rng_u.random(len(states_one)), rng_v.random(len(states_one))
-        a = np.where(states_one == 0, plan.a0, plan.a1)
-        b = np.where(states_two == 0, plan.b0, plan.b1)
-        s = np.where(u < 0.5, 1, -1)
-        t = np.where(v < np.sin(0.5 * (b - a)) ** 2, s, -s)
-        assert np.array_equal(np.concatenate([head[0], tail[0]]), s < 0)
-        assert np.array_equal(np.concatenate([head[1], tail[1]]), t < 0)
-
-    @pytest.mark.parametrize("rounds", [3, 5])
-    def test_player_one_rejects_states_and_rounds_of_different_lengths(self, rounds):
-        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
-        states = np.zeros(4, dtype=np.uint8)
-        with pytest.raises(ValueError, match="must be columns of one length"):
-            one.moves(states, np.arange(rounds))
-        # the rejected batch drew no coins
-        fresh = _batch(*quantum_player_strategy(equally_spaced(0.2), 0), states, states)
-        assert all(np.array_equal(x, y) for x, y in zip(_batch(one, two, states, states), fresh))
-
-    @pytest.mark.parametrize("rounds", [3, 5])
-    def test_player_two_rejects_states_and_rounds_of_different_lengths(self, rounds):
-        one, two = quantum_player_strategy(equally_spaced(0.2), 0)
-        one.moves(np.zeros(rounds, dtype=np.uint8), np.arange(rounds))
-        with pytest.raises(ValueError, match="must be columns of one length"):
-            two.moves(np.zeros(4, dtype=np.uint8), np.arange(rounds))
 
     def test_match_profile_memory_is_bounded(self):
         # one and ten million rounds in under 1 MiB: nothing grows with the match
