@@ -22,7 +22,9 @@ from coordgame.classical import (
     generate_sequences,
     hamming_distance,
 )
+from coordgame import game
 from coordgame.game import MATCH_CHUNK_ROUNDS, match_profile, payoff
+from helpers import block_schedule, played
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 INT64 = np.iinfo(np.int64)
@@ -241,8 +243,8 @@ class TestSequenceStrategy:
     @pytest.mark.parametrize("state", [0, 1])
     @pytest.mark.parametrize(
         "first, length",
-        [(3, 5), (0, 10), (6, 4), (7, 5), (10**12 + 8, 6)],
-        ids=["inside", "whole", "ends-at-n", "wraps", "wraps-far-on"],
+        [(3, 5), (0, 10), (6, 4), (7, 5), (10**12 + 8, 6), (3, 25), (10, 30)],
+        ids=["inside", "whole", "ends-at-n", "wraps", "wraps-far-on", "longer-than-n", "whole-laps"],
     )
     def test_constant_states_equal_the_modulo_reference(self, state, first, length):
         n = 10
@@ -255,6 +257,20 @@ class TestSequenceStrategy:
         assert out.tobytes() == expected.tobytes()
         assert not np.shares_memory(out, strategy.seq_state0)
         assert not np.shares_memory(out, strategy.seq_state1)
+
+    @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
+    def test_moves_equal_the_modulo_reference(self, monkeypatch, chunk):
+        # through the arbiter: in round t, player one plays x0 or x2 and
+        # player two x3 or x1 at position t % N, by the block's state pair
+        monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
+        r = 3 * chunk + 17
+        n = 1_009  # prime, so the sequences wrap at a different place in every chunk
+        seqs = generate_sequences(ClassicalConfig(n=n, q=0.1, seed=4))
+        move_one, move_two = played(classical_strategy(1, seqs), classical_strategy(2, seqs), r)
+        sched = block_schedule(r)
+        positions = np.arange(4 * r) % n
+        assert np.array_equal(move_one, np.where(sched[:, 0] == 1, seqs.x2[positions], seqs.x0[positions]))
+        assert np.array_equal(move_two, np.where(sched[:, 1] == 1, seqs.x1[positions], seqs.x3[positions]))
 
     @pytest.mark.parametrize("state", [0, 1])
     def test_constant_states_copy_one_window_only(self, state):

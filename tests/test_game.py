@@ -483,6 +483,17 @@ def test_rejects_a_state_other_than_zero_or_one(family, bad_player, bad):
             two.moves(0, 4, bad)
 
 
+@pytest.mark.parametrize("family", ["classical", "quantum"])
+@pytest.mark.parametrize("kind", [np.uint8, np.int64, bool], ids=["uint8", "int64", "bool"])
+def test_accepts_states_zero_and_one_of_any_integer_type(family, kind):
+    # a state read off a schedule array plays as the plain int it equals
+    one, two = shipped_pair(family)
+    plain_one, plain_two = shipped_pair(family)
+    for state_one, state_two in ((1, 0), (0, 1)):
+        assert np.array_equal(one.moves(0, 9, kind(state_one)), plain_one.moves(0, 9, state_one))
+        assert np.array_equal(two.moves(0, 9, kind(state_two)), plain_two.moves(0, 9, state_two))
+
+
 class TestReports:
     def test_halfwidth_formula(self):
         p = MismatchProfile(0.3, 0.1, 0.1, 0.1)

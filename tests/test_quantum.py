@@ -326,6 +326,35 @@ class TestCoupledStrategies:
             with pytest.raises(RuntimeError, match="same singlet rounds"):
                 two.moves(start, n, 0)
 
+    @pytest.mark.parametrize("spoil", ["bad-state", "other-rounds"])
+    def test_a_rejected_chunk_is_spent(self, spoil):
+        # player two cannot retry a chunk and so read its coins twice; the
+        # next chunk continues both coin streams where the spent one ended
+        plan = equally_spaced(0.2)
+        one, two = quantum_player_strategy(plan, 0)
+        one.moves(0, 4, 0)
+        with pytest.raises(ValueError if spoil == "bad-state" else RuntimeError):
+            two.moves(*((0, 4, 2) if spoil == "bad-state" else (0, 5, 0)))
+        with pytest.raises(RuntimeError, match="player one must measure"):
+            two.moves(0, 4, 0)
+        whole_one, whole_two = quantum_player_strategy(plan, 0)
+        whole = _chunk(whole_one, whole_two, 10, 1, 1)
+        later = _chunk(one, two, 6, 1, 1, start=4)
+        assert np.array_equal(later[0], whole[0][4:])
+        assert np.array_equal(later[1], whole[1][4:])
+
+    def test_player_one_moves_are_read_only(self):
+        # they share memory with the chunk that player two's moves are drawn against
+        plan = GeneralAnglePlan(0.3, 1.1, 2.9, 4.0)
+        one, two = quantum_player_strategy(plan, 5)
+        move_one = one.moves(0, 300, 1)
+        assert not move_one.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            move_one[:] = 1 - move_one
+        move_two = two.moves(0, 300, 0)
+        states_one, states_two = np.ones(300, dtype=np.uint8), np.zeros(300, dtype=np.uint8)
+        self._assert_sign_formulation(plan, 5, states_one, states_two, move_one, move_two)
+
     @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
     def test_match_profile_equals_profile_of_recorded_match(self, monkeypatch, chunk):
         monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
