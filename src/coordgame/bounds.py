@@ -61,7 +61,9 @@ def classical_bound(profile: MismatchProfile) -> BoundVerdict:
     """Check q00 <= q01 + q10 + q11, satisfied by every shared-randomness strategy.
 
     A column profile, such as a sweep's, gets one ``holds`` and one
-    ``slack`` per row.
+    ``slack`` per row.  The check is necessary only: ``holds`` does not mean
+    a strategy reaches the profile.  ``bounds 0 0 0 1`` holds under both
+    bounds, yet no strategy of either class reaches it (ROADMAP item 1).
     """
     slack = (profile.q01 + profile.q10 + profile.q11) - profile.q00
     return BoundVerdict.from_slack(slack)
@@ -75,7 +77,9 @@ def quantum_bound(profile: MismatchProfile) -> BoundVerdict:
     phi_11 for any directions.  As |sin| is subadditive, sqrt(q00) <=
     sqrt(q01) + sqrt(q10) + sqrt(q11) <= 3 * sqrt(max(q01, q10, q11)),
     which caps the payoff at 9.  A column profile gets one ``holds`` and
-    one ``slack`` per row, as in :func:`classical_bound`.
+    one ``slack`` per row, and is necessary only, as in :func:`classical_bound`:
+    ``bounds 0.9 0.1 0.1 0.1`` holds with payoff 9, where the exact quantum
+    maximum at q = 0.1 is 6.76 (ROADMAP item 1).
     """
     rhs = (np.sqrt(profile.q01) + np.sqrt(profile.q10) + np.sqrt(profile.q11)) ** 2
     return BoundVerdict.from_slack(rhs - profile.q00)

@@ -4,8 +4,8 @@ Each subcommand runs one experiment and emits a single machine-readable
 record (JSON object or CSV with a header row).  Every record carries the
 subcommand name, tool version, seed, and echoed parameters, and the same
 command line always produces byte-identical output.  The echoed
-parameters are the subcommand's own arguments in ``--help`` order, less
-``--seed`` (in the envelope), ``--format`` and ``--out``.  Floats are
+parameters are the arguments listed in the subcommand's ``_SUBCOMMANDS``
+entry, in ``--help`` order; ``--seed`` is in the envelope.  Floats are
 printed with 9 significant digits.
 
 Exit codes: 0 success; 2 invalid parameters, memory exhausted, or output
@@ -98,6 +98,42 @@ class Table:
         return self._rows
 
 
+# Every echoed argument once: its flag (a positional's is its name) and its
+# add_argument keywords.  A help text prints the subcommand's default.
+_ARGUMENTS = {
+    "strategy": (
+        "--strategy",
+        dict(choices=("classical", "quantum"), help="strategy family for both players (default %(default)s)"),
+    ),
+    "N": ("--N", dict(type=int, help="sequence length (default %(default)s)")),
+    "q": ("--q", dict(type=float, help="flip fraction per step (default %(default)s)")),
+    "mode": ("--mode", dict(choices=MODES)),
+    "delta": ("--delta", dict(type=float, help="angle spacing (default %(default)s)")),
+    "rounds_per_pair": ("--rounds-per-pair", dict(type=int, help="match rounds per state pair (default %(default)s)")),
+    "delta_min": ("--delta-min", dict(type=float)),
+    "delta_max": ("--delta-max", dict(type=float)),
+    "steps": ("--steps", dict(type=int)),
+    **{name: (name, dict(type=float)) for name in ("q00", "q01", "q10", "q11")},
+}
+
+# Each subcommand's help and its own arguments with their defaults, in
+# --help order: the parameters it echoes.  A positional's default is unused.
+_SUBCOMMANDS = {
+    "classical": (
+        "shared-sequence strategy end to end",
+        {"N": 100_000, "q": 0.1, "mode": "disjoint-flips", "rounds_per_pair": 100_000},
+    ),
+    "quantum": ("singlet-measurement strategy end to end", {"delta": 0.1, "rounds_per_pair": 100_000}),
+    "sweep": ("quantum payoff over a delta grid", {"delta_min": 0.01, "delta_max": 1.0, "steps": 100}),
+    "lhv": ("deterministic-pair enumeration and the exact classical optimum", {}),
+    "bounds": ("check both bound inequalities on a profile", dict.fromkeys(("q00", "q01", "q10", "q11"))),
+    "match": (
+        "round-by-round match record dump",
+        {"strategy": "classical", "N": 8, "q": 0.1, "mode": "disjoint-flips", "delta": 0.1, "rounds_per_pair": 8},
+    ),
+}
+
+
 def _profile_dict(profile: MismatchProfile) -> dict:
     return {f"q{i}{j}": profile.entry(i, j) for i, j in STATE_PAIRS}
 
@@ -137,8 +173,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _echo(args) -> dict:
-    """The echoed parameters: the subcommand's own arguments, in ``--help`` order."""
-    return {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "format", "out")}
+    """The echoed parameters: the arguments of the subcommand's ``_SUBCOMMANDS`` entry, in order."""
+    return {name: getattr(args, name) for name in _SUBCOMMANDS[args.subcommand][1]}
 
 
 def _players(args, family: str):
@@ -209,7 +245,7 @@ def _cmd_lhv(args) -> tuple[dict, dict, str | None]:
         "vertices": Table(columns),
         "all_vertices_satisfy_bound": bool(holds.all()),
         "supremum_payoff": supremum,
-        "witness_q": 0.1,
+        "witness_q": witness_profile.q01,
         "witness_profile": _profile_dict(witness_profile),
         "witness_payoff": payoff(witness_profile),
     }
@@ -437,12 +473,9 @@ def render_csv(subcommand: str, seed: int, params: dict, results: dict, table_ke
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    common.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
     common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="json",
-        help="output format (default json)",
+        "--format", choices=("csv", "json"), default="json", help="output format (default %(default)s)"
     )
     common.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
 
@@ -452,68 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
         "singlet-based strategies, payoff bounds, and sweeps.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser(
-        "classical", parents=[common], help="shared-sequence strategy end to end"
-    )
-    p.add_argument("--N", type=int, default=100_000, help="sequence length (default 100000)")
-    p.add_argument("--q", type=float, default=0.1, help="flip fraction per step (default 0.1)")
-    p.add_argument("--mode", choices=MODES, default="disjoint-flips")
-    p.add_argument(
-        "--rounds-per-pair",
-        type=int,
-        default=100_000,
-        help="match rounds per state pair (default 100000)",
-    )
-
-    p = sub.add_parser(
-        "quantum", parents=[common], help="singlet-measurement strategy end to end"
-    )
-    p.add_argument("--delta", type=float, default=0.1, help="angle spacing (default 0.1)")
-    p.add_argument(
-        "--rounds-per-pair",
-        type=int,
-        default=100_000,
-        help="match rounds per state pair (default 100000)",
-    )
-
-    p = sub.add_parser("sweep", parents=[common], help="quantum payoff over a delta grid")
-    p.add_argument("--delta-min", type=float, default=0.01)
-    p.add_argument("--delta-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=100)
-
-    sub.add_parser(
-        "lhv",
-        parents=[common],
-        help="deterministic-pair enumeration and the exact classical optimum",
-    )
-
-    p = sub.add_parser(
-        "bounds", parents=[common], help="check both bound inequalities on a profile"
-    )
-    p.add_argument("q00", type=float)
-    p.add_argument("q01", type=float)
-    p.add_argument("q10", type=float)
-    p.add_argument("q11", type=float)
-
-    p = sub.add_parser("match", parents=[common], help="round-by-round match record dump")
-    p.add_argument(
-        "--strategy",
-        choices=("classical", "quantum"),
-        default="classical",
-        help="strategy family for both players (default classical)",
-    )
-    p.add_argument("--N", type=int, default=8, help="sequence length (default 8)")
-    p.add_argument("--q", type=float, default=0.1, help="flip fraction per step (default 0.1)")
-    p.add_argument("--mode", choices=MODES, default="disjoint-flips")
-    p.add_argument("--delta", type=float, default=0.1, help="angle spacing (default 0.1)")
-    p.add_argument(
-        "--rounds-per-pair",
-        type=int,
-        default=8,
-        help="match rounds per state pair (default 8)",
-    )
-
+    for name, (summary, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for dest, default in defaults.items():
+            flag, keywords = _ARGUMENTS[dest]
+            p.add_argument(flag, default=default, **keywords)
     return parser
 
 

@@ -1,5 +1,6 @@
 """The README's code, the demos and the package exports name only what exists."""
 
+import argparse
 import importlib
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import coordgame
+from coordgame.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -42,6 +44,58 @@ def test_readme_lists_every_public_name():
     section = README.read_text(encoding="utf-8").split("## Public names\n")[1].split("\n## ")[0]
     listed = {name for bullet in section.split("\n- ")[1:] for name in re.findall(r"`(\w+)`", bullet)}
     assert sorted(listed - set(SUBMODULES)) == sorted(coordgame.__all__)
+
+
+# each subcommand's parser, and the text after its name in README's "Command line" block
+SUBPARSERS = next(
+    action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+)
+README_COMMANDS = dict(
+    re.fullmatch(r"coordgame (\w+) *(.*)", line).groups()
+    for line in README.read_text(encoding="utf-8")
+    .split("## Command line\n")[1]
+    .split("```sh\n")[1]
+    .split("```")[0]
+    .splitlines()
+)
+COMMON_DESTS = ("help", "seed", "format", "out")
+
+
+def test_readme_command_line_lists_every_subcommand_in_order():
+    assert list(README_COMMANDS) == list(SUBPARSERS)
+
+
+@pytest.mark.parametrize("subcommand", SUBPARSERS)
+def test_readme_command_line_gives_each_flag_and_default_of_the_parser(subcommand):
+    own = [action for action in SUBPARSERS[subcommand]._actions if action.dest not in COMMON_DESTS]
+    listed = re.findall(r"\[[^\]]*\]|\S+", README_COMMANDS[subcommand])
+    assert len(listed) == len(own)
+    for text, action in zip(listed, own):
+        if not action.option_strings:
+            assert text == action.dest.upper()
+            continue
+        flag, value = re.fullmatch(r"\[(--[\w-]+) (\S+)\]", text).groups()
+        assert flag == action.option_strings[0]
+        if action.choices is None:
+            assert value == str(action.default)
+        elif value != "...":
+            assert value.split("|") == [action.default, *(c for c in action.choices if c != action.default)]
+
+
+@pytest.mark.parametrize("subcommand", SUBPARSERS)
+def test_every_help_text_renders_the_parsed_default(subcommand):
+    subparser = SUBPARSERS[subcommand]
+    positionals = [action for action in subparser._actions if not action.option_strings]
+    parsed = build_parser().parse_args([subcommand, *["0"] * len(positionals)])
+    # the rendered help of each option, keyed by its first flag, whitespace-normalised
+    entries = re.split(r"^  (?=-)", subparser.format_help(), flags=re.M)[1:]
+    rendered = {entry.split()[0]: " ".join(entry.split()) for entry in entries}
+    helped = [a for a in subparser._actions if a.help is not None and a.dest != "help"]
+    assert helped
+    for action in helped:
+        default = getattr(parsed, action.dest)
+        shown = "stdout" if default is None else default  # --out's None writes to stdout
+        assert rendered[action.option_strings[0]].endswith(f"(default {shown})")
 
 
 def test_package_re_exports_something():
