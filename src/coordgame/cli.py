@@ -107,12 +107,12 @@ _ARGUMENTS = {
     ),
     "N": ("--N", dict(type=int, help="sequence length (default %(default)s)")),
     "q": ("--q", dict(type=float, help="flip fraction per step (default %(default)s)")),
-    "mode": ("--mode", dict(choices=MODES)),
+    "mode": ("--mode", dict(choices=MODES, help="sequence generation mode (default %(default)s)")),
     "delta": ("--delta", dict(type=float, help="angle spacing (default %(default)s)")),
     "rounds_per_pair": ("--rounds-per-pair", dict(type=int, help="match rounds per state pair (default %(default)s)")),
-    "delta_min": ("--delta-min", dict(type=float)),
-    "delta_max": ("--delta-max", dict(type=float)),
-    "steps": ("--steps", dict(type=int)),
+    "delta_min": ("--delta-min", dict(type=float, help="first angle spacing of the grid (default %(default)s)")),
+    "delta_max": ("--delta-max", dict(type=float, help="last angle spacing of the grid (default %(default)s)")),
+    "steps": ("--steps", dict(type=int, help="number of equally spaced grid points (default %(default)s)")),
     **{name: (name, dict(type=float)) for name in ("q00", "q01", "q10", "q11")},
 }
 

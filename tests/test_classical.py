@@ -174,6 +174,48 @@ class TestBscChain:
         assert abs(seqs.distance(0, 3) - n * rate) < 5 * sigma
 
 
+def _reference_sequences(n: int, q: float, mode: str, seed: int) -> list[np.ndarray]:
+    """The four sequences drawn the plain way: int64 permutation, uint8 flip masks."""
+    rng = np.random.default_rng(seed)
+    seqs = [rng.integers(0, 2, size=n, dtype=np.uint8)]
+    if mode == "disjoint-flips":
+        f = flip_count(q, n)
+        perm = rng.permutation(n)
+        for step in range(3):
+            nxt = seqs[-1].copy()
+            nxt[perm[step * f : (step + 1) * f]] ^= 1
+            seqs.append(nxt)
+    else:
+        for _ in range(3):
+            seqs.append(seqs[-1] ^ (rng.random(n) < q).astype(np.uint8))
+    return seqs
+
+
+class TestGenerateSequences:
+    # n on each side of the uint8, uint16 and uint32 index boundaries
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 65_535, 65_536, 65_537, 100_003])
+    @pytest.mark.parametrize("q", [0.1, 0.3])
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("mode", ["disjoint-flips", "bsc-chain"])
+    def test_bytes_equal_the_reference_draw(self, n, q, seed, mode):
+        seqs = generate_sequences(ClassicalConfig(n=n, q=q, mode=mode, seed=seed))
+        for got, want in zip(seqs.sequences, _reference_sequences(n, q, mode, seed)):
+            assert got.dtype == np.uint8
+            assert got.tobytes() == want.tobytes()
+
+    def test_draw_memory_is_bounded(self):
+        # an int64 permutation alone would take 8 bytes per position
+        n = 10**6
+        config = ClassicalConfig(n=n, q=0.1, seed=1)
+        tracemalloc.start()
+        try:
+            generate_sequences(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * n
+
+
 class TestBitSequenceSet:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(LengthMismatch):
