@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .game import MismatchProfile, _as_binary, _as_state
+from .game import MATCH_CHUNK_ROUNDS, MismatchProfile, _as_binary, _as_state
 
 __all__ = [
     "MODES",
@@ -93,37 +93,66 @@ class ClassicalConfig:
 
 @dataclass(frozen=True)
 class BitSequenceSet:
-    """Four equal-length bit sequences, one per sequence index 0..3.
+    """Four equal-length bit sequences: sequence 0 in ``base``, and bit s - 1 of
+    ``flips`` set where sequence s differs from sequence s - 1 (s = 1, 2, 3).
 
-    The set holds read-only views of the arrays it is given, not copies:
-    the caller's arrays stay writable and share their memory with the set.
+    Sequence k is ``base ^ parity(flips & (2**k - 1))``, a form any four
+    sequences have.  Both columns are kept as read-only uint8 views: a uint8
+    array of the caller's stays writable and shares its memory with the set.
     """
 
-    x0: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
+    base: np.ndarray
+    flips: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.x0)
-        for name, arr in zip(("x0", "x1", "x2", "x3"), self.sequences):
-            if arr.shape != (n,):
-                raise LengthMismatch("all four sequences must share one length")
+        base, flips = _as_bits(self.base), np.asarray(self.flips)
+        if flips.shape != base.shape:
+            raise LengthMismatch("base and flips must share one length")
+        # compared before any cast, which would wrap 8 to 0 and truncate 0.5 to 0
+        if not (flips.max(initial=0) <= 7 if flips.dtype == np.uint8 else np.isin(flips, range(8)).all()):
+            raise ValueError("flips entries must be integers from 0 to 7")
+        for name, arr in (("base", base), ("flips", flips.astype(np.uint8, copy=False))):
             view = arr.view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
 
     @property
-    def sequences(self) -> tuple[np.ndarray, ...]:
-        return (self.x0, self.x1, self.x2, self.x3)
-
-    @property
     def length(self) -> int:
-        return len(self.x0)
+        return len(self.base)
+
+    def sequence(self, k: int) -> np.ndarray:
+        """Sequence k, 0 to 3, as a new uint8 array."""
+        return _parity(self.flips, (1 << _as_index(k)) - 1) ^ self.base
 
     def distance(self, alpha: int, beta: int) -> int:
-        """Hamming distance between sequences alpha and beta."""
-        return hamming_distance(self.sequences[alpha], self.sequences[beta])
+        """Hamming distance between sequences alpha and beta, from the steps between them."""
+        low, high = sorted((_as_index(alpha), _as_index(beta)))
+        return int(np.count_nonzero(_parity(self.flips, (1 << high) - (1 << low))))
+
+
+def _as_index(k) -> int:
+    if isinstance(k, (int, np.integer)) and 0 <= k <= 3:
+        return int(k)
+    raise ValueError(f"sequence index must be 0, 1, 2 or 3, got {k!r}")
+
+
+def _wrap(column: np.ndarray, start: int, n: int) -> np.ndarray:
+    """The n entries from position ``start mod len(column)`` on, wrapping round: a view unless they wrap."""
+    first = start % len(column)
+    rest = first + n - len(column)  # the entries from the first wrap on, read from position 0
+    if rest <= 0:
+        return column[first : first + n]
+    # np.resize copies its input whole as often as it fits, so it gets no more than rest needs
+    return np.concatenate((column[first:], np.resize(column[:rest], rest)))
+
+
+def _parity(steps: np.ndarray, mask: int) -> np.ndarray:
+    """A new uint8 array, 1 where ``steps & mask`` has an odd number of set bits."""
+    out = steps & mask  # folded into bit 0 by shifts, not a lookup table, which is 3 to 5 times slower
+    for shift in (2, 1)[3 - mask.bit_length() :]:
+        out ^= out >> shift
+    out &= 1
+    return out
 
 
 def generate_sequences(config: ClassicalConfig) -> BitSequenceSet:
@@ -142,66 +171,47 @@ def generate_sequences(config: ClassicalConfig) -> BitSequenceSet:
 
     if config.mode == "disjoint-flips":
         f = flip_count(config.q, n)
-        # First 3f entries of a uniform permutation = three sequential
-        # uniform-without-replacement draws from the untouched pool.
-        # rng.permutation(n) is arange(n) shuffled, and shuffle's swaps do
-        # not depend on the item size: the smallest dtype that holds index
-        # n - 1 gives the same flip sets in 1/8 to 1/2 of int64's memory.
-        # Only the 3f entries read below are kept, so the rest is freed now.
-        perm = np.arange(n, dtype=np.min_scalar_type(n - 1))
-        rng.shuffle(perm)
-        perm = perm[: 3 * f].copy()
-        seqs = [base]
-        for step in range(3):
-            nxt = seqs[-1].copy()
-            idx = perm[step * f : (step + 1) * f]
-            nxt[idx] ^= 1
-            seqs.append(nxt)
+        # shuffled, one byte per position: f positions per step, uniform and disjoint
+        flips = np.repeat(np.array([0, 1, 2, 4], dtype=np.uint8), (n - 3 * f, f, f, f))
+        rng.shuffle(flips)
     else:
-        seqs = [base]
-        for _ in range(3):
-            # uint8 ^ bool is uint8 with the same values: no uint8 copy of the mask
-            seqs.append(seqs[-1] ^ (rng.random(n) < config.q))
+        flips = np.zeros(n, dtype=np.uint8)
+        for step in range(3):
+            # random takes one raw word per double: slices draw one n-long call's stream
+            for lo in range(0, n, MATCH_CHUNK_ROUNDS):
+                part = flips[lo : lo + MATCH_CHUNK_ROUNDS]
+                part |= (rng.random(len(part)) < config.q).view(np.uint8) << step
 
-    return BitSequenceSet(*seqs)
+    return BitSequenceSet(base, flips)
 
 
 @dataclass(frozen=True)
 class SequenceStrategy:
     """Plays the bit of a pre-shared sequence at position round mod N.
 
-    ``seq_state0`` answers state 0 and ``seq_state1`` state 1; bit 0 is
-    move A, bit 1 move B.  Both must be 1-D, 0/1 and of one nonzero length
-    N, and are kept as read-only uint8.  ``moves(start, n, state)`` returns
-    a copy of the window of n bits from position ``start mod N`` of the
-    sequence that ``state`` selects, wrapping round to the start as often
-    as it needs; it raises ``ValueError`` on a state other than 0 or 1.
-    The moves never share memory with the sequences.
+    State 0 plays sequence ``index_state0`` of the nonempty set
+    ``sequences`` and state 1 sequence ``index_state1``; bit 0 is move A.
+    ``moves(start, n, state)`` returns a new array of the n bits from
+    position ``start mod N`` on, wrapping round as often as it needs, read
+    from both columns of the set; it raises ``ValueError`` on a state other
+    than 0 or 1.
     """
 
-    seq_state0: np.ndarray
-    seq_state1: np.ndarray
+    sequences: BitSequenceSet
+    index_state0: int
+    index_state1: int
 
     def __post_init__(self) -> None:
-        zero, one = _as_bits(self.seq_state0), _as_bits(self.seq_state1)
-        if len(zero) != len(one):
-            raise LengthMismatch(f"sequence lengths differ: {len(zero)} vs {len(one)}")
-        if not len(zero):
+        if not self.sequences.length:
             raise ValueError("bit sequences must not be empty")
-        for name, arr in (("seq_state0", zero), ("seq_state1", one)):
-            arr = arr.view() if arr.flags.writeable else arr  # the caller's array stays writable
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("index_state0", "index_state1"):
+            object.__setattr__(self, name, _as_index(getattr(self, name)))
 
     def moves(self, start: int, n: int, state: int) -> np.ndarray:
-        seq = self.seq_state1 if _as_state(state) else self.seq_state0
-        length = len(seq)
-        first = start % length
-        if first + n <= length:
-            return seq[first : first + n].copy()
-        rest = first + n - length  # the rounds from the first wrap on, read from position 0
-        # np.resize copies its input whole as often as it fits, so it gets no more than rest needs
-        return np.concatenate((seq[first:], np.resize(seq[:rest], rest)))
+        k = self.index_state1 if _as_state(state) else self.index_state0
+        out = _parity(_wrap(self.sequences.flips, start, n), (1 << k) - 1)
+        out ^= _wrap(self.sequences.base, start, n)
+        return out
 
 
 def classical_strategy(player: int, sequences: BitSequenceSet) -> SequenceStrategy:
@@ -213,9 +223,9 @@ def classical_strategy(player: int, sequences: BitSequenceSet) -> SequenceStrate
     while every other state pair compares sequences one step apart.
     """
     if player == 1:
-        return SequenceStrategy(sequences.x0, sequences.x2)
+        return SequenceStrategy(sequences, 0, 2)
     if player == 2:
-        return SequenceStrategy(sequences.x3, sequences.x1)
+        return SequenceStrategy(sequences, 3, 1)
     raise ValueError(f"player must be 1 or 2, got {player!r}")
 
 

@@ -120,7 +120,8 @@ class TestDisjointFlips:
 
     def test_flip_sets_are_disjoint(self):
         seqs = generate_sequences(ClassicalConfig(n=300, q=0.2, seed=9))
-        steps = [seqs.x0 ^ seqs.x1, seqs.x1 ^ seqs.x2, seqs.x2 ^ seqs.x3]
+        x = [seqs.sequence(k) for k in range(4)]
+        steps = [x[0] ^ x[1], x[1] ^ x[2], x[2] ^ x[3]]
         for u, v in itertools.combinations(steps, 2):
             assert not np.any(u & v)
         assert all(int(s.sum()) == 60 for s in steps)
@@ -128,9 +129,9 @@ class TestDisjointFlips:
     def test_deterministic_per_seed(self):
         cfg = ClassicalConfig(n=64, q=0.1, seed=21)
         a, b = generate_sequences(cfg), generate_sequences(cfg)
-        assert all(np.array_equal(x, y) for x, y in zip(a.sequences, b.sequences))
+        assert all(np.array_equal(a.sequence(k), b.sequence(k)) for k in range(4))
         other = generate_sequences(ClassicalConfig(n=64, q=0.1, seed=22))
-        assert any(not np.array_equal(x, y) for x, y in zip(a.sequences, other.sequences))
+        assert any(not np.array_equal(a.sequence(k), other.sequence(k)) for k in range(4))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_distances_exact_property(self, seed):
@@ -175,130 +176,237 @@ class TestBscChain:
 
 
 def _reference_sequences(n: int, q: float, mode: str, seed: int) -> list[np.ndarray]:
-    """The four sequences drawn the plain way: int64 permutation, uint8 flip masks."""
+    """The four sequences drawn the plain way: an int64 step column, uint8 flip masks."""
     rng = np.random.default_rng(seed)
     seqs = [rng.integers(0, 2, size=n, dtype=np.uint8)]
     if mode == "disjoint-flips":
         f = flip_count(q, n)
-        perm = rng.permutation(n)
+        steps = np.repeat(np.array([0, 1, 2, 4]), (n - 3 * f, f, f, f))
+        rng.shuffle(steps)
         for step in range(3):
-            nxt = seqs[-1].copy()
-            nxt[perm[step * f : (step + 1) * f]] ^= 1
-            seqs.append(nxt)
+            seqs.append(seqs[-1] ^ (steps == 1 << step).astype(np.uint8))
     else:
         for _ in range(3):
             seqs.append(seqs[-1] ^ (rng.random(n) < q).astype(np.uint8))
     return seqs
 
 
+def _encoded(*sequences) -> BitSequenceSet:
+    """The set of four explicit sequences: base x0, step bit s - 1 set where x_s and x_(s-1) differ."""
+    x = [np.asarray(seq, dtype=np.uint8) for seq in sequences]
+    return BitSequenceSet(x[0], sum((x[s] ^ x[s - 1]) << (s - 1) for s in (1, 2, 3)).astype(np.uint8))
+
+
 class TestGenerateSequences:
-    # n on each side of the uint8, uint16 and uint32 index boundaries
+    # n on each side of 2**8 and 2**16, and over several slices of the channel draw
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 65_535, 65_536, 65_537, 100_003])
     @pytest.mark.parametrize("q", [0.1, 0.3])
     @pytest.mark.parametrize("seed", [0, 9])
     @pytest.mark.parametrize("mode", ["disjoint-flips", "bsc-chain"])
     def test_bytes_equal_the_reference_draw(self, n, q, seed, mode):
         seqs = generate_sequences(ClassicalConfig(n=n, q=q, mode=mode, seed=seed))
-        for got, want in zip(seqs.sequences, _reference_sequences(n, q, mode, seed)):
+        for k, want in enumerate(_reference_sequences(n, q, mode, seed)):
+            got = seqs.sequence(k)
             assert got.dtype == np.uint8
             assert got.tobytes() == want.tobytes()
 
-    def test_draw_memory_is_bounded(self):
-        # an int64 permutation alone would take 8 bytes per position
+    def test_flip_steps_are_a_uniform_assignment(self):
+        # n = 4, f = 1: each of the 4!/1! = 24 ways to give steps 1, 2, 3 one
+        # position each is equally likely; 70.55 is chi2.isf(1e-6, 23)
+        seeds = 4_800
+        counts = {}
+        for seed in range(seeds):
+            flips = generate_sequences(ClassicalConfig(n=4, q=0.25, seed=seed)).flips
+            key = tuple(int(np.flatnonzero(flips == 1 << step)[0]) for step in range(3))
+            counts[key] = counts.get(key, 0) + 1
+        assert sorted(counts) == sorted(itertools.permutations(range(4), 3))
+        expected = seeds / 24
+        assert sum((c - expected) ** 2 / expected for c in counts.values()) < 70.55
+
+    @pytest.mark.parametrize("mode", ["disjoint-flips", "bsc-chain"])
+    def test_draw_memory_is_bounded(self, mode):
+        # the two one-byte columns the set keeps, and no N-long temporary:
+        # an index permutation or a float64 channel pass is 4 to 8 bytes per position
         n = 10**6
-        config = ClassicalConfig(n=n, q=0.1, seed=1)
+        config = ClassicalConfig(n=n, q=0.1, mode=mode, seed=1)
         tracemalloc.start()
         try:
             generate_sequences(config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * n
+        assert peak <= 2.2 * n
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+    def test_draw_and_match_grow_a_fresh_process_by_at_most_3_mib(self):
+        # VmHWM, not ru_maxrss: a child's ru_maxrss starts at the RSS of the
+        # process it was forked from.  The two columns are 2 MiB at N = 1e6.
+        code = (
+            "def hwm():  # the peak resident set, in KiB\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+            "import numpy as np\n"
+            "import coordgame.cli\n"
+            "from coordgame.classical import ClassicalConfig, classical_strategy, generate_sequences\n"
+            "from coordgame.game import match_profile\n"
+            "np.random.default_rng(0).random(1)\n"
+            "before = hwm()\n"
+            "sequences = generate_sequences(ClassicalConfig(n=10**6, q=0.1, seed=1))\n"
+            "match_profile(classical_strategy(1, sequences), classical_strategy(2, sequences), 10**6)\n"
+            "print(hwm() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 3 * 1024
 
 
 class TestBitSequenceSet:
-    def test_unequal_lengths_rejected(self):
+    @pytest.mark.parametrize("lengths", [(4, 5), (5, 4), (3, 2)])
+    def test_unequal_lengths_rejected(self, lengths):
         with pytest.raises(LengthMismatch):
-            BitSequenceSet(
-                np.zeros(4, dtype=np.uint8),
-                np.zeros(4, dtype=np.uint8),
-                np.zeros(5, dtype=np.uint8),
-                np.zeros(4, dtype=np.uint8),
-            )
+            BitSequenceSet(np.zeros(lengths[0], dtype=np.uint8), np.zeros(lengths[1], dtype=np.uint8))
+        with pytest.raises(LengthMismatch):
+            BitSequenceSet([0] * lengths[0], [1] * lengths[1])
+
+    @pytest.mark.parametrize("bad", [[0, 2], [[0, 1]], [0.5, 1], [0, -1]], ids=["two", "2-d", "half", "minus-one"])
+    def test_rejects_a_base_that_is_not_one_dimensional_bits(self, bad):
+        with pytest.raises(ValueError):
+            BitSequenceSet(bad, [0, 1])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([0, 8], dtype=np.uint8), np.array([0, 255], dtype=np.uint8), [0, 8], [0, 256], [0, -1],
+         [0, 0.5], [0, np.nan], ["1", "2"], [[0, 1]]],
+        ids=["uint8-8", "uint8-255", "eight", "256", "minus-one", "half", "nan", "digits", "2-d"],
+    )
+    def test_rejects_flips_that_are_not_steps(self, bad):
+        # a cast to uint8 first would read 8 and 256 as no step and 0.5 as 0
+        with pytest.raises(ValueError):
+            BitSequenceSet([0, 1], bad)
 
     def test_sequences_are_write_protected(self):
         seqs = generate_sequences(ClassicalConfig(n=8, q=0.125, seed=0))
         with pytest.raises(ValueError):
-            seqs.x0[0] ^= 1
+            seqs.base[0] ^= 1
+        with pytest.raises(ValueError):
+            seqs.flips[0] ^= 1
 
     def test_callers_arrays_stay_writable(self):
-        arrays = [np.array([0, 1, 1, k % 2], dtype=np.uint8) for k in range(4)]
-        seqs = BitSequenceSet(*arrays)
-        assert all(arr.flags.writeable for arr in arrays)
-        assert not any(seq.flags.writeable for seq in seqs.sequences)
-        arrays[0][0] = 1
-        assert seqs.x0[0] == 1  # views share the caller's memory, no copy
+        base, flips = np.array([0, 1, 1, 0], dtype=np.uint8), np.array([7, 0, 1, 4], dtype=np.uint8)
+        seqs = BitSequenceSet(base, flips)
+        assert base.flags.writeable and flips.flags.writeable
+        assert not seqs.base.flags.writeable and not seqs.flips.flags.writeable
+        base[0], flips[0] = 1, 2
+        assert seqs.base[0] == 1 and seqs.flips[0] == 2  # views share the caller's memory, no copy
+
+    def test_columns_are_kept_as_read_only_uint8(self):
+        caller = np.array([0, 1, 1], dtype=np.uint8)
+        seqs = BitSequenceSet(caller, [True, False, True])
+        for column in (seqs.base, seqs.flips):
+            assert column.dtype == np.uint8
+            assert not column.flags.writeable
+        assert seqs.flips.tolist() == [1, 0, 1]
+        assert BitSequenceSet([1.0, 0.0], np.array([7, 3], dtype=np.int64)).flips.tolist() == [7, 3]
+        assert caller.flags.writeable
+        assert np.shares_memory(seqs.base, caller)
+
+    @given(st.integers(min_value=0, max_value=300).flatmap(lambda n: st.lists(st.lists(
+        st.integers(min_value=0, max_value=1), min_size=n, max_size=n), min_size=4, max_size=4)))
+    def test_any_four_sequences_read_back(self, sequences):
+        seqs = _encoded(*sequences)
+        for k, want in enumerate(sequences):
+            got = seqs.sequence(k)
+            assert got.dtype == np.uint8
+            assert got.tolist() == want
+            assert got.flags.writeable
+            assert not np.shares_memory(got, seqs.base) and not np.shares_memory(got, seqs.flips)
+        for a, b in itertools.product(range(4), repeat=2):
+            assert seqs.distance(a, b) == int(np.count_nonzero(np.array(sequences[a]) != np.array(sequences[b])))
+
+    @pytest.mark.parametrize("bad", [4, -1, 1.0, "1", None])
+    def test_sequence_indices_are_checked(self, bad):
+        seqs = _encoded([0, 1], [1, 1], [1, 0], [0, 0])
+        with pytest.raises(ValueError, match="sequence index"):
+            seqs.sequence(bad)
+        with pytest.raises(ValueError, match="sequence index"):
+            seqs.distance(0, bad)
+        with pytest.raises(ValueError, match="sequence index"):
+            seqs.distance(bad, 0)
+
+
+def _random_set(n: int, seed: int) -> BitSequenceSet:
+    """A set whose flips take all eight step patterns."""
+    rng = np.random.default_rng(seed)
+    return BitSequenceSet(rng.integers(0, 2, size=n, dtype=np.uint8), rng.integers(0, 8, size=n, dtype=np.uint8))
 
 
 class TestSequenceStrategy:
     def test_state_selects_sequence(self):
-        s = SequenceStrategy(np.array([0, 0], dtype=np.uint8), np.array([1, 1], dtype=np.uint8))
+        seqs = _encoded([0, 0], [1, 1], [0, 1], [1, 0])
+        s = SequenceStrategy(seqs, 0, 1)
         assert np.array_equal(s.moves(0, 4, 0), [0, 0, 0, 0])
         assert np.array_equal(s.moves(0, 4, 1), [1, 1, 1, 1])
+        s = SequenceStrategy(seqs, 3, 2)
+        assert np.array_equal(s.moves(0, 4, 0), [1, 0, 1, 0])
+        assert np.array_equal(s.moves(0, 4, 1), [0, 1, 0, 1])
 
     def test_round_index_wraps_modulo_length(self):
-        s = SequenceStrategy(np.array([0, 1, 1], dtype=np.uint8), np.array([0, 0, 0], dtype=np.uint8))
+        s = SequenceStrategy(_encoded([0, 1, 1], [0, 0, 0], [1, 1, 1], [1, 0, 0]), 0, 1)
         out = s.moves(0, 7, 0)
         assert np.array_equal(out, [0, 1, 1, 0, 1, 1, 0])
 
     @given(
         window=round_windows(),
+        k=st.integers(min_value=0, max_value=3),
         state=st.sampled_from([0, 1]),
+        mode=st.sampled_from(["disjoint-flips", "bsc-chain"]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_consecutive_windows_equal_the_modulo_reference(self, window, state, seed):
+    def test_consecutive_windows_equal_the_modulo_reference(self, window, k, state, mode, seed):
         n, start, length = window
-        rng = np.random.default_rng(seed)
-        s0, s1 = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
-        strategy = SequenceStrategy(s0, s1)
+        seqs = generate_sequences(ClassicalConfig(n=n, q=0.25, mode=mode, seed=seed))
+        strategy = SequenceStrategy(seqs, k, 3 - k)
         out = strategy.moves(start, length, state)
-        expected = (s1 if state else s0)[np.arange(start, start + length, dtype=np.int64) % n]
+        expected = seqs.sequence(3 - k if state else k)[np.arange(start, start + length, dtype=np.int64) % n]
         assert out.dtype == np.uint8
         assert out.tobytes() == expected.tobytes()
-        assert not np.shares_memory(out, strategy.seq_state0)
-        assert not np.shares_memory(out, strategy.seq_state1)
+        assert not np.shares_memory(out, seqs.base)
+        assert not np.shares_memory(out, seqs.flips)
 
     def test_a_consecutive_chunk_builds_no_position_column(self):
         # an int64 position per round would take MATCH_CHUNK_ROUNDS * 8 bytes
         # on its own, and a wrap that repeated the whole sequence 10**6
-        rng = np.random.default_rng(0)
-        strategy = SequenceStrategy(*rng.integers(0, 2, size=(2, 10**6), dtype=np.uint8))
-        for start in (3 * 10**6 + 5_000, 4 * 10**6 - 100):  # inside the sequence, wrapping its end
-            tracemalloc.start()
-            try:
-                strategy.moves(start, MATCH_CHUNK_ROUNDS, 1)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < MATCH_CHUNK_ROUNDS * 8, start
+        seqs = _random_set(10**6, 0)
+        for k in range(4):
+            strategy = SequenceStrategy(seqs, k, k)
+            for start in (3 * 10**6 + 5_000, 4 * 10**6 - 100):  # inside the sequence, wrapping its end
+                tracemalloc.start()
+                try:
+                    strategy.moves(start, MATCH_CHUNK_ROUNDS, 1)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < MATCH_CHUNK_ROUNDS * 8, (k, start)
 
     @pytest.mark.parametrize("state", [0, 1])
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
     @pytest.mark.parametrize(
         "first, length",
         [(3, 5), (0, 10), (6, 4), (7, 5), (10**12 + 8, 6), (3, 25), (10, 30)],
         ids=["inside", "whole", "ends-at-n", "wraps", "wraps-far-on", "longer-than-n", "whole-laps"],
     )
-    def test_constant_states_equal_the_modulo_reference(self, state, first, length):
+    def test_constant_states_equal_the_modulo_reference(self, state, index, first, length):
         n = 10
         s0 = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8)
-        s1 = 1 - s0
-        strategy = SequenceStrategy(s0, s1)
+        sequences = [s0, 1 - s0, np.roll(s0, 3), np.roll(1 - s0, 7)]
+        seqs = _encoded(*sequences)
+        strategy = SequenceStrategy(seqs, index, 3 - index)
         out = strategy.moves(first, length, state)
-        expected = (s1 if state else s0)[np.arange(first, first + length) % n]
+        expected = sequences[3 - index if state else index][np.arange(first, first + length) % n]
         assert out.dtype == np.uint8
         assert out.tobytes() == expected.tobytes()
-        assert not np.shares_memory(out, strategy.seq_state0)
-        assert not np.shares_memory(out, strategy.seq_state1)
+        assert not np.shares_memory(out, seqs.base)
+        assert not np.shares_memory(out, seqs.flips)
 
     @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
     def test_moves_equal_the_modulo_reference(self, monkeypatch, chunk):
@@ -308,51 +416,40 @@ class TestSequenceStrategy:
         r = 3 * chunk + 17
         n = 1_009  # prime, so the sequences wrap at a different place in every chunk
         seqs = generate_sequences(ClassicalConfig(n=n, q=0.1, seed=4))
+        x = [seqs.sequence(k) for k in range(4)]
         move_one, move_two = played(classical_strategy(1, seqs), classical_strategy(2, seqs), r)
         sched = block_schedule(r)
         positions = np.arange(4 * r) % n
-        assert np.array_equal(move_one, np.where(sched[:, 0] == 1, seqs.x2[positions], seqs.x0[positions]))
-        assert np.array_equal(move_two, np.where(sched[:, 1] == 1, seqs.x1[positions], seqs.x3[positions]))
+        assert np.array_equal(move_one, np.where(sched[:, 0] == 1, x[2][positions], x[0][positions]))
+        assert np.array_equal(move_two, np.where(sched[:, 1] == 1, x[1][positions], x[3][positions]))
 
     @pytest.mark.parametrize("state", [0, 1])
-    def test_constant_states_copy_one_window_only(self, state):
-        # one k-byte column: the copy of the window
+    @pytest.mark.parametrize("index, columns", [(0, 1), (1, 1), (2, 2), (3, 2)], ids=["mask-0", "mask-1", "mask-3", "mask-7"])
+    def test_constant_states_copy_one_window_only(self, state, index, columns):
+        # masks 0 and 1: one k-byte column, the moves; masks 3 and 7 also hold
+        # one shift temporary while the parity folds into bit 0
         k = MATCH_CHUNK_ROUNDS
-        rng = np.random.default_rng(0)
-        strategy = SequenceStrategy(*rng.integers(0, 2, size=(2, 10**6), dtype=np.uint8))
+        strategy = SequenceStrategy(_random_set(10**6, 0), index, index)
         tracemalloc.start()
         try:
             strategy.moves(5_000, k, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < k + 4096
-
-    def test_unequal_lengths_raise_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            SequenceStrategy([0, 1, 1], [1, 1])
+        assert peak < columns * k + 4096
 
     def test_empty_sequences_raise(self):
         with pytest.raises(ValueError, match="empty") as caught:
-            SequenceStrategy([], [])
+            SequenceStrategy(BitSequenceSet([], []), 0, 1)
         assert type(caught.value) is ValueError
 
-    @pytest.mark.parametrize("bad", [[0, 2], [[0, 1]], [0.5, 1], [0, -1]], ids=["two", "2-d", "half", "minus-one"])
-    def test_rejects_sequences_that_are_not_one_dimensional_bits(self, bad):
-        with pytest.raises(ValueError):
-            SequenceStrategy(bad, [0, 1])
-        with pytest.raises(ValueError):
-            SequenceStrategy([0, 1], bad)
-
-    def test_sequences_are_kept_as_read_only_uint8(self):
-        caller = np.array([0, 1, 1], dtype=np.uint8)
-        s = SequenceStrategy(caller, [True, False, True])
-        for seq in (s.seq_state0, s.seq_state1):
-            assert seq.dtype == np.uint8
-            assert not seq.flags.writeable
-        assert s.seq_state1.tolist() == [1, 0, 1]
-        assert caller.flags.writeable
-        assert np.shares_memory(s.seq_state0, caller)  # a view, as BitSequenceSet holds
+    @pytest.mark.parametrize("bad", [4, -1, 1.5, "1", None])
+    def test_rejects_indices_that_are_not_0_to_3(self, bad):
+        seqs = _encoded([0, 1], [1, 1], [1, 0], [0, 0])
+        with pytest.raises(ValueError, match="sequence index"):
+            SequenceStrategy(seqs, bad, 0)
+        with pytest.raises(ValueError, match="sequence index"):
+            SequenceStrategy(seqs, 0, bad)
 
     def test_match_profile_memory_is_bounded(self):
         # one and ten million rounds in under 1 MiB, sequences aside
@@ -389,8 +486,9 @@ class TestSequenceStrategy:
     def test_player_assignments(self):
         seqs = generate_sequences(ClassicalConfig(n=32, q=0.125, seed=5))
         one, two = classical_strategy(1, seqs), classical_strategy(2, seqs)
-        assert one.seq_state0 is seqs.x0 and one.seq_state1 is seqs.x2
-        assert two.seq_state0 is seqs.x3 and two.seq_state1 is seqs.x1
+        assert (one.index_state0, one.index_state1) == (0, 2)
+        assert (two.index_state0, two.index_state1) == (3, 1)
+        assert one.sequences is seqs and two.sequences is seqs  # the set itself, not copies
         with pytest.raises(ValueError):
             classical_strategy(3, seqs)
 

@@ -380,8 +380,9 @@ class TestReproducibility:
         ],
     )
     def test_classical_output_pinned_across_versions(self, capsys, argv, expected):
-        # recorded from version 0.1.0 before the counts-only match path;
-        # shared-sequence output must stay byte-identical under any chunking
+        # recorded from version 0.1.0 before the counts-only match path, and
+        # match_classical.csv again when the flip sets became a shuffled step
+        # column; shared-sequence output must stay byte-identical under any chunking
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == (DATA / expected).read_text(encoding="utf-8")
@@ -418,7 +419,8 @@ class TestReproducibility:
         ],
     )
     def test_table_output_pinned_across_versions(self, capsys, argv, expected):
-        # recorded from version 0.1.0 while tables were rendered row by row
+        # recorded from version 0.1.0 while tables were rendered row by row;
+        # match_classical.json again when the flip sets became a shuffled step column
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == (DATA / expected).read_text(encoding="utf-8")
@@ -437,31 +439,32 @@ class TestReproducibility:
         ],
     )
     def test_chunk_crossing_output_pinned_across_versions(self, capsys, argv, expected):
-        # recorded with 65 536-round chunks: every block crosses a chunk
-        # boundary then and now, so the bytes pin determinism across chunking
+        # recorded with 65 536-round chunks, and classical_chunks_seed9.json
+        # again with 15 360 when the flip sets became a shuffled step column:
+        # every block crosses a chunk boundary with either, so the bytes pin
+        # determinism across chunking
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == (DATA / expected).read_text(encoding="utf-8")
 
     def test_match_dump_digest_pinned_across_versions(self, capsys):
-        # 10k rounds, too large to store; recorded with the files above
+        # 10k rounds, too large to store; recorded with the shared-sequence files above
         argv = ["match", "--N", "2500", "--rounds-per-pair", "2500", "--format", "csv", "--seed", "1"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert len(out) == 1_109_194
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "7e73f6d830bd3c3b5d88f373b4fd52bcb6e07acd86295f1f5e67830310ba48fc"
+            "0214b88d247e542984996ad262af80910b12b7e56b5f951467162e3fb599a5e9"
         )
 
     def test_match_dump_json_digest_pinned_across_versions(self, capsys):
-        # the same 10k rounds as JSON; recorded while table rows went
-        # through json.dumps as row dicts
+        # the same 10k rounds as JSON, recorded with the shared-sequence files above
         argv = ["match", "--N", "2500", "--rounds-per-pair", "2500", "--seed", "1"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert len(out) == 1_429_412
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "67dd6402f31005e6e7d2d1b9e16b09687e4147677377c970a72440f7f5226009"
+            "ce760efbe8e0ef4917e27ba63193ee159000a3906c48ccda0792a8e7e01a05fe"
         )
 
     @pytest.mark.parametrize(
@@ -975,13 +978,14 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("csv", "44171bf585ca6aff98733d99a3532c95c98cf6919374c187be5f26903e2964fe"),
-            ("json", "344d2e0f17d029cd7fd1091871fa728761e0b36336e503c6d13247c26cc0db08"),
+            ("csv", "935f61adef5ed5b0a787505b8560ee42461630590ab8895c4a91b036d0b9c3b3"),
+            ("json", "dc5f6c36cb848b2bc4711d9dd70ef2378468a15bc5e627a62b4178a9471cafa0"),
         ],
     )
     def test_large_match_dump_streams_in_bounded_memory(self, tmp_path, fmt, digest):
         # 1e6 rounds, about 120 MB of CSV and 700 MB of JSON, inside a 256 MiB
-        # cap; the digests were recorded while the whole record was built in memory
+        # cap; the streamed bytes matched digests of the whole record built in
+        # memory, and were recorded again when the flip sets became a shuffled step column
         path = tmp_path / f"match.{fmt}"
         argv = ["match", "--rounds-per-pair", "250000", "--format", fmt, "--out", str(path)]
         # the BLAS pool reserves about 40 MiB of address space per core at
