@@ -26,7 +26,6 @@ __all__ = [
     "InfeasibleFlipCount",
     "LengthMismatch",
     "generate_sequences",
-    "hamming_distance",
     "classical_strategy",
     "analytic_classical_profile",
 ]
@@ -48,14 +47,6 @@ def _as_bits(seq) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
     return _as_binary(arr, "bit sequence entries must be 0 or 1")
-
-
-def hamming_distance(a, b) -> int:
-    """Number of positions at which two equal-length bit sequences differ."""
-    x, y = _as_bits(a), _as_bits(b)
-    if len(x) != len(y):
-        raise LengthMismatch(f"sequence lengths differ: {len(x)} vs {len(y)}")
-    return int(np.count_nonzero(x != y))
 
 
 def flip_count(q: float, n: int) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -527,16 +528,38 @@ def main(argv=None) -> int:
     return 0
 
 
+# CPython's own hash modules, which hashlib and hmac fall back to when
+# OpenSSL's _hashlib cannot be imported; 3.12 merged _sha256 and _sha512.
+_BUILTIN_HASHES = (
+    ("_md5", "_sha1", "_sha2", "_blake2", "_sha3")
+    if sys.version_info >= (3, 12)
+    else ("_md5", "_sha1", "_sha256", "_sha512", "_blake2", "_sha3")
+)
+
+
 def entry() -> int:
     """The process entry: the ``coordgame`` script and ``python -m coordgame.cli``.
 
     It freezes the heap built by the imports before running :func:`main`,
     so collections during the run and at interpreter exit skip those
     objects (mostly numpy's) instead of walking them again.  Exit still
-    flushes and runs ``atexit`` as usual.  Only the process entry freezes:
-    importing this module or calling ``main`` leaves the collector as it is.
+    flushes and runs ``atexit`` as usual.
+
+    It also keeps OpenSSL out of the process.  ``numpy.random`` imports
+    ``secrets``, whose ``hmac`` import loads ``_hashlib`` and with it
+    ``libcrypto``, about 3.4 MiB resident, though every draw here is seeded
+    and nothing is hashed.  A ``None`` entry for ``_hashlib`` in
+    ``sys.modules`` makes that import fail, and ``hashlib`` and ``hmac``
+    then use CPython's built-in hash modules instead.  If any of those is
+    missing, ``hashlib`` would log an error for each absent hash on import,
+    so OpenSSL is left alone; it is also left alone if already loaded.
+
+    Only the process entry does either: importing this module or calling
+    ``main`` leaves the collector and ``sys.modules`` as they are.
     """
     gc.freeze()
+    if all(importlib.util.find_spec(name) for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
     return main()
 
 

@@ -20,7 +20,6 @@ from coordgame.classical import (
     classical_strategy,
     flip_count,
     generate_sequences,
-    hamming_distance,
 )
 from coordgame import game
 from coordgame.game import MATCH_CHUNK_ROUNDS, match_profile, payoff
@@ -45,6 +44,17 @@ def round_windows(draw):
         )
     )
     return n, start, length
+
+
+def hamming_distance(a, b) -> int:
+    """Hamming distance between bit sequences a and b, as ``BitSequenceSet.distance`` counts it.
+
+    Each sequence is checked as a set's ``base``, b against a's length, and
+    the distance is that of a set with a as sequence 0 and b as sequence 1.
+    """
+    x = BitSequenceSet(a, np.zeros(len(a), np.uint8)).base
+    y = BitSequenceSet(b, np.zeros(len(x), np.uint8)).base
+    return BitSequenceSet(x, x ^ y).distance(0, 1)
 
 
 class TestHammingDistance:
