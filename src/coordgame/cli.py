@@ -75,7 +75,7 @@ class Table:
 
     A column holds bools, integers, floats or strings.  ``len`` is the row
     count.  Renderers format a table in slices of ``MATCH_CHUNK_ROUNDS``
-    rows, each slice column by column, never row by row.
+    rows, each slice by one ``%`` operation, never row by row.
 
     Raises:
         RuntimeError: on a column that is not such an array, or on columns
@@ -350,39 +350,45 @@ def _check_finite(params: dict, results: dict) -> None:
             raise RuntimeError(f"{name} holds a non-finite float")
 
 
-def _slices(table: Table):
-    """The table's columns cut into slices of ``MATCH_CHUNK_ROUNDS`` rows, in row order."""
-    for start in range(0, len(table), MATCH_CHUNK_ROUNDS):
-        yield [column[start : start + MATCH_CHUNK_ROUNDS] for column in table.columns.values()]
+def _may_print_unlike_repr(floats: np.ndarray) -> np.ndarray:
+    """Where an entry's ``%.9g`` text may not be its JSON text (see :func:`_format_slices`)."""
+    magnitude = np.abs(floats)
+    return (np.abs(floats - np.rint(floats)) <= 1e-8 * magnitude) | (magnitude >= 9e7) | (magnitude < 2.3e-308)
 
 
-def _column_cells(column: np.ndarray, encode, json_floats: bool) -> list:
-    """The texts of one table column, as a renderer prints its entries.
+def _format_slices(table: Table, row: str, separator: str, encode, json_floats: bool):
+    """The table's rows as one text per slice of ``MATCH_CHUNK_ROUNDS`` rows, each made by one ``%``.
 
-    Integers print by ``str``: digits and a sign, never quoted.  Floats go
-    through one ``%.9g`` format.  With ``json_floats`` each float then
-    prints as ``repr(float("%.9g" % v))``, the way ``json.dumps`` prints
-    it rounded: a ``%.9g`` text in plain decimal notation with a point is
-    already that ``repr``, since its exponent lies in [-4, 9), where
-    ``repr`` also writes plain decimals, and no other decimal of at most
-    9 digits reads back as the same normal float, so ``repr`` picks the
-    same digits.  Only integer-valued and exponent-notation texts (which
-    include subnormals) are read back and printed with ``repr``.  Every
-    other entry, a bool or a string, is ``encode``d once per distinct
-    value.
+    ``row`` holds a ``%s`` for each column's conversion and escapes each
+    ``%`` of its own text twice.  Integers print by ``%d``, floats by
+    ``%.9g``, bools and strings by ``%s``, ``encode``d once per distinct
+    value.  With ``json_floats`` a float prints as ``repr(float(t))`` for
+    its ``%.9g`` text t, which is t unless the rounded value is whole (``3``,
+    ``-0``), lies in [1e9, 1e16) or is subnormal: no other decimal of at
+    most 15 digits reads back as the same float, so ``repr`` keeps the
+    digits and, outside exponents [-4, 9), writes two or more exponent
+    digits as ``%g`` does, also when negative (``1e-05``).  A float column
+    slice where :func:`_may_print_unlike_repr` flags an entry, a superset of
+    those cases, gets per-cell texts, each flagged one printed by ``repr``.
     """
-    values = column.tolist()
-    kind = column.dtype.kind
-    if kind in "iu":
-        return list(map(str, values))
-    if kind == "f":
-        texts = ("%.9g\n" * len(values) % tuple(values)).split("\n")
-        texts.pop()
-        if not json_floats:
-            return texts
-        return [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
-    encoded = {v: encode(v) for v in set(values)}
-    return list(map(encoded.__getitem__, values))
+    for start in range(0, len(table), MATCH_CHUNK_ROUNDS):
+        columns = [column[start : start + MATCH_CHUNK_ROUNDS] for column in table.columns.values()]
+        rows = len(columns[0])
+        conversions, cells = [], [None] * (len(columns) * rows)
+        for i, column in enumerate(columns):
+            values = column.tolist()
+            conversion = {"i": "%d", "u": "%d", "f": "%.9g"}.get(column.dtype.kind, "%s")
+            if conversion == "%s":
+                encoded = {v: encode(v) for v in set(values)}
+                values = list(map(encoded.__getitem__, values))
+            elif conversion == "%.9g" and json_floats and (suspects := _may_print_unlike_repr(column)).any():
+                conversion = "%s"
+                values = ("%.9g\n" * rows % tuple(values)).split("\n")[:-1]
+                for j in np.flatnonzero(suspects).tolist():
+                    values[j] = repr(float(values[j]))
+            conversions.append(conversion)
+            cells[i :: len(columns)] = values
+        yield separator.join([row % tuple(conversions)] * rows) % tuple(cells)
 
 
 # a table is a value of "results", two levels into the record
@@ -394,15 +400,12 @@ def _json_table(table: Table):
     if not len(table):
         yield "[]"
         return
-    fields = ",\n".join(
-        _TABLE_INDENT + "    " + json.dumps(name).replace("%", "%%") + ": %s"
-        for name in table.columns
-    )
+    names = (json.dumps(name).replace("%", "%%%%") for name in table.columns)
+    fields = ",\n".join(f"{_TABLE_INDENT}    {name}: %s" for name in names)
     row = _TABLE_INDENT + "  {\n" + fields + "\n" + _TABLE_INDENT + "  }"
     separator = "[\n"
-    for columns in _slices(table):
-        cells = zip(*(_column_cells(column, json.dumps, True) for column in columns))
-        yield separator + ",\n".join(map(row.__mod__, cells))
+    for text in _format_slices(table, row, ",\n", json.dumps, True):
+        yield separator + text
         separator = ",\n"
     yield "\n" + _TABLE_INDENT + "]"
 
@@ -414,8 +417,8 @@ def render_json(subcommand: str, seed: int, params: dict, results: dict):
     significant digits, exactly as ``json.dumps`` prints that rounded
     float.  A non-finite float raises ``RuntimeError`` before the return:
     JSON has no spelling for it.  Tables, whose columns are numpy arrays,
-    are formatted column by column by :func:`_column_cells`, one row slice
-    at a time, in place of a marker string in the indented envelope.
+    are formatted by :func:`_format_slices`, one ``%`` per row slice, in
+    place of a marker string in the indented envelope.
     """
     _check_finite(params, results)
     markers = {key: f"\0table:{key}" for key, value in results.items() if isinstance(value, Table)}
@@ -441,8 +444,9 @@ def render_csv(subcommand: str, seed: int, params: dict, results: dict, table_ke
     slice, after every check.  The envelope, parameters and non-table
     results repeat on every row, so they are quoted once into a row
     template.  Table columns are numpy arrays, formatted by
-    :func:`_column_cells` as in ``render_json``; their bools and strings
-    are quoted once per distinct value per slice.  All quoting is ``csv.writer``'s, whose rules differ between versions.
+    :func:`_format_slices` as in ``render_json``; their bools and strings
+    are quoted once per distinct value per slice.  All quoting is
+    ``csv.writer``'s, whose rules differ between versions.
     """
     _check_finite(params, results)
     lead = {"subcommand": subcommand, "version": __version__, "seed": seed}
@@ -456,20 +460,16 @@ def render_csv(subcommand: str, seed: int, params: dict, results: dict, table_ke
 
     # writerow returns what its file's write returns: here, the row's text
     write_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    lead_cells = [_cell(v).replace("%", "%%") for v in lead.values()]
-    summary_cells = [_cell(v).replace("%", "%%") for v in summary.values()]
-    template = write_row([*lead_cells, *["%s"] * len(table), *summary_cells])
     if table_key is None:
-        return iter([write_row(header) + template % ()])  # % () undoes the escape
+        return iter([write_row(header) + write_row(map(_cell, [*lead.values(), *summary.values()]))])
+    lead_cells = [_cell(v).replace("%", "%%%%") for v in lead.values()]
+    summary_cells = [_cell(v).replace("%", "%%%%") for v in summary.values()]
+    row = write_row([*lead_cells, *["%s"] * len(table), *summary_cells])
 
     def encode(value) -> str:
         return write_row((_cell(value), ""))[:-2]  # a lone empty field would be written as ""
 
-    slices = (
-        "".join(map(template.__mod__, zip(*(_column_cells(column, encode, False) for column in columns))))
-        for columns in _slices(results[table_key])
-    )
-    return chain([write_row(header)], slices)
+    return chain([write_row(header)], _format_slices(results[table_key], row, "", encode, False))
 
 
 def build_parser() -> argparse.ArgumentParser:
