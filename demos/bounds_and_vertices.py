@@ -19,7 +19,7 @@ def main():
     print(f"{'idx':>3}  m1(0) m1(1)  m2(0) m2(1)   d00 d01 d10 d11   d00 <= d01+d10+d11")
     moves, vertices = cg.enumerate_deterministic_pairs()
     names = np.array(MOVE)[moves]  # row k is k in binary: m1(0) m1(1) m2(0) m2(1)
-    d = vertices.as_array().T.astype(int)  # row k: (d00, d01, d10, d11)
+    d = vertices.q.T.astype(int)  # row k: (d00, d01, d10, d11)
     holds = cg.classical_bound(vertices).holds
     for k in range(len(moves)):
         print(
@@ -35,7 +35,7 @@ def main():
     print(f"supremum payoff: {supremum}")
     active = {k: float(w) for k, w in enumerate(weights) if w > 0}
     print(f"witness weights (vertex index: weight): {active}")
-    print(f"witness profile: {np.round(profile.as_array(), 6)}")
+    print(f"witness profile: {np.round(profile.q, 6)}")
     print(f"witness payoff:  {cg.payoff(profile):.12f}\n")
 
     print("= The singlet cap of 9 =")

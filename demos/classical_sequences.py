@@ -42,8 +42,8 @@ def main():
 
     profile = cg.match_profile(one, two, N)
     analytic = cg.analytic_classical_profile(Q)
-    print("\nempirical profile:", np.round(profile.as_array(), 6))
-    print("analytic profile: ", np.round(analytic.as_array(), 6))
+    print("\nempirical profile:", np.round(profile.q, 6))
+    print("analytic profile: ", np.round(analytic.q, 6))
     print(f"payoff: {cg.payoff(profile):.12f} (classical optimum is 3)\n")
 
     print("= Feasibility edge =")

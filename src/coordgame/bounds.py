@@ -115,7 +115,7 @@ def lhv_profile(weights) -> MismatchProfile:
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"mixture weights sum to {w.sum()!r}, expected 1")
     _, vertices = enumerate_deterministic_pairs()
-    return MismatchProfile(*np.clip(w @ vertices.as_array().T, 0.0, 1.0))
+    return MismatchProfile(*np.clip(w @ vertices.q.T, 0.0, 1.0))
 
 
 def lhv_supremum_payoff() -> tuple[float, np.ndarray]:

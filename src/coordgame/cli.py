@@ -136,7 +136,7 @@ _SUBCOMMANDS = {
 
 
 def _profile_dict(profile: MismatchProfile) -> dict:
-    return {f"q{i}{j}": profile.entry(i, j) for i, j in STATE_PAIRS}
+    return {f"q{i}{j}": v for (i, j), v in zip(STATE_PAIRS, profile.q.tolist())}
 
 
 def _verdict_dict(verdict) -> dict:
@@ -237,8 +237,8 @@ def _cmd_lhv(args) -> tuple[dict, dict, str | None]:
     columns = {"vertex_index": np.arange(len(moves))}
     for c, name in enumerate(("m1_state0", "m1_state1", "m2_state0", "m2_state1")):
         columns[name] = move_names[:, c]
-    for i, j in STATE_PAIRS:
-        columns[f"d{i}{j}"] = vertices.entry(i, j).astype(np.int64)
+    for (i, j), column in zip(STATE_PAIRS, vertices.q):
+        columns[f"d{i}{j}"] = column.astype(np.int64)
     columns["satisfies_bound"] = holds
     columns["witness_weight"] = weights
 
@@ -274,7 +274,7 @@ def _cmd_match(args) -> tuple[dict, dict, str | None]:
         move_one[start : start + len(chunk_one)] = chunk_one
         move_two[start : start + len(chunk_two)] = chunk_two
     differ = np.count_nonzero((move_one != move_two).reshape(4, r), axis=1)
-    empirical = MismatchProfile(*(float(d) / r for d in differ))
+    empirical = MismatchProfile(*(differ / r))
     states = np.repeat(np.array(STATE_PAIRS, dtype=np.uint8), r, axis=0)
     move_names = np.array(_MOVE_NAMES)
     rounds = Table(

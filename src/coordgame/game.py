@@ -43,58 +43,59 @@ class DegenerateProfile(ValueError):
     """All three off-(0,0) mismatch probabilities are zero; the payoff is 0/0."""
 
 
-@dataclass(frozen=True)
+#: The bits of 1.0 as a uint64.  Compared as uint64, exactly the floats in
+#: [0, 1] are at or below it: a sign bit, NaN, infinity or a larger float is above.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class MismatchProfile:
     """The four state-dependent probabilities that the players' moves differ.
 
-    ``qij`` is the probability of different simultaneous moves when player
-    one is in state ``i`` and player two in state ``j``.  The entries are
-    conditional probabilities for distinct conditions, so they carry no
-    normalization constraint across each other.
+    ``q`` is one read-only float array of shape ``(4,) + S`` whose row k is
+    state pair ``STATE_PAIRS[k]``: ``qij`` is the probability of different
+    simultaneous moves when player one is in state ``i`` and player two in
+    state ``j``.  The entries are conditional probabilities for distinct
+    conditions, so they carry no normalization constraint across each other.
 
-    The fields are either four floats or four arrays of one shape, one
-    profile per entry, such as a sweep's rows.  Arrays are stored as
-    read-only float copies, so the caller's arrays stay writable and later
-    writes to them do not leak in.
+    The four entries are floats, or arrays of one shape S, one profile per
+    entry, such as a sweep's rows.  ``q`` is a copy, so the caller's arrays
+    stay writable.  ``q00``-``q11`` read its rows, as floats or read-only
+    views, and two profiles are equal when their ``q`` arrays are.
     """
 
-    q00: float
-    q01: float
-    q10: float
-    q11: float
+    q: np.ndarray
 
-    def __post_init__(self) -> None:
-        names = ("q00", "q01", "q10", "q11")
-        columns = any(getattr(getattr(self, name), "ndim", 0) for name in names)
-        for name in names:
-            if columns:
-                v = np.array(getattr(self, name), dtype=float)
-                v.setflags(write=False)
-                outside = v[~((v >= 0.0) & (v <= 1.0))]  # NaN fails both comparisons
-            else:
-                v = float(getattr(self, name))
-                outside = [] if 0.0 <= v <= 1.0 else [v]
-            if len(outside):
-                raise ValueError(f"{name}={float(outside[0])!r} outside [0, 1]")
-            object.__setattr__(self, name, v)
-        if columns and len({getattr(self, name).shape for name in names}) != 1:
-            raise ValueError("profile columns must all have one shape")
+    def __init__(self, q00, q01, q10, q11) -> None:
+        try:
+            q = np.array((q00, q01, q10, q11), dtype=float)
+        except ValueError as error:  # also raised on entries of unequal shape
+            raise ValueError("profile entries must be floats, or arrays of one shape") from error
+        q += 0.0  # -0.0 becomes 0.0, so no negative zero is ever reported
+        if q.view(np.uint64).max(initial=0) > _ONE_BITS:  # one pass over q; NaN fails too
+            bad = tuple(np.argwhere(~((q >= 0.0) & (q <= 1.0)))[0])  # in C order: the first field
+            i, j = STATE_PAIRS[bad[0]]
+            raise ValueError(f"q{i}{j}={float(q[bad])!r} outside [0, 1]")
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
 
-    def entry(self, i: int, j: int) -> float:
-        """Mismatch probability for player states (i, j)."""
-        return getattr(self, f"q{int(i)}{int(j)}")
+    def __eq__(self, other):
+        if not isinstance(other, MismatchProfile):
+            return NotImplemented
+        return np.array_equal(self.q, other.q)
 
-    def as_array(self) -> np.ndarray:
-        """Entries stacked in (q00, q01, q10, q11) order: length 4, or 4 by the column shape."""
-        return np.array([self.q00, self.q01, self.q10, self.q11])
+    def _row(k: int) -> property:
+        return property(lambda self: self.q[k].item() if self.q.ndim == 1 else self.q[k])
+
+    q00, q01, q10, q11 = map(_row, range(4))
+    del _row
 
 
 def payoff(profile: MismatchProfile):
-    """Payoff of a mismatch profile: q00 / max(q01, q10, q11).
+    """Payoff of a mismatch profile: q00 / max(q01, q10, q11), read off ``q`` whole.
 
-    This is the one definition of the payoff.  It also takes any profile
-    whose q fields are equal-length arrays, such as a sweep's, and then
-    returns one payoff per row.
+    This is the one definition of the payoff.  It also takes a column
+    profile, such as a sweep's, and then returns one payoff per row.
 
     Raises:
         DegenerateProfile: if q01 = q10 = q11 = 0 (in any row).  Both
@@ -103,13 +104,13 @@ def payoff(profile: MismatchProfile):
         ValueError: if the ratio overflows to infinity (in any row), which
             happens when the largest denominator entry is subnormal.
     """
-    denom = np.maximum(np.maximum(profile.q01, profile.q10), profile.q11)
+    denom = profile.q[1:].max(axis=0)
     if np.any(denom == 0.0):
         raise DegenerateProfile(
             "payoff undefined: q01 = q10 = q11 = 0 (0/0 ratio)"
         )
     with np.errstate(over="ignore"):
-        ratio = profile.q00 / denom
+        ratio = profile.q[0] / denom
     if not np.all(np.isfinite(ratio)):
         raise ValueError("payoff overflows: q00 / max(q01, q10, q11) is not finite")
     return ratio
@@ -208,10 +209,10 @@ def match_profile(
     """
     chunks = play_match(strategy_one, strategy_two, rounds_per_state_pair)
     r = int(rounds_per_state_pair)
-    differ = [0, 0, 0, 0]
+    differ = np.zeros(4, dtype=np.int64)
     for start, moves_one, moves_two in chunks:
         differ[start // r] += np.count_nonzero(moves_one != moves_two)
-    return MismatchProfile(*(float(d) / r for d in differ))
+    return MismatchProfile(*(differ / r))
 
 
 def _block_chunks(r: int):

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .game import MismatchProfile, _as_state
+from .game import STATE_PAIRS, MismatchProfile, _as_state
 
 __all__ = [
     "GeneralAnglePlan",
@@ -102,15 +102,11 @@ def quantum_profile(delta) -> MismatchProfile:
 def general_quantum_profile(plan: GeneralAnglePlan) -> MismatchProfile:
     """Mismatch profile for per-state measurement directions: q_ij = law(a_i, b_j).
 
-    This is the one place the singlet law is tabulated over a plan; a plan
-    of column angles gives a column profile.
+    This is the one place the singlet law is tabulated over a plan, one call
+    per state pair; a plan of column angles gives a column profile.
     """
-    return MismatchProfile(
-        q00=mismatch_probability(plan.a0, plan.b0),
-        q01=mismatch_probability(plan.a0, plan.b1),
-        q10=mismatch_probability(plan.a1, plan.b0),
-        q11=mismatch_probability(plan.a1, plan.b1),
-    )
+    a, b = (plan.a0, plan.a1), (plan.b0, plan.b1)
+    return MismatchProfile(*[mismatch_probability(a[i], b[j]) for i, j in STATE_PAIRS])
 
 
 class _SingletSource:
@@ -134,7 +130,7 @@ class _SingletSource:
     """
 
     def __init__(self, plan: GeneralAnglePlan, seed: int):
-        self._p_same = 1.0 - general_quantum_profile(plan).as_array()
+        self._p_same = 1.0 - general_quantum_profile(plan).q
         children = np.random.SeedSequence(int(seed)).spawn(2)
         self._rng_u, self._rng_v = map(np.random.default_rng, children)
         self._pending = None

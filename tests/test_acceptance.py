@@ -95,10 +95,10 @@ def test_criterion_05_quantum_monte_carlo_convergence():
     assert analytic.q01 == pytest.approx(0.0099667, abs=5e-8)
     one, two = cg.quantum_player_strategy(cg.GeneralAnglePlan.equally_spaced(delta), 0)
     empirical = cg.match_profile(one, two, rounds)
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        a = analytic.entry(i, j)
+    assert analytic.q.shape == empirical.q.shape == (4,)
+    for a, e in zip(analytic.q, empirical.q):
         sigma = np.sqrt(a * (1 - a) / rounds)
-        assert abs(empirical.entry(i, j) - a) < _SIGMA * sigma
+        assert abs(e - a) < _SIGMA * sigma
 
 
 @criterion(6, "vertex enumeration caps mixtures at payoff 3 and a witness attains it", 5.0)
@@ -114,7 +114,7 @@ def test_criterion_06_lhv_optimum():
     # 200k sparse random mixtures, scored at once through the column payoff
     rng = np.random.default_rng(0)
     weights = rng.dirichlet(np.full(16, 0.05), size=200_000)
-    q = vertices.as_array() @ weights.T
+    q = vertices.q @ weights.T
     best = cg.payoff(cg.MismatchProfile(*q)).max()
     assert 2.9 < best <= 3.0 + 1e-12
 

@@ -86,11 +86,11 @@ class TestEnumeration:
         assert len({tuple(row) for row in moves.tolist()}) == 16
         for k, row in enumerate(moves.tolist()):
             assert row == [int(bit) for bit in format(k, "04b")]
-        assert vertices.as_array().shape == (4, 16)
+        assert vertices.q.shape == (4, 16) and vertices.q.dtype == np.float64
 
     def test_constant_pairs(self):
         moves, vertices = enumerate_deterministic_pairs()
-        q = vertices.as_array()
+        q = vertices.q
         assert moves[0].tolist() == [0, 0, 0, 0] and q[:, 0].tolist() == [0.0] * 4  # AA against AA
         assert moves[3].tolist() == [0, 0, 1, 1] and q[:, 3].tolist() == [1.0] * 4  # AA against BB
 
@@ -98,12 +98,12 @@ class TestEnumeration:
         moves, vertices = enumerate_deterministic_pairs()
         for k, (a0, a1, b0, b1) in enumerate(moves.tolist()):
             m1, m2 = (a0, a1), (b0, b1)
-            for i, j in STATE_PAIRS:
-                assert vertices.entry(i, j)[k] == float(m1[i] != m2[j])
+            for n, (i, j) in enumerate(STATE_PAIRS):
+                assert vertices.q[n, k] == getattr(vertices, f"q{i}{j}")[k] == float(m1[i] != m2[j])
 
     def test_arrays_are_read_only(self):
         moves, vertices = enumerate_deterministic_pairs()
-        for array in (moves, vertices.q00, vertices.q01, vertices.q10, vertices.q11):
+        for array in (moves, vertices.q, vertices.q00, vertices.q01, vertices.q10, vertices.q11):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -116,13 +116,13 @@ class TestEnumeration:
     def test_row_seven_is_ab_against_bb(self):
         moves, vertices = enumerate_deterministic_pairs()
         assert moves[7].tolist() == [0, 1, 1, 1]  # m1 = (A, B), m2 = (B, B)
-        assert vertices.as_array()[:, 7].tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert vertices.q[:, 7].tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def _corrupted_pairs():
     """The vertex arrays with row 0's indicator replaced by (1, 0, 0, 0)."""
     moves, vertices = enumerate_deterministic_pairs()
-    q = vertices.as_array()
+    q = vertices.q.copy()
     q[0, 0] = 1.0
     return moves, MismatchProfile(*q)
 
@@ -180,7 +180,7 @@ class TestMixtures:
     def test_equals_the_weighted_sum_of_indicators(self, w):
         moves, _ = enumerate_deterministic_pairs()
         expected = _indicator_sum(w.tolist(), moves)
-        assert lhv_profile(w).as_array() == pytest.approx(expected, abs=1e-15)
+        assert lhv_profile(w).q == pytest.approx(expected, abs=1e-15)
 
 
 class TestSupremum:
@@ -221,7 +221,7 @@ class TestSupremum:
             if not sys.flags.optimize:
                 sys.exit("not running under -O")
             moves, vertices = bounds.enumerate_deterministic_pairs()
-            q = vertices.as_array()
+            q = vertices.q.copy()
             q[0, 0] = 1.0
             bounds.enumerate_deterministic_pairs = lambda: (moves, MismatchProfile(*q))
             try:
@@ -242,7 +242,7 @@ class TestSupremum:
         rng = np.random.default_rng(0)
         weights = rng.dirichlet(np.full(16, 0.05), size=200_000)
         _, vertices = enumerate_deterministic_pairs()
-        q = vertices.as_array() @ weights.T
+        q = vertices.q @ weights.T
         best = payoff(MismatchProfile(*q)).max()
         assert best <= 3.0 + 1e-12
         assert best > 2.9  # the sample reaches close to the optimum
@@ -302,7 +302,7 @@ class TestSweep:
     def test_rows_cover_requested_grid(self):
         deltas, profile = sweep_quantum_payoff(0.1, 0.5, 5)
         assert deltas == pytest.approx(np.linspace(0.1, 0.5, 5))
-        assert profile.as_array().shape == (4, 5)
+        assert profile.q.shape == (4, 5)
 
     def test_every_row_equals_the_scalar_profile(self):
         deltas, profile = sweep_quantum_payoff(0.01, 1.0, 101)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from coordgame import __version__, bounds, cli, game
 from coordgame.classical import MODES, ClassicalConfig, classical_strategy, flip_count, generate_sequences
 from coordgame.cli import Table, _cell, build_parser, main, render_csv, render_json
-from coordgame.game import STATE_PAIRS, MismatchProfile, match_profile
+from coordgame.game import MismatchProfile, match_profile
 from coordgame.quantum import GeneralAnglePlan, quantum_player_strategy
 
 DATA = Path(__file__).parent / "data"
@@ -145,6 +145,24 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "1.5", "0", "0", "0")
         assert code == 2
         assert "outside [0, 1]" in err
+
+    @pytest.mark.parametrize("entries", [["-0", "0.1", "0.1", "0.1"], ["0", "-0", "-0", "-0"]])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_negative_zero_entry_prints_no_negative_zero_result(self, capsys, entries, fmt):
+        # the echoed parameters keep the user's text; every result reads +0
+        code, out, err = run_cli(capsys, "bounds", *entries, "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["parameters"] == dict(zip(["q00", "q01", "q10", "q11"], map(float, entries)))
+            cells = re.findall(r"-?[0-9][0-9.e+-]*", json.dumps(doc["results"]))
+        else:
+            header, row = csv.reader(io.StringIO(out))
+            assert header[3:8] == ["q00", "q01", "q10", "q11", "profile_q00"]
+            assert row[3:7] == entries
+            cells = row[7:]  # the results, after the envelope and the parameters
+        assert "0" in cells or "0.0" in cells
+        assert not [cell for cell in cells if cell in ("-0", "-0.0")]
 
     # Known misleading outputs, each marked with the ROADMAP item that fixes
     # it; that fix turns the test into a plain pass and drops the marker.
@@ -342,7 +360,7 @@ class TestLhvCommand:
 
     def test_broken_vertex_proof_exits_three(self, capsys, monkeypatch):
         moves, vertices = bounds.enumerate_deterministic_pairs()
-        q = vertices.as_array()
+        q = vertices.q.copy()
         q[0, 0] = 1.0  # row 0 plays A everywhere, so d00 = 1 breaks the bound
         monkeypatch.setattr(
             bounds, "enumerate_deterministic_pairs", lambda: (moves, MismatchProfile(*q))
@@ -393,9 +411,9 @@ class TestMatchCommand:
         differ = [0, 0, 0, 0]
         for row in doc["results"]["rounds"]:
             differ[row["round_index"] // r] += row["move_one"] != row["move_two"]
-        assert [d / r for d in differ] == profile.as_array().tolist()
+        assert [d / r for d in differ] == profile.q.tolist()
         assert doc["results"]["empirical"]["profile"] == {
-            f"q{i}{j}": float("%.9g" % profile.entry(i, j)) for i, j in STATE_PAIRS
+            name: float("%.9g" % getattr(profile, name)) for name in ("q00", "q01", "q10", "q11")
         }
 
 
@@ -535,6 +553,19 @@ class TestReproducibility:
         assert code == 0, err
         assert len(out) == size
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["bounds", "0.3", "0.1", "0.1", "0.1"], "bounds_construction.json"),
+            (["bounds", "1", "0", "0", "0", "--format", "csv"], "bounds_degenerate.csv"),
+        ],
+    )
+    def test_bounds_output_pinned_across_versions(self, capsys, argv, expected):
+        # recorded while a profile held four separate fields
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == (DATA / expected).read_text(encoding="utf-8")
 
     def test_sweep_digest_pinned_across_versions(self, capsys):
         # 10k rows, too large to store; recorded while the sweep built one

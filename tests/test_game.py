@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordgame import game
@@ -41,11 +41,14 @@ class TestDomainTypes:
 
     def test_profile_entry_lookup(self):
         p = MismatchProfile(0.1, 0.2, 0.3, 0.4)
-        assert p.entry(0, 0) == 0.1
-        assert p.entry(0, 1) == 0.2
-        assert p.entry(1, 0) == 0.3
-        assert p.entry(1, 1) == 0.4
-        assert np.array_equal(p.as_array(), [0.1, 0.2, 0.3, 0.4])
+        assert p.q00 == 0.1
+        assert p.q01 == 0.2
+        assert p.q10 == 0.3
+        assert p.q11 == 0.4
+        assert p.q.dtype == np.float64 and p.q.tolist() == [0.1, 0.2, 0.3, 0.4]
+        for k, (i, j) in enumerate(STATE_PAIRS):  # row k of q is state pair k
+            assert getattr(p, f"q{i}{j}") == p.q[k]
+        assert MismatchProfile(q11=0.4, q10=0.3, q01=0.2, q00=0.1) == p
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_profile_rejects_out_of_range(self, bad):
@@ -59,8 +62,9 @@ class TestDomainTypes:
 
     def test_scalar_entries_are_python_floats(self):
         p = MismatchProfile(np.float64(0.1), 1, np.array(0.25), 0.5)
-        assert all(type(v) is float for v in p.as_array().tolist())
-        assert [type(p.entry(i, j)) for i, j in STATE_PAIRS] == [float] * 4
+        assert p.q.shape == (4,) and p.q.dtype == np.float64
+        assert all(type(v) is float for v in p.q.tolist())
+        assert [type(getattr(p, f"q{i}{j}")) for i, j in STATE_PAIRS] == [float] * 4
         assert p == MismatchProfile(0.1, 1.0, 0.25, 0.5)
 
 
@@ -73,6 +77,8 @@ class TestColumnProfile:
             MismatchProfile(0.1, q, q, q)  # a float beside columns is not a column
         with pytest.raises(ValueError, match="one shape"):
             MismatchProfile(np.full((2, 1), 0.1), q, q, q)
+        with pytest.raises(ValueError, match="one shape"):
+            MismatchProfile(np.full(1, 0.1), 0.1, 0.1, 0.1)  # nor is a one-entry column a float
 
     @pytest.mark.parametrize("name", ["q00", "q01", "q10", "q11"])
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
@@ -88,9 +94,87 @@ class TestColumnProfile:
         assert q.flags.writeable
         q[0, 0] = 0.5  # later writes by the caller do not reach the profile
         assert profile.q00[0] == 0.25
-        for i, j in STATE_PAIRS:
+        assert profile.q.shape == (4, 3) and not profile.q.flags.writeable
+        for k, (i, j) in enumerate(STATE_PAIRS):
             with pytest.raises(ValueError):
-                profile.entry(i, j)[0] = 0.5
+                getattr(profile, f"q{i}{j}")[0] = 0.5
+            with pytest.raises(ValueError):
+                profile.q[k, 0] = 0.5
+
+
+class TestProfileArray:
+    """``q`` is the one stored array; the named entries read its rows."""
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)])
+    def test_equal_and_unequal_profiles_compare_by_value(self, shape):
+        q = np.full(shape, 0.1)
+        assert MismatchProfile(*q) == MismatchProfile(*q.copy())
+        assert not MismatchProfile(*q) != MismatchProfile(*q.copy())
+        other = q.copy()
+        other[(3,) + (2,) * (len(shape) - 1)] = 0.2
+        assert MismatchProfile(*q) != MismatchProfile(*other)
+        assert not MismatchProfile(*q) == MismatchProfile(*other)
+        assert MismatchProfile(*q) != MismatchProfile(*np.full((4, 2), 0.1))  # shapes differ
+        assert MismatchProfile(*q) != q.tolist()  # not a profile
+        assert type(MismatchProfile(*q) == MismatchProfile(*q)) is bool
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)])
+    def test_stored_array_and_row_views_are_read_only(self, shape):
+        profile = MismatchProfile(*np.full(shape, 0.25))
+        assert not profile.q.flags.writeable
+        with pytest.raises(ValueError):
+            profile.q[0] = 0.5
+        if len(shape) > 1:
+            for name in ("q00", "q01", "q10", "q11"):
+                assert np.shares_memory(getattr(profile, name), profile.q)
+                with pytest.raises(ValueError):
+                    getattr(profile, name)[0] = 0.5
+        for name in ("q", "q00", "q11"):
+            with pytest.raises(AttributeError):
+                setattr(profile, name, np.zeros(shape))
+        assert profile.q.tolist() == np.full(shape, 0.25).tolist()
+
+    def test_callers_arrays_stay_writable(self):
+        columns = [np.full(3, 0.25) for _ in range(4)]
+        scalars = [np.array(0.25) for _ in range(4)]
+        for entries in (columns, scalars):
+            profile = MismatchProfile(*entries)
+            assert all(v.flags.writeable and not np.shares_memory(v, profile.q) for v in entries)
+
+    def test_profiles_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(MismatchProfile(0.1, 0.1, 0.1, 0.1))
+
+    def test_negative_zero_entries_are_stored_as_zero(self):
+        for q in ([-0.0, 0.1, -0.0, 0.2], [[-0.0, 0.5], [0.0, -0.0], [1.0, -0.0], [0.25, 0.0]]):
+            profile = MismatchProfile(*q)
+            assert not np.signbit(profile.q).any()
+            assert np.array_equal(profile.q, q)
+
+    @settings(max_examples=400)
+    @given(
+        st.lists(
+            st.tuples(*[probs | st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324])] * 4), min_size=1, max_size=6
+        ),
+        st.booleans(),
+    )
+    def test_payoff_equals_the_nested_maximum_bitwise(self, rows, column):
+        # ties and zeros come from the sampled entries; the formula is the
+        # one payoff used while a profile held four separate fields
+        q = np.array(rows).T
+        p = MismatchProfile(*(q if column else q[:, 0]))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            expected = p.q00 / np.maximum(np.maximum(p.q01, p.q10), p.q11)
+        if np.any(np.maximum(np.maximum(p.q01, p.q10), p.q11) == 0.0):
+            with pytest.raises(DegenerateProfile):
+                payoff(p)
+        elif not np.all(np.isfinite(expected)):
+            with pytest.raises(ValueError, match="payoff overflows"):
+                payoff(p)
+        else:
+            value = payoff(p)
+            assert type(value) is type(expected)
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestPayoff:

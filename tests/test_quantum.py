@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coordgame import game
+from coordgame import game, quantum
 from coordgame.game import MATCH_CHUNK_ROUNDS, match_profile, payoff
 from coordgame.quantum import (
     GeneralAnglePlan,
@@ -165,10 +165,35 @@ class TestQuantumProfile:
     def test_column_plan_rows_equal_the_scalar_profiles_bitwise(self):
         angles = np.random.default_rng(8).uniform(-2 * np.pi, 2 * np.pi, size=(3, 64))
         columns = general_quantum_profile(GeneralAnglePlan(0.3, *angles))  # a0 is shared
-        assert columns.as_array().shape == (4, 64)
+        assert columns.q.shape == (4, 64)
         for k in range(64):
             row = general_quantum_profile(GeneralAnglePlan(0.3, *angles[:, k].tolist()))
-            assert columns.as_array()[:, k].tobytes() == row.as_array().tobytes()
+            assert columns.q[:, k].tobytes() == row.q.tobytes()
+
+    @given(
+        st.tuples(*[st.floats(min_value=-1e3, max_value=1e3)] * 4),
+        st.lists(st.tuples(*[st.floats(min_value=-1e3, max_value=1e3)] * 4), min_size=1, max_size=8),
+    )
+    def test_profile_array_equals_the_four_law_calls_bitwise(self, scalar, rows):
+        # the tabulation used while a profile held four separate fields,
+        # one float per law call on a scalar plan
+        for a0, a1, b0, b1 in (scalar, np.array(rows).T):
+            expected = [
+                mismatch_probability(a0, b0),
+                mismatch_probability(a0, b1),
+                mismatch_probability(a1, b0),
+                mismatch_probability(a1, b1),
+            ]
+            q = general_quantum_profile(GeneralAnglePlan(a0, a1, b0, b1)).q
+            assert q.tobytes() == np.array(expected, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 0])  # quantum_seed3.json and match_quantum.csv
+    def test_sampling_thresholds_are_one_minus_the_profile_bitwise(self, seed):
+        plan = equally_spaced(0.1)
+        p_same = quantum._SingletSource(plan, seed)._p_same
+        assert p_same.tobytes() == (1 - general_quantum_profile(plan).q).tobytes()
+        law = [float(mismatch_probability(a, b)) for a in (plan.a0, plan.a1) for b in (plan.b0, plan.b1)]
+        assert p_same.tobytes() == (1.0 - np.array(law)).tobytes()
 
     def test_general_profile_agrees_with_plan_directions(self):
         plan = GeneralAnglePlan(0.3, 1.1, 2.9, 4.0)
@@ -217,7 +242,7 @@ class TestSampler:
         # every q is 1/2 on this plan, so the moves differ exactly when
         # v >= 1/2; were u and v one stream, player two would always play A
         plan = GeneralAnglePlan(0.0, 0.0, np.pi / 2, np.pi / 2)
-        assert general_quantum_profile(plan).as_array() == pytest.approx([0.5] * 4)
+        assert general_quantum_profile(plan).q == pytest.approx([0.5] * 4)
         _, move_two = _chunk(*quantum_player_strategy(plan, 0), 100)
         assert 0 < np.count_nonzero(move_two) < 100
 
@@ -284,9 +309,10 @@ class TestCoupledStrategies:
         one, two = quantum_player_strategy(equally_spaced(delta), 7)
         emp = match_profile(one, two, rounds)
         ana = quantum_profile(delta)
-        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            sigma = np.sqrt(ana.entry(i, j) * (1 - ana.entry(i, j)) / rounds)
-            assert abs(emp.entry(i, j) - ana.entry(i, j)) < 4 * sigma
+        assert emp.q.shape == ana.q.shape == (4,)
+        for e, a in zip(emp.q, ana.q):
+            sigma = np.sqrt(a * (1 - a) / rounds)
+            assert abs(e - a) < 4 * sigma
 
     def test_deterministic_for_fixed_seeds(self):
         a = played(*quantum_player_strategy(equally_spaced(0.3), 9), 500)
