@@ -267,15 +267,13 @@ def _cmd_bounds(args) -> tuple[dict, dict, str | None]:
 def _cmd_match(args) -> tuple[dict, dict, str | None]:
     one, two = _players(args, args.strategy)
     r = args.rounds_per_pair
-    chunks = play_match(one, two, r)  # checks r before the columns exist
-    move_one = np.empty(4 * r, dtype=np.uint8)
-    move_two = np.empty(4 * r, dtype=np.uint8)
-    for start, chunk_one, chunk_two in chunks:
-        move_one[start : start + len(chunk_one)] = chunk_one
-        move_two[start : start + len(chunk_two)] = chunk_two
+    chunks = play_match(one, two, r)  # checks r before any column exists
+    # each round's state pair, from its block index: a record too large for
+    # memory fails on this first round-long column, before any round is played
+    states = np.array(STATE_PAIRS, dtype=np.uint8)[np.repeat(np.arange(4, dtype=np.uint8), r)]
+    move_one, move_two = map(np.concatenate, zip(*((a, b) for _, a, b in chunks)))
     differ = np.count_nonzero((move_one != move_two).reshape(4, r), axis=1)
     empirical = MismatchProfile(*(differ / r))
-    states = np.repeat(np.array(STATE_PAIRS, dtype=np.uint8), r, axis=0)
     move_names = np.array(_MOVE_NAMES)
     rounds = Table(
         {

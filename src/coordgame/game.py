@@ -116,12 +116,14 @@ def payoff(profile: MismatchProfile):
     return ratio
 
 
-def confidence_halfwidth(profile: MismatchProfile, samples_per_state_pair: int) -> float:
+def confidence_halfwidth(profile: MismatchProfile, samples_per_state_pair: int):
     """95% half-width of the payoff of a frequency-estimated profile.
 
     The delta method on the ratio q00 / qmax, with independent binomial
     variances q(1-q)/n, n = ``samples_per_state_pair``, for the numerator
-    and for the entry attaining the maximum.
+    and for the entry attaining the maximum.  Like :func:`payoff`, it reads
+    ``q`` whole: a float for a single profile, one half-width per row for
+    a column profile.
 
     Raises:
         ValueError: if ``samples_per_state_pair`` is below 1, or as
@@ -132,11 +134,11 @@ def confidence_halfwidth(profile: MismatchProfile, samples_per_state_pair: int) 
     if n < 1:
         raise ValueError("samples_per_state_pair must be >= 1")
     payoff(profile)  # only for its checks
-    qmax = max(profile.q01, profile.q10, profile.q11)
-    var_num = profile.q00 * (1.0 - profile.q00) / n
+    q00, qmax = profile.q[0], profile.q[1:].max(axis=0)
+    var_num = q00 * (1.0 - q00) / n
     var_den = qmax * (1.0 - qmax) / n
-    var_ratio = var_num / qmax**2 + profile.q00**2 * var_den / qmax**4
-    return 1.96 * float(np.sqrt(var_ratio))
+    var_ratio = var_num / qmax**2 + q00**2 * var_den / qmax**4
+    return 1.96 * np.sqrt(var_ratio)
 
 
 class PlayerStrategy(Protocol):
@@ -167,11 +169,11 @@ def play_match(
     once, which makes frequency estimates of sequence-based strategies
     exact, not sampled.
 
-    Each block is played in order, in chunks of at most
-    :data:`MATCH_CHUNK_ROUNDS` rounds.  Per chunk, strategy one and then
-    strategy two are asked ``moves(start, n, state)``: the chunk's first
-    round and round count, and only their own state; the arbiter draws no
-    randomness.
+    It checks r and returns one generator that walks the blocks in order,
+    in chunks of at most :data:`MATCH_CHUNK_ROUNDS` rounds.  Per chunk,
+    strategy one and then strategy two are asked ``moves(start, n, state)``:
+    the chunk's first round and round count, and only their own state; the
+    arbiter draws no randomness.
     Each chunk yields (first round index, moves one, moves two), the moves
     as uint8 columns, 0 for A.  Output is deterministic for fixed strategies
     and r, and the chunking changes no move of a strategy whose moves depend
@@ -189,7 +191,7 @@ def play_match(
         raise ValueError("rounds_per_state_pair must be >= 1")
     if 4 * r - 1 > np.iinfo(np.int64).max:
         raise ValueError(f"rounds_per_state_pair={r} exceeds 2**61: round indices overflow int64")
-    return _play(strategy_one, strategy_two, _block_chunks(r))
+    return _play(strategy_one, strategy_two, r)
 
 
 def match_profile(
@@ -215,24 +217,20 @@ def match_profile(
     return MismatchProfile(*(differ / r))
 
 
-def _block_chunks(r: int):
-    """(first round, round count, state one, state two) per block-schedule chunk; none crosses a block."""
-    for k, (i, j) in enumerate(STATE_PAIRS):
+def _play(strategy_one, strategy_two, r: int):
+    """Walk the block schedule: (first round, moves one, moves two) per chunk, in order.
+
+    Each state pair of ``STATE_PAIRS`` gets one block of r rounds, played
+    in chunks of at most ``MATCH_CHUNK_ROUNDS`` rounds, so no chunk crosses
+    a block; strategy one is queried before strategy two in every chunk.
+    """
+    for k, (state_one, state_two) in enumerate(STATE_PAIRS):
         stop = (k + 1) * r
         for start in range(k * r, stop, MATCH_CHUNK_ROUNDS):
-            yield start, min(MATCH_CHUNK_ROUNDS, stop - start), i, j
-
-
-def _play(strategy_one, strategy_two, chunks):
-    """Yield (first round, moves one, moves two) for each chunk of ``chunks``, in order.
-
-    ``chunks`` yields (first round, round count, state one, state two);
-    strategy one is queried before strategy two in every chunk.
-    """
-    for start, n, state_one, state_two in chunks:
-        moves_one = _as_move_array(strategy_one.moves(start, n, state_one), n)
-        moves_two = _as_move_array(strategy_two.moves(start, n, state_two), n)
-        yield start, moves_one, moves_two
+            n = min(MATCH_CHUNK_ROUNDS, stop - start)
+            moves_one = _as_move_array(strategy_one.moves(start, n, state_one), n)
+            moves_two = _as_move_array(strategy_two.moves(start, n, state_two), n)
+            yield start, moves_one, moves_two
 
 
 def _as_move_array(moves, n: int) -> np.ndarray:

@@ -67,14 +67,6 @@ class GeneralAnglePlan:
         with np.errstate(over="ignore"):
             return cls(0.0, 2.0 * delta, math.pi + 3.0 * delta, math.pi + delta)
 
-    def mismatch_angle(self, i: int, j: int) -> float:
-        """Direction difference b_j - a_i for state pair (i, j).
-
-        These four differences are linearly dependent:
-        angle(0,0) = angle(0,1) + angle(1,0) - angle(1,1) identically.
-        """
-        return (self.b0 if j == 0 else self.b1) - (self.a0 if i == 0 else self.a1)
-
 
 def mismatch_probability(dir_one, dir_two):
     """Probability the two moves differ for the given measurement directions.

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from coordgame.classical import MODES, ClassicalConfig, classical_strategy, flip
 from coordgame.cli import Table, _cell, build_parser, main, render_csv, render_json
 from coordgame.game import MismatchProfile, match_profile
 from coordgame.quantum import GeneralAnglePlan, quantum_player_strategy
+from helpers import block_schedule, played
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -395,26 +397,64 @@ class TestMatchCommand:
 
     @pytest.mark.parametrize("strategy", ["classical", "quantum"])
     def test_rows_and_summary_equal_the_counts_only_match(self, capsys, monkeypatch, strategy):
-        # 7-round chunks, so that every block is copied into the columns in pieces
+        # 7-round chunks, so that every block is joined from pieces
         monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", 7)
         r = 40
         doc = run_json(
             capsys, "match", "--strategy", strategy, "--N", "50", "--rounds-per-pair", str(r), "--seed", "3"
         )
-        if strategy == "classical":
-            sequences = generate_sequences(ClassicalConfig(n=50, q=0.1, seed=3))
-            players = classical_strategy(1, sequences), classical_strategy(2, sequences)
-        else:
-            players = quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.1), 3)
-        profile = match_profile(*players, r)
+
+        def players():
+            if strategy == "classical":
+                sequences = generate_sequences(ClassicalConfig(n=50, q=0.1, seed=3))
+                return classical_strategy(1, sequences), classical_strategy(2, sequences)
+            return quantum_player_strategy(GeneralAnglePlan.equally_spaced(0.1), 3)
+
+        profile = match_profile(*players(), r)
+        rows = doc["results"]["rounds"]
+        move_one, move_two = played(*players(), r)
+        assert [row["round_index"] for row in rows] == list(range(4 * r))
+        assert [(row["state_one"], row["state_two"]) for row in rows] == list(map(tuple, block_schedule(r).tolist()))
+        assert [row["move_one"] for row in rows] == ["AB"[move] for move in move_one.tolist()]
+        assert [row["move_two"] for row in rows] == ["AB"[move] for move in move_two.tolist()]
 
         differ = [0, 0, 0, 0]
-        for row in doc["results"]["rounds"]:
+        for row in rows:
             differ[row["round_index"] // r] += row["move_one"] != row["move_two"]
         assert [d / r for d in differ] == profile.q.tolist()
         assert doc["results"]["empirical"]["profile"] == {
             name: float("%.9g" % getattr(profile, name)) for name in ("q00", "q01", "q10", "q11")
         }
+
+    def test_a_record_too_large_fails_before_any_round_is_played(self, capsys, monkeypatch):
+        # 2**61 rounds per pair pass play_match's check, but 2**63 rounds
+        # overflow the array size at once
+        class Untouchable:
+            def moves(self, start, n, state):
+                raise AssertionError("no round may be played")
+
+        monkeypatch.setattr(cli, "_players", lambda args, family: (Untouchable(), Untouchable()))
+        code, out, err = run_cli(capsys, "match", "--rounds-per-pair", str(2**61))
+        assert code == 2 and out == ""
+        assert err.startswith("coordgame match: invalid parameters: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("strategy", ["classical", "quantum"])
+    def test_handler_memory_is_bounded(self, strategy):
+        # Held after return: the round index (8 bytes per round), the states (2)
+        # and two move-name columns (4 each); the peak adds the two joined
+        # move columns.  That reads 20.3 bytes per round, and 22.3 when every
+        # chunk stays alive until the return, as a kept list of chunks would.
+        r = 65_536
+        handler = cli._HANDLERS["match"]
+        handler(build_parser().parse_args(["match", "--strategy", strategy]))  # numpy.random loads on first use
+        args = build_parser().parse_args(["match", "--strategy", strategy, "--rounds-per-pair", str(r)])
+        tracemalloc.start()
+        try:
+            handler(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21.5 * 4 * r
 
 
 class TestReproducibility:
@@ -1186,7 +1226,7 @@ class TestEntryPoint:
         )
 
     def test_memory_exhaustion_exits_two(self):
-        # match records every round, so its move columns fail to allocate
+        # match records every round, so its first round-long column fails to allocate
         proc = self._run_capped("match", "--rounds-per-pair", str(10**12))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""

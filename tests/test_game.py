@@ -484,6 +484,22 @@ class TestMatchProfile:
                 assert start // r == (start + n - 1) // r  # no chunk crosses a block
                 assert state == STATE_PAIRS[start // r][player]
 
+    def test_walk_queries_each_block_in_chunks(self, chunk_rounds):
+        # block k starts at k * r and is asked for in chunks of c rounds, then the
+        # remainder, each with the player's own state of STATE_PAIRS[k]
+        c, r = chunk_rounds, _ragged_rounds(chunk_rounds)
+        sizes = [c] * (r // c) + [r % c]  # the ragged r leaves a remainder
+        assert 0 < r % c < c and len(sizes) >= 4
+        one, two = _Recorder(), _Recorder(1)
+        played(one, two, r)
+        for player, recorder in enumerate((one, two)):
+            expected = [
+                (k * r + m * c, n, pair[player])
+                for k, pair in enumerate(STATE_PAIRS)
+                for m, n in enumerate(sizes)
+            ]
+            assert recorder.seen == expected
+
     @pytest.mark.parametrize("r", [0, -1, 2**61 + 1], ids=["zero", "negative", "beyond-int64"])
     def test_rejects_bad_round_count(self, r):
         with pytest.raises(ValueError, match="rounds_per_state_pair"):
@@ -591,6 +607,27 @@ class TestReports:
             confidence_halfwidth(p, 10_000) / 2, rel=1e-12
         )
 
+    @given(profiles(min_denom=1e-9), st.integers(min_value=1, max_value=2**61))
+    def test_halfwidth_bits_of_the_scalar_formula(self, p, n):
+        # the formula on Python floats, as the half-width was computed before it read q whole
+        q00, qmax = p.q00, max(p.q01, p.q10, p.q11)
+        var_num = q00 * (1.0 - q00) / n
+        var_den = qmax * (1.0 - qmax) / n
+        var_ratio = var_num / qmax**2 + q00**2 * var_den / qmax**4
+        halfwidth = confidence_halfwidth(p, n)
+        assert isinstance(halfwidth, float)
+        assert halfwidth == 1.96 * float(np.sqrt(var_ratio))
+
+    def test_halfwidth_of_a_column_profile_is_one_per_row(self):
+        # within 1 ulp of each row's own call: an array squares by
+        # multiplication, a scalar by libm pow
+        rows = np.random.default_rng(5).uniform(1e-6, 1.0, size=(2000, 4))
+        rows[:3] = 0.1  # rows of one profile, which once raised numpy's ambiguous truth value error
+        column = confidence_halfwidth(MismatchProfile(*rows.T), 1000)
+        single = np.array([confidence_halfwidth(MismatchProfile(*row), 1000) for row in rows.tolist()])
+        assert column.shape == (2000,)
+        assert np.all(np.abs(column - single) <= np.spacing(single))
+
     def test_halfwidth_needs_samples(self):
         with pytest.raises(ValueError, match="samples_per_state_pair must be >= 1"):
             confidence_halfwidth(MismatchProfile(0.3, 0.1, 0.1, 0.1), 0)
@@ -600,3 +637,10 @@ class TestReports:
             confidence_halfwidth(MismatchProfile(0.0, 0.0, 0.0, 0.0), 100)
         with pytest.raises(ValueError, match="overflows"):
             confidence_halfwidth(MismatchProfile(1.0, 1e-310, 0.0, 0.0), 100)
+
+    def test_halfwidth_of_a_column_raises_on_any_bad_row(self):
+        good = (0.3, 0.1, 0.1, 0.1)
+        with pytest.raises(DegenerateProfile):
+            confidence_halfwidth(MismatchProfile(*np.array([good, (0.0, 0.0, 0.0, 0.0)]).T), 100)
+        with pytest.raises(ValueError, match="overflows"):
+            confidence_halfwidth(MismatchProfile(*np.array([(1.0, 1e-310, 0.0, 0.0), good]).T), 100)

