@@ -42,13 +42,6 @@ class LengthMismatch(ValueError):
     """Bit sequences of unequal length were compared."""
 
 
-def _as_bits(seq) -> np.ndarray:
-    arr = np.asarray(seq)
-    if arr.ndim != 1:
-        raise ValueError("bit sequence must be one-dimensional")
-    return _as_binary(arr, "bit sequence entries must be 0 or 1")
-
-
 def flip_count(q: float, n: int) -> int:
     """Number of bits flipped per generation step: q*n rounded to nearest."""
     return int(round(q * n))
@@ -96,7 +89,10 @@ class BitSequenceSet:
     flips: np.ndarray
 
     def __post_init__(self) -> None:
-        base, flips = _as_bits(self.base), np.asarray(self.flips)
+        base = np.asarray(self.base)
+        if base.ndim != 1:
+            raise ValueError("bit sequence must be one-dimensional")
+        base, flips = _as_binary(base, "bit sequence entries must be 0 or 1"), np.asarray(self.flips)
         if flips.shape != base.shape:
             raise LengthMismatch("base and flips must share one length")
         # compared before any cast, which would wrap 8 to 0 and truncate 0.5 to 0

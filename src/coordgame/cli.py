@@ -161,13 +161,6 @@ def _payoff_block(profile: MismatchProfile, samples: int | None = None) -> dict:
     return block
 
 
-def _bounds_block(profile: MismatchProfile) -> dict:
-    return {
-        "classical": _verdict_dict(classical_bound(profile)),
-        "quantum": _verdict_dict(quantum_bound(profile)),
-    }
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
@@ -200,7 +193,10 @@ def _end_to_end(args, analytic_profile) -> tuple[dict, dict, str | None]:
     results = {
         "analytic": _payoff_block(analytic),
         "empirical": _payoff_block(empirical, samples=args.rounds_per_pair),
-        "bounds": _bounds_block(analytic),
+        "bounds": {
+            "classical": _verdict_dict(classical_bound(analytic)),
+            "quantum": _verdict_dict(quantum_bound(analytic)),
+        },
     }
     return _echo(args), results, None
 
@@ -268,6 +264,8 @@ def _cmd_match(args) -> tuple[dict, dict, str | None]:
     one, two = _players(args, args.strategy)
     r = args.rounds_per_pair
     chunks = play_match(one, two, r)  # checks r before any column exists
+    most = np.iinfo(np.intp).max // 4  # the record's 4r rows must fit one array
+    _require(r <= most, f"rounds-per-pair must be at most {most} for a match record")
     # each round's state pair, from its block index: a record too large for
     # memory fails on this first round-long column, before any round is played
     states = np.array(STATE_PAIRS, dtype=np.uint8)[np.repeat(np.arange(4, dtype=np.uint8), r)]

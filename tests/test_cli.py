@@ -428,7 +428,8 @@ class TestMatchCommand:
 
     def test_a_record_too_large_fails_before_any_round_is_played(self, capsys, monkeypatch):
         # 2**61 rounds per pair pass play_match's check, but 2**63 rounds
-        # overflow the array size at once
+        # overflow the array size at once; the message names the option and
+        # its largest value, not numpy's negative dimension
         class Untouchable:
             def moves(self, start, n, state):
                 raise AssertionError("no round may be played")
@@ -437,6 +438,8 @@ class TestMatchCommand:
         code, out, err = run_cli(capsys, "match", "--rounds-per-pair", str(2**61))
         assert code == 2 and out == ""
         assert err.startswith("coordgame match: invalid parameters: ") and len(err.splitlines()) == 1
+        most = np.iinfo(np.intp).max // 4
+        assert err == f"coordgame match: invalid parameters: rounds-per-pair must be at most {most} for a match record\n"
 
     @pytest.mark.parametrize("strategy", ["classical", "quantum"])
     def test_handler_memory_is_bounded(self, strategy):
