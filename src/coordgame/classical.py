@@ -42,6 +42,11 @@ class LengthMismatch(ValueError):
     """Bit sequences of unequal length were compared."""
 
 
+#: Positions per block of the disjoint-flips draw, which sets its bytes:
+#: the block's int64 index, 120 KiB, stays below glibc's 128 KiB mmap threshold.
+_FLIP_BLOCK = 15 * 1024
+
+
 def flip_count(q: float, n: int) -> int:
     """Number of bits flipped per generation step: q*n rounded to nearest."""
     return int(round(q * n))
@@ -129,8 +134,11 @@ def _wrap(column: np.ndarray, start: int, n: int) -> np.ndarray:
     rest = first + n - len(column)  # the entries from the first wrap on, read from position 0
     if rest <= 0:
         return column[first : first + n]
-    # np.resize copies its input whole as often as it fits, so it gets no more than rest needs
-    return np.concatenate((column[first:], np.resize(column[:rest], rest)))
+    if rest <= len(column):  # one wrap: copy the window alone
+        return np.concatenate((column[first:], column[:rest]))
+    # many wraps: one copy of the column repeated over every lap the window touches
+    laps = -(-(first + n) // len(column))
+    return np.broadcast_to(column, (laps, len(column))).reshape(-1)[first : first + n]
 
 
 def _parity(steps: np.ndarray, mask: int) -> np.ndarray:
@@ -148,21 +156,30 @@ def generate_sequences(config: ClassicalConfig) -> BitSequenceSet:
     The base sequence is fair-coin random.  In disjoint-flips mode each
     later sequence flips round(q*n) positions of its predecessor chosen
     uniformly from positions untouched by every earlier step, so
-    d(Xa, Xb) = round(q*n) * |a - b| holds exactly.  In bsc-chain mode
-    each later sequence is its predecessor sent through a binary symmetric
-    channel with crossover probability q, independently per bit.
+    d(Xa, Xb) = round(q*n) * |a - b| holds exactly; the draw walks the
+    positions in blocks of ``_FLIP_BLOCK`` and places the flipped ones
+    alone.  In bsc-chain mode each later sequence is its predecessor sent
+    through a binary symmetric channel with crossover probability q,
+    independently per bit.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n
     base = rng.integers(0, 2, size=n, dtype=np.uint8)
 
+    flips = np.zeros(n, dtype=np.uint8)
     if config.mode == "disjoint-flips":
         f = flip_count(config.q, n)
-        # shuffled, one byte per position: f positions per step, uniform and disjoint
-        flips = np.repeat(np.array([0, 1, 2, 4], dtype=np.uint8), (n - 3 * f, f, f, f))
-        rng.shuffle(flips)
+        left = np.array([n - 3 * f, f, f, f], dtype=np.int64)  # unplaced: no step, steps 1, 2, 3
+        for lo in range(0, n, _FLIP_BLOCK):
+            block = flips[lo : lo + _FLIP_BLOCK]
+            # how many positions of each kind left fall in this block, then
+            # which of its places the flipped ones take, in uniform order; no
+            # index outlives its statement, so only one block's is ever held
+            counts = rng.multivariate_hypergeometric(left, len(block))
+            left -= counts
+            steps = np.repeat(np.array([1, 2, 4], dtype=np.uint8), counts[1:])
+            block[rng.choice(len(block), len(steps), replace=False)] = steps
     else:
-        flips = np.zeros(n, dtype=np.uint8)
         for step in range(3):
             # random takes one raw word per double: slices draw one n-long call's stream
             for lo in range(0, n, MATCH_CHUNK_ROUNDS):

@@ -1,6 +1,7 @@
 """Shared-sequence generation, Hamming distances, and the classical strategy."""
 
 import itertools
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coordgame import classical
 from coordgame.classical import (
+    _FLIP_BLOCK,
     BitSequenceSet,
     ClassicalConfig,
     InfeasibleFlipCount,
@@ -191,8 +194,14 @@ def _reference_sequences(n: int, q: float, mode: str, seed: int) -> list[np.ndar
     seqs = [rng.integers(0, 2, size=n, dtype=np.uint8)]
     if mode == "disjoint-flips":
         f = flip_count(q, n)
-        steps = np.repeat(np.array([0, 1, 2, 4]), (n - 3 * f, f, f, f))
-        rng.shuffle(steps)
+        steps = np.zeros(n, dtype=np.int64)
+        left = [n - 3 * f, f, f, f]
+        for lo in range(0, n, _FLIP_BLOCK):
+            size = min(_FLIP_BLOCK, n - lo)
+            counts = rng.multivariate_hypergeometric(left, size).tolist()
+            left = [a - b for a, b in zip(left, counts)]
+            places = rng.choice(size, size - counts[0], replace=False)
+            steps[lo + places] = [1] * counts[1] + [2] * counts[2] + [4] * counts[3]
         for step in range(3):
             seqs.append(seqs[-1] ^ (steps == 1 << step).astype(np.uint8))
     else:
@@ -208,8 +217,9 @@ def _encoded(*sequences) -> BitSequenceSet:
 
 
 class TestGenerateSequences:
-    # n on each side of 2**8 and 2**16, and over several slices of the channel draw
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 65_535, 65_536, 65_537, 100_003])
+    # n on each side of 2**8 and 2**16, one block of the flip draw and one
+    # position over it, and over several blocks and slices of the channel draw
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 15_360, 15_361, 65_535, 65_536, 65_537, 100_003])
     @pytest.mark.parametrize("q", [0.1, 0.3])
     @pytest.mark.parametrize("seed", [0, 9])
     @pytest.mark.parametrize("mode", ["disjoint-flips", "bsc-chain"])
@@ -232,6 +242,44 @@ class TestGenerateSequences:
         assert sorted(counts) == sorted(itertools.permutations(range(4), 3))
         expected = seeds / 24
         assert sum((c - expected) ** 2 / expected for c in counts.values()) < 70.55
+
+    def test_flips_per_block_follow_the_hypergeometric_law(self):
+        # N = 2 blocks and 7, f = 2: of the 6 flipped positions, k fall in
+        # block 0 with probability C(6, k) C(N - 6, B - k) / C(N, B);
+        # 38.26 is chi2.isf(1e-6, 6)
+        n, seeds = 2 * _FLIP_BLOCK + 7, 2_000
+        assert flip_count(2 / n, n) == 2
+        observed = np.zeros(7)
+        for seed in range(seeds):
+            flips = generate_sequences(ClassicalConfig(n=n, q=2 / n, seed=seed)).flips
+            observed[np.count_nonzero(flips[:_FLIP_BLOCK])] += 1
+        law = [math.comb(6, k) * math.comb(n - 6, _FLIP_BLOCK - k) / math.comb(n, _FLIP_BLOCK) for k in range(7)]
+        assert sum((o - seeds * p) ** 2 / (seeds * p) for o, p in zip(observed, law)) < 38.26
+
+    @pytest.mark.parametrize(
+        "n, q",
+        [(1, 0.3), (1_000, 0.0), (3, 0.3333), (3 * _FLIP_BLOCK + 3, 1 / 3), (2 * _FLIP_BLOCK + 7, 0.1), (_FLIP_BLOCK + 1, 0.3)],
+        ids=["n-1", "f-0", "3f-is-n", "3f-is-n-over-blocks", "ragged-7", "ragged-1"],
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_each_step_flips_exactly_f_positions(self, n, q, seed):
+        f = flip_count(q, n)
+        seqs = generate_sequences(ClassicalConfig(n=n, q=q, seed=seed))
+        assert np.isin(seqs.flips, [0, 1, 2, 4]).all()
+        assert [int(np.count_nonzero(seqs.flips == 1 << step)) for step in range(3)] == [f, f, f]
+        for a, b in itertools.combinations(range(4), 2):
+            assert seqs.distance(a, b) == f * (b - a)
+
+    @pytest.mark.parametrize("mode", ["disjoint-flips", "bsc-chain"])
+    def test_draw_does_not_depend_on_the_chunk_size(self, monkeypatch, mode):
+        config = ClassicalConfig(n=100_003, q=0.1, mode=mode, seed=3)
+        want = generate_sequences(config)
+        for chunk in (7, 4_096, 2**20):
+            monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
+            monkeypatch.setattr(classical, "MATCH_CHUNK_ROUNDS", chunk)
+            got = generate_sequences(config)
+            assert got.base.tobytes() == want.base.tobytes(), chunk
+            assert got.flips.tobytes() == want.flips.tobytes(), chunk
 
     @pytest.mark.parametrize("mode", ["disjoint-flips", "bsc-chain"])
     def test_draw_memory_is_bounded(self, mode):
@@ -402,8 +450,9 @@ class TestSequenceStrategy:
     @pytest.mark.parametrize("index", [0, 1, 2, 3])
     @pytest.mark.parametrize(
         "first, length",
-        [(3, 5), (0, 10), (6, 4), (7, 5), (10**12 + 8, 6), (3, 25), (10, 30)],
-        ids=["inside", "whole", "ends-at-n", "wraps", "wraps-far-on", "longer-than-n", "whole-laps"],
+        [(3, 5), (0, 10), (6, 4), (7, 5), (10**12 + 8, 6), (3, 17), (3, 18), (3, 25), (10, 30)],
+        ids=["inside", "whole", "ends-at-n", "wraps", "wraps-far-on", "wraps-to-first", "wraps-past-first",
+             "longer-than-n", "whole-laps"],
     )
     def test_constant_states_equal_the_modulo_reference(self, state, index, first, length):
         n = 10
@@ -417,6 +466,16 @@ class TestSequenceStrategy:
         assert out.tobytes() == expected.tobytes()
         assert not np.shares_memory(out, seqs.base)
         assert not np.shares_memory(out, seqs.flips)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("start", [0, 5, 10**12 + 3])
+    def test_a_chunk_over_a_short_sequence_equals_the_modulo_reference(self, n, start):
+        # a whole chunk laps a sequence shorter than it thousands of times
+        seqs = _random_set(n, n)
+        rounds = np.arange(start, start + MATCH_CHUNK_ROUNDS, dtype=np.int64) % n
+        for k, state in itertools.product(range(4), (0, 1)):
+            out = SequenceStrategy(seqs, k, 3 - k).moves(start, MATCH_CHUNK_ROUNDS, state)
+            assert out.tobytes() == seqs.sequence(3 - k if state else k)[rounds].tobytes(), (k, state)
 
     @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
     def test_moves_equal_the_modulo_reference(self, monkeypatch, chunk):

@@ -487,7 +487,8 @@ class TestReproducibility:
     def test_classical_output_pinned_across_versions(self, capsys, argv, expected):
         # recorded from version 0.1.0 before the counts-only match path, and
         # match_classical.csv again when the flip sets became a shuffled step
-        # column; shared-sequence output must stay byte-identical under any chunking
+        # column and again when they came to be drawn block by block;
+        # shared-sequence output must stay byte-identical under any chunking
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == (DATA / expected).read_text(encoding="utf-8")
@@ -525,7 +526,8 @@ class TestReproducibility:
     )
     def test_table_output_pinned_across_versions(self, capsys, argv, expected):
         # recorded from version 0.1.0 while tables were rendered row by row;
-        # match_classical.json again when the flip sets became a shuffled step column
+        # match_classical.json again when the flip sets became a shuffled step
+        # column and again when they came to be drawn block by block
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == (DATA / expected).read_text(encoding="utf-8")
@@ -545,7 +547,8 @@ class TestReproducibility:
     )
     def test_chunk_crossing_output_pinned_across_versions(self, capsys, argv, expected):
         # recorded with 65 536-round chunks, and classical_chunks_seed9.json
-        # again with 15 360 when the flip sets became a shuffled step column:
+        # again with 15 360 when the flip sets became a shuffled step column
+        # and again when they came to be drawn block by block:
         # every block crosses a chunk boundary with either, so the bytes pin
         # determinism across chunking
         code, out, err = run_cli(capsys, *argv)
@@ -559,7 +562,7 @@ class TestReproducibility:
         assert code == 0, err
         assert len(out) == 1_109_194
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "0214b88d247e542984996ad262af80910b12b7e56b5f951467162e3fb599a5e9"
+            "9ac3efc3994e24a901e30c5f42b04b4a4aa1dc426a9a34b4cb3454c1e1640bce"
         )
 
     def test_match_dump_json_digest_pinned_across_versions(self, capsys):
@@ -569,7 +572,7 @@ class TestReproducibility:
         assert code == 0, err
         assert len(out) == 1_429_412
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "ce760efbe8e0ef4917e27ba63193ee159000a3906c48ccda0792a8e7e01a05fe"
+            "e5875c8df4c5afe67db99059561922c97fb969289ebe318de462c8b2b88ef388"
         )
 
     @pytest.mark.parametrize(
@@ -1247,14 +1250,15 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("csv", "935f61adef5ed5b0a787505b8560ee42461630590ab8895c4a91b036d0b9c3b3"),
-            ("json", "dc5f6c36cb848b2bc4711d9dd70ef2378468a15bc5e627a62b4178a9471cafa0"),
+            ("csv", "401ad79841faba6a1e020e4ee4fcb7c569b49e2634b2bb1d76755f3fce82f646"),
+            ("json", "01605ba034d00df436c2ff8bcec373134979141f3c99f6e5301a40ec938b6803"),
         ],
     )
     def test_large_match_dump_streams_in_bounded_memory(self, tmp_path, fmt, digest):
         # 1e6 rounds, about 120 MB of CSV and 700 MB of JSON, inside a 256 MiB
         # cap; the streamed bytes matched digests of the whole record built in
         # memory, and were recorded again when the flip sets became a shuffled step column
+        # and again when they came to be drawn block by block
         path = tmp_path / f"match.{fmt}"
         argv = ["match", "--rounds-per-pair", "250000", "--format", fmt, "--out", str(path)]
         # the BLAS pool reserves about 40 MiB of address space per core at
