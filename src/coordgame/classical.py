@@ -39,7 +39,7 @@ class InfeasibleFlipCount(ValueError):
 
 
 class LengthMismatch(ValueError):
-    """Bit sequences of unequal length were compared."""
+    """A ``BitSequenceSet``'s ``base`` and ``flips`` differ in length."""
 
 
 #: Positions per block of the disjoint-flips draw, which sets its bytes:

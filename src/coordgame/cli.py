@@ -49,7 +49,6 @@ from .classical import (
     generate_sequences,
 )
 from .game import (
-    MATCH_CHUNK_ROUNDS,
     STATE_PAIRS,
     DegenerateProfile,
     MismatchProfile,
@@ -67,14 +66,18 @@ __all__ = ["main", "entry", "build_parser"]
 # the package.
 run_match = empirical_profile = analytic_report = empirical_report = None
 
-_MOVE_NAMES = ("A", "B")
+_MOVE_NAMES = np.array(["A", "B"])
+
+#: Rows per slice that the renderers format by one ``%`` each; no byte depends on it.
+#: Small slices reuse the heap's freed texts and cell lists rather than fault in new ones.
+RENDER_SLICE_ROWS = 1024
 
 
 class Table:
     """A result table as named, equal-length 1-D numpy columns, one entry per row.
 
     A column holds bools, integers, floats or strings.  ``len`` is the row
-    count.  Renderers format a table in slices of ``MATCH_CHUNK_ROUNDS``
+    count.  Renderers format a table in slices of ``RENDER_SLICE_ROWS``
     rows, each slice by one ``%`` operation, never row by row.
 
     Raises:
@@ -92,11 +95,22 @@ class Table:
         lengths = {len(column) for column in columns.values()}
         if len(lengths) != 1:
             raise RuntimeError(f"table needs columns of one length, got lengths {sorted(lengths)}")
-        self.columns = columns
-        self._rows = lengths.pop()
+        self.columns, self.names, self._rows = columns, list(columns), lengths.pop()
+
+    @classmethod
+    def stream(cls, names: list, rows: int, slices) -> Table:
+        """A table of ``rows`` rows that holds no column (``columns`` is empty).  ``slices`` replaces
+        the method and makes them anew on each call; none may hold floats, checked only when held."""
+        table = cls.__new__(cls)
+        table.columns, table.names, table._rows, table.slices = {}, names, rows, slices
+        return table
 
     def __len__(self) -> int:
         return self._rows
+
+    def slices(self, size: int):
+        """The columns in slices of at most ``size`` rows, one list of arrays per slice."""
+        return ([c[start : start + size] for c in self.columns.values()] for start in range(0, len(self), size))
 
 
 # Every echoed argument once: its flag (a positional's is its name) and its
@@ -229,7 +243,7 @@ def _cmd_lhv(args) -> tuple[dict, dict, str | None]:
     witness_profile = lhv_profile(weights)
 
     holds = classical_bound(vertices).holds
-    move_names = np.array(_MOVE_NAMES)[moves]
+    move_names = _MOVE_NAMES[moves]
     columns = {"vertex_index": np.arange(len(moves))}
     for c, name in enumerate(("m1_state0", "m1_state1", "m2_state0", "m2_state1")):
         columns[name] = move_names[:, c]
@@ -261,32 +275,19 @@ def _cmd_bounds(args) -> tuple[dict, dict, str | None]:
 
 
 def _cmd_match(args) -> tuple[dict, dict, str | None]:
-    one, two = _players(args, args.strategy)
+    """The counts of one play, and a table that plays the same seeded players again to list its rounds."""
     r = args.rounds_per_pair
-    chunks = play_match(one, two, r)  # checks r before any column exists
-    most = np.iinfo(np.intp).max // 4  # the record's 4r rows must fit one array
-    _require(r <= most, f"rounds-per-pair must be at most {most} for a match record")
-    # each round's state pair, from its block index: a record too large for
-    # memory fails on this first round-long column, before any round is played
-    states = np.array(STATE_PAIRS, dtype=np.uint8)[np.repeat(np.arange(4, dtype=np.uint8), r)]
-    move_one, move_two = map(np.concatenate, zip(*((a, b) for _, a, b in chunks)))
-    differ = np.count_nonzero((move_one != move_two).reshape(4, r), axis=1)
-    empirical = MismatchProfile(*(differ / r))
-    move_names = np.array(_MOVE_NAMES)
-    rounds = Table(
-        {
-            "round_index": np.arange(4 * r),
-            "state_one": states[:, 0],
-            "state_two": states[:, 1],
-            "move_one": move_names[move_one],
-            "move_two": move_names[move_two],
-        }
-    )
+    empirical = match_profile(*_players(args, args.strategy), r)
+    names = ["round_index", "state_one", "state_two", "move_one", "move_two"]
 
-    results = {
-        "rounds": rounds,
-        "empirical": _payoff_block(empirical, samples=args.rounds_per_pair),
-    }
+    def slices(size: int):
+        for start, move_one, move_two in play_match(*_players(args, args.strategy), r):
+            n = len(move_one)
+            states = (np.full(n, state) for state in STATE_PAIRS[start // r])  # no chunk crosses a block
+            columns = [np.arange(start, start + n), *states, _MOVE_NAMES[move_one], _MOVE_NAMES[move_two]]
+            yield from Table(dict(zip(names, columns))).slices(size)
+
+    results = {"rounds": Table.stream(names, 4 * r, slices), "empirical": _payoff_block(empirical, samples=r)}
     return _echo(args), results, "rounds"
 
 
@@ -353,7 +354,7 @@ def _may_print_unlike_repr(floats: np.ndarray) -> np.ndarray:
 
 
 def _format_slices(table: Table, row: str, separator: str, encode, json_floats: bool):
-    """The table's rows as one text per slice of ``MATCH_CHUNK_ROUNDS`` rows, each made by one ``%``.
+    """The table's rows as one text per slice of ``RENDER_SLICE_ROWS`` rows, each made by one ``%``.
 
     ``row`` holds a ``%s`` for each column's conversion and escapes each
     ``%`` of its own text twice.  Integers print by ``%d``, floats by
@@ -367,8 +368,7 @@ def _format_slices(table: Table, row: str, separator: str, encode, json_floats: 
     slice where :func:`_may_print_unlike_repr` flags an entry, a superset of
     those cases, gets per-cell texts, each flagged one printed by ``repr``.
     """
-    for start in range(0, len(table), MATCH_CHUNK_ROUNDS):
-        columns = [column[start : start + MATCH_CHUNK_ROUNDS] for column in table.columns.values()]
+    for columns in table.slices(RENDER_SLICE_ROWS):
         rows = len(columns[0])
         conversions, cells = [], [None] * (len(columns) * rows)
         for i, column in enumerate(columns):
@@ -396,7 +396,7 @@ def _json_table(table: Table):
     if not len(table):
         yield "[]"
         return
-    names = (json.dumps(name).replace("%", "%%%%") for name in table.columns)
+    names = (json.dumps(name).replace("%", "%%%%") for name in table.names)
     fields = ",\n".join(f"{_TABLE_INDENT}    {name}: %s" for name in names)
     row = _TABLE_INDENT + "  {\n" + fields + "\n" + _TABLE_INDENT + "  }"
     separator = "[\n"
@@ -448,7 +448,7 @@ def render_csv(subcommand: str, seed: int, params: dict, results: dict, table_ke
     lead = {"subcommand": subcommand, "version": __version__, "seed": seed}
     lead.update(_flatten(params))
     summary = _flatten({k: v for k, v in results.items() if k != table_key})
-    table = {} if table_key is None else results[table_key].columns
+    table = [] if table_key is None else results[table_key].names
     header = [*lead, *table, *summary]
     if len(set(header)) != len(header):
         duplicates = sorted({name for name in header if header.count(name) > 1})

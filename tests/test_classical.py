@@ -287,6 +287,7 @@ class TestGenerateSequences:
         # an index permutation or a float64 channel pass is 4 to 8 bytes per position
         n = 10**6
         config = ClassicalConfig(n=n, q=0.1, mode=mode, seed=1)
+        np.random.default_rng(0).random(1)  # numpy.random loads on first use, outside the trace
         tracemalloc.start()
         try:
             generate_sequences(config)

@@ -397,7 +397,7 @@ class TestMatchCommand:
 
     @pytest.mark.parametrize("strategy", ["classical", "quantum"])
     def test_rows_and_summary_equal_the_counts_only_match(self, capsys, monkeypatch, strategy):
-        # 7-round chunks, so that every block is joined from pieces
+        # 7-round chunks, so that every block is counted and replayed in pieces
         monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", 7)
         r = 40
         doc = run_json(
@@ -426,38 +426,35 @@ class TestMatchCommand:
             name: float("%.9g" % getattr(profile, name)) for name in ("q00", "q01", "q10", "q11")
         }
 
-    def test_a_record_too_large_fails_before_any_round_is_played(self, capsys, monkeypatch):
-        # 2**61 rounds per pair pass play_match's check, but 2**63 rounds
-        # overflow the array size at once; the message names the option and
-        # its largest value, not numpy's negative dimension
-        class Untouchable:
-            def moves(self, start, n, state):
-                raise AssertionError("no round may be played")
+    # each family and each format once: the replay is the family's and the
+    # slices the format's, and a traced million-row render takes seconds
+    @pytest.mark.parametrize("strategy, fmt", [("classical", "json"), ("quantum", "csv")])
+    def test_handler_memory_is_bounded(self, strategy, fmt):
+        # The handler keeps the counts and a table that plays the players
+        # again as it is rendered, so handler plus render hold no round-long
+        # column: the peak is one chunk and one render slice at any length.
+        def dump(r):
+            argv = ["match", "--strategy", strategy, "--format", fmt, "--rounds-per-pair", str(r)]
+            args = build_parser().parse_args(argv)
+            params, results, table_key = cli._HANDLERS["match"](args)
+            if fmt == "json":
+                pieces = render_json(args.subcommand, args.seed, params, results)
+            else:
+                pieces = render_csv(args.subcommand, args.seed, params, results, table_key)
+            for _ in pieces:
+                pass
 
-        monkeypatch.setattr(cli, "_players", lambda args, family: (Untouchable(), Untouchable()))
-        code, out, err = run_cli(capsys, "match", "--rounds-per-pair", str(2**61))
-        assert code == 2 and out == ""
-        assert err.startswith("coordgame match: invalid parameters: ") and len(err.splitlines()) == 1
-        most = np.iinfo(np.intp).max // 4
-        assert err == f"coordgame match: invalid parameters: rounds-per-pair must be at most {most} for a match record\n"
-
-    @pytest.mark.parametrize("strategy", ["classical", "quantum"])
-    def test_handler_memory_is_bounded(self, strategy):
-        # Held after return: the round index (8 bytes per round), the states (2)
-        # and two move-name columns (4 each); the peak adds the two joined
-        # move columns.  That reads 20.3 bytes per round, and 22.3 when every
-        # chunk stays alive until the return, as a kept list of chunks would.
-        r = 65_536
-        handler = cli._HANDLERS["match"]
-        handler(build_parser().parse_args(["match", "--strategy", strategy]))  # numpy.random loads on first use
-        args = build_parser().parse_args(["match", "--strategy", strategy, "--rounds-per-pair", str(r)])
-        tracemalloc.start()
-        try:
-            handler(args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 21.5 * 4 * r
+        dump(8)  # numpy.random loads on first use
+        peaks = []
+        for r in (65_536, 262_144):
+            tracemalloc.start()
+            try:
+                dump(r)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20, peaks
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * 2**20, peaks
 
 
 class TestReproducibility:
@@ -1009,13 +1006,17 @@ class TestRowSlices:
     def test_slice_size_never_changes_a_byte(self, capsys, monkeypatch, fmt, argv):
         code, expected, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0, err
-        for size in (1, 3):
-            monkeypatch.setattr(cli, "MATCH_CHUNK_ROUNDS", size)
+        # the arbiter's chunk and the render slice apart, also with a chunk
+        # that is no multiple of the slice, so slices end at chunk ends
+        default = game.MATCH_CHUNK_ROUNDS
+        for chunk, size in [(default, 1), (default, 3), (1, 3), (2, 3), (3, 2), (7, 3)]:
+            monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
+            monkeypatch.setattr(cli, "RENDER_SLICE_ROWS", size)
             assert run_cli(capsys, *argv, "--format", fmt) == (0, expected, "")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_pieces_are_the_header_then_one_per_slice(self, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "MATCH_CHUNK_ROUNDS", 3)
+        monkeypatch.setattr(cli, "RENDER_SLICE_ROWS", 3)
         results = {"rows": Table({"x": np.arange(7)}), "ok": True}
         if fmt == "json":
             pieces = list(render_json("cmd", 0, {}, results))
@@ -1029,7 +1030,7 @@ class TestRowSlices:
 
     def test_a_float_column_leaves_the_fast_path_in_its_second_slice_only(self):
         rng = np.random.default_rng(27)
-        n = cli.MATCH_CHUNK_ROUNDS + 1
+        n = cli.RENDER_SLICE_ROWS + 1
         weight = rng.uniform(1e-3, 1e3, n)
         weight[-1] = 2.0  # "2" in %.9g, 2.0 in JSON
         assert not cli._may_print_unlike_repr(weight[:-1]).any()
@@ -1219,7 +1220,7 @@ class TestEntryPoint:
 
         def cap_address_space():
             # 1 GiB of address space by default: enough to import numpy and
-            # play a counts-only match, too little for a huge match record
+            # play a counts-only match, too little for a huge sequence draw
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         return subprocess.run(
@@ -1232,15 +1233,15 @@ class TestEntryPoint:
         )
 
     def test_memory_exhaustion_exits_two(self):
-        # match records every round, so its first round-long column fails to allocate
-        proc = self._run_capped("match", "--rounds-per-pair", str(10**12))
+        # a shared sequence of 1e12 positions cannot be drawn under the cap
+        proc = self._run_capped("match", "--N", str(10**12))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("coordgame match: out of memory:")
         assert len(proc.stderr.splitlines()) == 1
 
     def test_counts_only_match_runs_in_bounded_memory(self):
-        # 4e7 rounds, counts only: it runs inside the cap that stops the match above
+        # 4e7 rounds, counts only: it runs inside the cap that stops the draw above
         proc = self._run_capped("quantum", "--rounds-per-pair", str(10**7))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
