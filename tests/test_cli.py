@@ -456,6 +456,42 @@ class TestMatchCommand:
         assert max(peaks) < 2 * 2**20, peaks
         assert abs(peaks[1] - peaks[0]) <= 0.1 * 2**20, peaks
 
+    @pytest.mark.parametrize("strategy", ["classical", "quantum"])
+    def test_each_render_plays_fresh_players(self, capsys, monkeypatch, strategy):
+        # Once the handler returns, every player built so far refuses to
+        # move: the table keeps no player of the counting play, and each
+        # render builds its own, so rendering it twice gives the bytes of
+        # the command twice.
+        argv = ["match", "--strategy", strategy, "--rounds-per-pair", "40"]
+        code, expected, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
+        class Spendable:
+            spent = False
+
+            def __init__(self, player):
+                self.player = player
+
+            def moves(self, start, n, state):
+                assert not self.spent, "a player of an earlier play moved again"
+                return self.player.moves(start, n, state)
+
+        built, players = [], cli._players
+
+        def spendable_players(args, family):
+            pair = tuple(map(Spendable, players(args, family)))
+            built.extend(pair)
+            return pair
+
+        monkeypatch.setattr(cli, "_players", spendable_players)
+        args = build_parser().parse_args(argv)
+        params, results, _ = cli._HANDLERS["match"](args)
+        for _ in range(2):
+            for player in built:
+                player.spent = True
+            assert "".join(render_json(args.subcommand, args.seed, params, results)) == expected
+        assert len(built) == 6
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
