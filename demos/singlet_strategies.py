@@ -1,10 +1,11 @@
 """Demonstrate the entanglement-assisted strategy and its payoff near 9.
 
-Samples raw singlet measurement outcomes, seeded through the strategy
-pair itself, against the closed-form joint law, then runs full matches
-at several angle spacings and compares the empirical mismatch profiles
-and payoffs against the cosine formulas.  Finishes with a direct check
-that neither player's move statistics react to the partner's state.
+Counts raw singlet mismatches against the closed-form joint law, then
+counts full matches at several angle spacings and compares the empirical
+mismatch profiles and payoffs against the cosine formulas.  A count
+needs only player two's coins, so both use ``quantum_match_profile``.
+Finishes by playing a match, with both players' moves, to check that
+player one's move statistics do not react to the partner's state.
 """
 
 import numpy as np
@@ -17,29 +18,24 @@ SEED = 11
 
 def main():
     print("= Raw singlet outcomes =")
-    theta, r = 2.0, 25_000
-    m = 4 * r
+    theta = 2.0
     # one direction per player in both states (a0 = a1, b0 = b1): every
     # round, whatever its state pair, measures along 0 and theta
     plan = cg.GeneralAnglePlan(0.0, 0.0, theta, theta)
-    # the pair owns its randomness: SEED fixes every singlet's outcome coins,
-    # and the arbiter that plays the match draws none of its own
-    one, two = cg.quantum_player_strategy(plan, SEED)
-    chunks = cg.play_match(one, two, r)
-    differ = sum(np.count_nonzero(move_one != move_two) for _, move_one, move_two in chunks)
+    # SEED fixes every singlet's outcome coins; the moves differ where player
+    # two's coin reaches the threshold, so the count draws no coin of player one's
+    differ = cg.quantum_match_profile(plan, SEED, 25_000).q.mean()  # over 4 equal blocks
     print(f"directions separated by theta={theta}")
-    print(f"  observed mismatch fraction: {differ / m:.5f}")
+    print(f"  observed mismatch fraction: {differ:.5f}")
     print(f"  (1 + cos theta) / 2:        {(1 + np.cos(theta)) / 2:.5f}")
-    corr = (m - 2 * differ) / m  # equal signs count +1, differing signs -1
+    corr = 1 - 2 * differ  # equal signs count +1, differing signs -1
     print(f"  observed correlator:        {corr:+.5f}")
     print(f"  -cos theta:                 {-np.cos(theta):+.5f}\n")
 
     print("= Matches at decreasing angle spacing =")
     print(f"{'delta':>7} {'q00 emp':>10} {'q00 exact':>10} {'payoff emp':>11} {'payoff exact':>13}")
     for delta in (0.8, 0.4, 0.2, 0.1):
-        plan = cg.GeneralAnglePlan.equally_spaced(delta)
-        one, two = cg.quantum_player_strategy(plan, SEED)
-        emp = cg.match_profile(one, two, ROUNDS)
+        emp = cg.quantum_match_profile(cg.GeneralAnglePlan.equally_spaced(delta), SEED, ROUNDS)
         exact = cg.quantum_profile(delta)
         print(
             f"{delta:7.2f} {emp.q00:10.5f} {exact.q00:10.5f} "
@@ -51,8 +47,8 @@ def main():
 
     print("= No signaling =")
     n = 40_000
-    plan = cg.GeneralAnglePlan.equally_spaced(0.1)
-    one, two = cg.quantum_player_strategy(plan, SEED)
+    # the pair owns its randomness, and the arbiter that plays the match draws none
+    one, two = cg.quantum_player_strategy(cg.GeneralAnglePlan.equally_spaced(0.1), SEED)
     moves_b = [0, 0, 0, 0]  # player one's B moves per state-pair block
     for start, move_one, _ in cg.play_match(one, two, n):
         moves_b[start // n] += np.count_nonzero(move_one)

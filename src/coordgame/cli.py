@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 
@@ -57,7 +58,7 @@ from .game import (
     payoff,
     play_match,
 )
-from .quantum import GeneralAnglePlan, quantum_player_strategy, quantum_profile
+from .quantum import GeneralAnglePlan, quantum_match_profile, quantum_player_strategy, quantum_profile
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -185,25 +186,48 @@ def _echo(args) -> dict:
     return {name: getattr(args, name) for name in _SUBCOMMANDS[args.subcommand][1]}
 
 
-def _players(args, family: str):
-    """Both players of ``family``, built after the checks of every match parameter
-    the command has, whichever family plays: rounds, then ``--q``, then ``--delta``."""
+def _checked_config(args) -> ClassicalConfig | None:
+    """The checks of every match parameter the command has, whichever family plays:
+    rounds, then ``--q``, then ``--delta``; the classical config, if the command has one."""
     _require(args.rounds_per_pair >= 1, "rounds-per-pair must be >= 1")
-    if hasattr(args, "q"):
-        config = ClassicalConfig(n=args.N, q=args.q, mode=args.mode, seed=args.seed)
+    config = ClassicalConfig(n=args.N, q=args.q, mode=args.mode, seed=args.seed) if hasattr(args, "q") else None
     if hasattr(args, "delta"):
         _require(0.0 < args.delta < math.pi / 3.0, "delta must lie in (0, pi/3)")
+    return config
+
+
+def _players(args, family: str):
+    """Both players of ``family``, built after :func:`_checked_config`, for a classical count and ``match``'s replay."""
+    config = _checked_config(args)
     if family == "classical":
         sequences = generate_sequences(config)
         return classical_strategy(1, sequences), classical_strategy(2, sequences)
     return quantum_player_strategy(GeneralAnglePlan.equally_spaced(args.delta), args.seed)
 
 
+def _count_play(args, family: str):
+    """``family``'s counts-only match, after :func:`_checked_config`, as a call of no arguments.
+
+    This is the one place that picks each family's count.  The count is
+    returned unplayed, so ``_end_to_end`` computes the analytic profile
+    after the players are built and before they play, and its errors keep
+    their place among the checks.  Classical players are built here and
+    play :func:`match_profile`.  A singlet count reads player two's coins
+    alone, so it builds no players and draws no coin of player one's
+    (:func:`quantum_match_profile`).
+    """
+    r = args.rounds_per_pair
+    if family == "classical":
+        return partial(match_profile, *_players(args, family), r)
+    _checked_config(args)
+    return partial(quantum_match_profile, GeneralAnglePlan.equally_spaced(args.delta), args.seed, r)
+
+
 def _end_to_end(args, analytic_profile) -> tuple[dict, dict, str | None]:
     """One counts-only match of the command's family against its analytic profile."""
-    one, two = _players(args, args.subcommand)
+    count = _count_play(args, args.subcommand)
     analytic = analytic_profile()
-    empirical = match_profile(one, two, args.rounds_per_pair)
+    empirical = count()
     results = {
         "analytic": _payoff_block(analytic),
         "empirical": _payoff_block(empirical, samples=args.rounds_per_pair),
@@ -275,9 +299,9 @@ def _cmd_bounds(args) -> tuple[dict, dict, str | None]:
 
 
 def _cmd_match(args) -> tuple[dict, dict, str | None]:
-    """The counts of one play, and a table that plays the same seeded players again to list its rounds."""
+    """The counts of one play, and a table that plays the same seeded players to list its rounds."""
     r = args.rounds_per_pair
-    empirical = match_profile(*_players(args, args.strategy), r)
+    empirical = _count_play(args, args.strategy)()
     names = ["round_index", "state_one", "state_two", "move_one", "move_two"]
 
     def slices(size: int):

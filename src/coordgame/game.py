@@ -186,12 +186,7 @@ def play_match(
             last round index no longer fits the int64 array that a strategy
             may build of its rounds; during iteration, on malformed moves.
     """
-    r = int(rounds_per_state_pair)
-    if r < 1:
-        raise ValueError("rounds_per_state_pair must be >= 1")
-    if 4 * r - 1 > np.iinfo(np.int64).max:
-        raise ValueError(f"rounds_per_state_pair={r} exceeds 2**61: round indices overflow int64")
-    return _play(strategy_one, strategy_two, r)
+    return _play(strategy_one, strategy_two, _checked_rounds(rounds_per_state_pair))
 
 
 def match_profile(
@@ -217,20 +212,46 @@ def match_profile(
     return MismatchProfile(*(differ / r))
 
 
-def _play(strategy_one, strategy_two, r: int):
-    """Walk the block schedule: (first round, moves one, moves two) per chunk, in order.
+def _checked_rounds(rounds_per_state_pair) -> int:
+    """``rounds_per_state_pair`` as an int r, after :func:`play_match`'s two checks.
 
-    Each state pair of ``STATE_PAIRS`` gets one block of r rounds, played
-    in chunks of at most ``MATCH_CHUNK_ROUNDS`` rounds, so no chunk crosses
-    a block; strategy one is queried before strategy two in every chunk.
+    Every play of the block schedule calls it before it draws anything.
+
+    Raises:
+        ValueError: if r is below 1, or above 2**61, where the last round
+            index 4r - 1 no longer fits an int64.
     """
-    for k, (state_one, state_two) in enumerate(STATE_PAIRS):
+    r = int(rounds_per_state_pair)
+    if r < 1:
+        raise ValueError("rounds_per_state_pair must be >= 1")
+    if 4 * r - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"rounds_per_state_pair={r} exceeds 2**61: round indices overflow int64")
+    return r
+
+
+def _block_chunks(r: int):
+    """Walk the block schedule: (state-pair index k, first round, round count) per chunk, in order.
+
+    Each state pair ``STATE_PAIRS[k]`` gets one block of r rounds, walked
+    in chunks of at most ``MATCH_CHUNK_ROUNDS`` rounds, so no chunk crosses
+    a block.
+    """
+    for k in range(len(STATE_PAIRS)):
         stop = (k + 1) * r
         for start in range(k * r, stop, MATCH_CHUNK_ROUNDS):
-            n = min(MATCH_CHUNK_ROUNDS, stop - start)
-            moves_one = _as_move_array(strategy_one.moves(start, n, state_one), n)
-            moves_two = _as_move_array(strategy_two.moves(start, n, state_two), n)
-            yield start, moves_one, moves_two
+            yield k, start, min(MATCH_CHUNK_ROUNDS, stop - start)
+
+
+def _play(strategy_one, strategy_two, r: int):
+    """Play the block schedule's chunks: (first round, moves one, moves two) per chunk, in order.
+
+    Strategy one is queried before strategy two in every chunk.
+    """
+    for k, start, n in _block_chunks(r):
+        state_one, state_two = STATE_PAIRS[k]
+        moves_one = _as_move_array(strategy_one.moves(start, n, state_one), n)
+        moves_two = _as_move_array(strategy_two.moves(start, n, state_two), n)
+        yield start, moves_one, moves_two
 
 
 def _as_move_array(moves, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .game import STATE_PAIRS, MismatchProfile, _as_state
+from .game import STATE_PAIRS, MismatchProfile, _as_state, _block_chunks, _checked_rounds
 
 __all__ = [
     "GeneralAnglePlan",
@@ -26,6 +26,7 @@ __all__ = [
     "quantum_profile",
     "general_quantum_profile",
     "quantum_player_strategy",
+    "quantum_match_profile",
 ]
 
 
@@ -112,13 +113,18 @@ class _SingletSource:
 
     Moves are bits (1 for a negative projection, i.e. move B).  This is
     the one sampling rule: from uniforms u and v, ``move_one = u >= 0.5``
-    and the moves differ when ``v >= p_same[2*i + j]``, where player two's
-    outcome equals player one's with probability ``1 - q_ij`` from the
-    plan's profile, tabulated once per plan, so a chunk compares v against
-    one threshold.  The u and v coins come from two independent children
-    of ``SeedSequence(seed)``, each drawn as one stream, so the moves do
-    not depend on how rounds are split into chunks.  Either measurement
-    raises ``ValueError`` on a state other than 0 or 1, before it draws.
+    and the moves differ when ``v >= p_same[2*i + j]`` (:meth:`_differ`),
+    where player two's outcome equals player one's with probability
+    ``1 - q_ij`` from the plan's profile, tabulated once per plan, so a
+    chunk compares v against one threshold.  The u and v coins come from
+    two independent children of ``SeedSequence(seed)``, each drawn as one
+    stream, so the moves do not depend on how rounds are split into
+    chunks.  Either measurement raises ``ValueError`` on a state other
+    than 0 or 1, before it draws.
+
+    Whether the moves differ reads v alone, so :meth:`count_mismatches`
+    counts a chunk's mismatches from the v stream without drawing u; a
+    source either counts or measures, never both.
     """
 
     def __init__(self, plan: GeneralAnglePlan, seed: int):
@@ -144,9 +150,17 @@ class _SingletSource:
         state = _as_state(state)
         if (start, n) != (start_one, n_one):
             raise RuntimeError("both players must consume the same singlet rounds")
-        differ = v >= self._p_same[2 * state_one + state]
+        differ = self._differ(v, 2 * state_one + state)
         differ ^= move_one
         return differ.view(np.uint8)
+
+    def count_mismatches(self, n: int, pair: int) -> int:
+        """Rounds among the next n of state pair ``STATE_PAIRS[pair]`` whose moves differ, from v alone."""
+        return np.count_nonzero(self._differ(self._rng_v.random(n), pair))
+
+    def _differ(self, v: np.ndarray, pair: int) -> np.ndarray:
+        """The sampling rule: the two moves differ where ``v >= p_same[pair]``, ``pair = 2*i + j``."""
+        return v >= self._p_same[pair]
 
 
 @dataclass(frozen=True)
@@ -165,7 +179,29 @@ def quantum_player_strategy(
     must be queried in player order, which the match arbiter does.  Their
     correlation comes entirely from the source's singlet randomness,
     seeded by ``seed``: fixed (plan, seed, rounds per pair) reproduces a
-    match exactly, however its rounds are split into chunks.
+    match exactly, however its rounds are split into chunks.  A match that
+    only counts mismatches is :func:`quantum_match_profile`.
     """
     source = _SingletSource(plan, seed)
     return _EntangledPlayer(source.measure_one), _EntangledPlayer(source.measure_two)
+
+
+def quantum_match_profile(plan: GeneralAnglePlan, seed: int, rounds_per_state_pair: int) -> MismatchProfile:
+    """``match_profile(*quantum_player_strategy(plan, seed), r)``, bit for bit, from half the coins.
+
+    Player one's move is a fair coin u that no direction touches, and the
+    two moves differ exactly where player two's coin v reaches the state
+    pair's threshold, so no mismatch count reads u.  This count walks the
+    same block schedule in the same chunks, draws only the v stream and
+    builds no players; its working memory is under 1 MiB for any r.
+
+    Raises:
+        ValueError: as ``quantum_player_strategy(plan, seed)`` does, then
+            as :func:`~coordgame.game.play_match` does, both before any draw.
+    """
+    source = _SingletSource(plan, seed)
+    r = _checked_rounds(rounds_per_state_pair)
+    differ = np.zeros(4, dtype=np.int64)
+    for k, _, n in _block_chunks(r):
+        differ[k] += source.count_mismatches(n, k)
+    return MismatchProfile(*(differ / r))

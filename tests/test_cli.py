@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from coordgame import __version__, bounds, cli, game
+from coordgame import __version__, bounds, cli, game, quantum
 from coordgame.classical import MODES, ClassicalConfig, classical_strategy, flip_count, generate_sequences
 from coordgame.cli import Table, _cell, build_parser, main, render_csv, render_json
 from coordgame.game import MismatchProfile, match_profile
@@ -251,6 +251,46 @@ class TestQuantumCommand:
         code, out, _ = run_cli(capsys, "quantum", "--delta", "1e-300", "--rounds-per-pair", "5")
         analytic = json.loads(out)["results"]["analytic"] if code == 0 else {}
         assert code == 2 or analytic["degenerate"] or analytic["payoff"] == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_empirical_profile_equals_the_mismatches_of_the_match_rows(self, capsys, seed):
+        # quantum counts from player two's coins alone; match replays both coin streams
+        r = 20_000
+        doc = run_json(capsys, "quantum", "--rounds-per-pair", str(r), "--seed", seed)
+        code, out, err = run_cli(
+            capsys, "match", "--strategy", "quantum", "--rounds-per-pair", str(r), "--seed", seed, "--format", "csv"
+        )
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4 * r
+        differ = [0, 0, 0, 0]
+        for row in rows:
+            differ[int(row["round_index"]) // r] += row["move_one"] != row["move_two"]
+        profile = dict(zip(("q00", "q01", "q10", "q11"), (float("%.9g" % (d / r)) for d in differ)))
+        assert doc["results"]["empirical"]["profile"] == profile
+        assert {name: float(rows[0][f"empirical_profile_{name}"]) for name in profile} == profile
+
+    @pytest.mark.parametrize(
+        "argv, measured_chunks",
+        [
+            (["quantum", "--rounds-per-pair", "20000"], 0),
+            # the record's replay measures each of its 4 * 2 chunks; the count none
+            (["match", "--strategy", "quantum", "--rounds-per-pair", "20000"], 8),
+        ],
+        ids=["quantum", "match"],
+    )
+    def test_no_count_draws_player_one_coins(self, capsys, monkeypatch, argv, measured_chunks):
+        code, expected, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        calls, measure_one = [], quantum._SingletSource.measure_one
+
+        def counted(source, *args):
+            calls.append(args)
+            return measure_one(source, *args)
+
+        monkeypatch.setattr(quantum._SingletSource, "measure_one", counted)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+        assert len(calls) == measured_chunks
 
     def test_delta_range_enforced(self, capsys):
         for bad in ("0", "1.1", "-0.2"):
@@ -490,7 +530,8 @@ class TestMatchCommand:
             for player in built:
                 player.spent = True
             assert "".join(render_json(args.subcommand, args.seed, params, results)) == expected
-        assert len(built) == 6
+        # one pair per render, and one for a classical count; a singlet count builds none
+        assert len(built) == {"classical": 6, "quantum": 4}[strategy]
 
 
 class TestReproducibility:

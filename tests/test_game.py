@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordgame import game
+from coordgame import game, quantum
 from coordgame.classical import ClassicalConfig, classical_strategy, generate_sequences
 from coordgame.game import (
     MATCH_CHUNK_ROUNDS,
@@ -20,7 +20,7 @@ from coordgame.game import (
     payoff,
     play_match,
 )
-from coordgame.quantum import GeneralAnglePlan, quantum_player_strategy
+from coordgame.quantum import GeneralAnglePlan, quantum_match_profile, quantum_player_strategy
 from helpers import ConstantStrategy, block_schedule, played, reference_match, reference_profile, shipped_pair
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -500,12 +500,31 @@ class TestMatchProfile:
             ]
             assert recorder.seen == expected
 
-    @pytest.mark.parametrize("r", [0, -1, 2**61 + 1], ids=["zero", "negative", "beyond-int64"])
-    def test_rejects_bad_round_count(self, r):
-        with pytest.raises(ValueError, match="rounds_per_state_pair"):
-            match_profile(_Untouchable(), _Untouchable(), r)
-        with pytest.raises(ValueError, match="rounds_per_state_pair"):
-            play_match(_Untouchable(), _Untouchable(), r)
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            (0, "rounds_per_state_pair must be >= 1"),
+            (-1, "rounds_per_state_pair must be >= 1"),
+            (2**61 + 1, f"rounds_per_state_pair={2**61 + 1} exceeds 2**61: round indices overflow int64"),
+        ],
+        ids=["zero", "negative", "beyond-int64"],
+    )
+    def test_rejects_bad_round_count(self, monkeypatch, r, message):
+        # every play of the block schedule makes play_match's two checks before it draws
+        def no_draw(*args):
+            raise AssertionError("a rejected count must draw no coin")
+
+        monkeypatch.setattr(quantum._SingletSource, "count_mismatches", no_draw)
+        plays = (
+            game._checked_rounds,
+            lambda r: play_match(_Untouchable(), _Untouchable(), r),
+            lambda r: match_profile(_Untouchable(), _Untouchable(), r),
+            lambda r: quantum_match_profile(GeneralAnglePlan.equally_spaced(0.3), 0, r),
+        )
+        for play in plays:
+            with pytest.raises(ValueError) as info:
+                play(r)
+            assert str(info.value) == message
 
     def test_accepts_the_largest_round_count(self):
         class Stop(Exception):

@@ -15,6 +15,7 @@ from coordgame.quantum import (
     GeneralAnglePlan,
     general_quantum_profile,
     mismatch_probability,
+    quantum_match_profile,
     quantum_player_strategy,
     quantum_profile,
 )
@@ -470,3 +471,77 @@ class TestCoupledStrategies:
         one, two = quantum_player_strategy(plan, 1)
         move_one, move_two = played(one, two, 10)
         assert len(move_one) == len(move_two) == 40
+
+
+# a threshold of exactly 0 at (0,0), where a0 = b0, and of exactly 1 at (1,1), where b1 = a1 + pi
+EDGE_PLAN = GeneralAnglePlan(0.3, 1.1, 0.3, 1.1 + np.pi)
+
+
+class TestQuantumMatchProfile:
+    """The singlet count, which reads player two's coins alone."""
+
+    def test_edge_plan_has_thresholds_of_exactly_zero_and_one(self):
+        p_same = quantum._SingletSource(EDGE_PLAN, 0)._p_same
+        assert p_same[0] == 0.0 and p_same[3] == 1.0
+        assert quantum_match_profile(EDGE_PLAN, 0, 100).q[[0, 3]].tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("chunk", [MATCH_CHUNK_ROUNDS, 7], ids=["real-chunk", "chunk-7"])
+    @pytest.mark.parametrize(
+        "plan",
+        [equally_spaced(0.1), GeneralAnglePlan(0.3, 1.1, 2.9, 4.0), EDGE_PLAN],
+        ids=["equally-spaced", "general", "edge-thresholds"],
+    )
+    def test_equals_match_profile_of_the_strategy_pair_bitwise(self, monkeypatch, chunk, plan):
+        monkeypatch.setattr(game, "MATCH_CHUNK_ROUNDS", chunk)
+        for seed in (0, 5, 2**70 + 3):
+            for r in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
+                counted = quantum_match_profile(plan, seed, r)
+                played_profile = match_profile(*quantum_player_strategy(plan, seed), r)
+                assert counted.q.tobytes() == played_profile.q.tobytes(), (seed, r)
+
+    def test_draws_no_coin_of_player_one(self, monkeypatch):
+        expected = match_profile(*quantum_player_strategy(equally_spaced(0.4), 8), 1000)
+
+        def no_measure(*args):
+            raise AssertionError("a count drew player one's coins")
+
+        sources, init = [], quantum._SingletSource.__init__
+
+        def recorded_init(source, *args):
+            init(source, *args)
+            sources.append(source)
+
+        monkeypatch.setattr(quantum._SingletSource, "__init__", recorded_init)
+        monkeypatch.setattr(quantum._SingletSource, "measure_one", no_measure)
+        monkeypatch.setattr(quantum._SingletSource, "measure_two", no_measure)
+        assert quantum_match_profile(equally_spaced(0.4), 8, 1000) == expected
+        # the u stream is still at its start: not one coin of it was drawn
+        (source,) = sources
+        unspent = np.random.default_rng(np.random.SeedSequence(8).spawn(2)[0])
+        assert source._rng_u.bit_generator.state == unspent.bit_generator.state
+
+    @pytest.mark.parametrize("r", [10, 2**61 + 1], ids=["valid", "beyond-int64"])
+    def test_a_negative_seed_raises_first_before_any_draw(self, monkeypatch, r):
+        # in the order of match_profile(*quantum_player_strategy(plan, seed), r):
+        # the seed's error comes before the round count's
+        with pytest.raises(ValueError) as played_error:
+            match_profile(*quantum_player_strategy(equally_spaced(0.3), -1), r)
+
+        def no_draw(*args):
+            raise AssertionError("a rejected count must draw no coin")
+
+        monkeypatch.setattr(quantum._SingletSource, "count_mismatches", no_draw)
+        with pytest.raises(ValueError) as counted_error:
+            quantum_match_profile(equally_spaced(0.3), -1, r)
+        assert str(counted_error.value) == str(played_error.value)
+
+    def test_quantum_match_profile_memory_is_bounded(self):
+        # ten million rounds in under 1 MiB: nothing grows with the match
+        quantum_match_profile(equally_spaced(0.1), 0, 8)  # numpy.random loads on first use
+        tracemalloc.start()
+        try:
+            quantum_match_profile(equally_spaced(0.1), 0, 2_500_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
